@@ -27,7 +27,7 @@ from ..correspond.checks import (
     check_silting,
     check_smc,
 )
-from ..correspond.pipeline import koszul_pair_check, standard_pair
+from ..correspond.pipeline import koszul_pair_check, lockstep_walk, standard_pair
 from ..dg.dga import dg_end
 from ..errors import (
     ChainConditionViolated,
@@ -263,16 +263,13 @@ def cmd_mutate(
                 structured,
             )
 
+    walk = lockstep_walk(silting, smc, steps, seed=config.seed, depth=config.depth)
     for step, (index, side) in enumerate(steps, start=1):
-        if not 1 <= index <= len(silting):
-            raise ParseError(
-                f"step {step}: index {index} out of range 1..{len(silting)}", 1, 1
-            )
         tag = f"step{step}"
         try:
-            silting = silting_mutate(silting, index - 1, side)
-            smc = smc_mutate(smc, index - 1, side, verify=True, seed=config.seed)
-            cert = check_pattern(silting, smc, seed=config.seed, depth=config.depth)
+            silting, smc, cert = next(walk)
+        except ValueError as exc:
+            raise ParseError(str(exc), 1, 1) from exc
         except (MutationNotVerified, PatternFailed, Inconclusive) as exc:
             body.append(f"step {step} ({side} at index {index}) failed: {exc}")
             structured.append(f"{tag} failed {exc}")
@@ -345,9 +342,7 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
         )
     E = dg_end(list(silting), provenance="dg end of the silting collection")
     F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
-    report = koszul_pair_check(
-        silting, smc, window=config.window, budget=config.budget
-    )
+    report = koszul_pair_check(E, F, window=config.window, budget=config.budget)
     body = dg_table_lines(E, "dg endomorphism algebra of the silting side")
     body += [""]
     body += dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")

@@ -41,14 +41,11 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 
 from ..core.algebras import AlgebraElement, PathAlgebra, build_algebra
-from ..core.modules import minimal_projective_resolution, simple_module
+from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution, simple_module
 from ..core.quivers import Arrow, Path, Quiver
 from ..errors import ChainConditionViolated, ParseError, UnknownVertex
 from ..fields import field_of_characteristic
 from ..homotopy.complexes import ProjComplex, shift, single_projective
-
-#: Resolution length used when expanding ``res(simple v)`` shorthands.
-RESOLUTION_BOUND = 12
 
 _IDENT = r"[A-Za-z_0-9]+"
 _ARROW_LINE = re.compile(rf"^({_IDENT})\s*:\s*({_IDENT})\s*->\s*({_IDENT})$")

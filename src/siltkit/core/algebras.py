@@ -227,9 +227,6 @@ class PathAlgebra:
             acc = acc + self.from_path(path).scale(coeff)
         return acc
 
-    def radical_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.basis) if p.length >= 1)
-
     def __repr__(self):
         return (
             f"PathAlgebra(dim={self.dimension}, vertices={list(self.quiver.vertices)}, "

@@ -27,6 +27,10 @@ from ..linalg import (
 from .algebras import AlgebraElement, PathAlgebra
 from .quivers import Path
 
+#: Resolution length used for ``res(simple v)`` in input files and for the
+#: simple-minded side of the standard pair.
+RESOLUTION_BOUND = 12
+
 
 class RightModule:
     """A representation of the quiver satisfying the algebra's relations."""
@@ -354,9 +358,7 @@ def module_hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
                 if any(row):
                     rows.append(row)
 
-    solutions = kernel_basis(field, rows) if rows else [
-        r[:] for r in identity_matrix(field, total)
-    ]
+    solutions = kernel_basis(field, rows, ncols=total)
     maps = []
     for sol in solutions:
         blocks = {}

@@ -10,7 +10,6 @@ path algebra and module conventions downstream flow from this single choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -134,11 +133,3 @@ def enumerate_paths(quiver: Quiver, max_length: int) -> list[Path]:
             break
     result.sort(key=lambda p: deglex_key(quiver, p))
     return result
-
-
-def iter_arrows_into(quiver: Quiver, v: str) -> Iterator[Arrow]:
-    return (a for a in quiver.arrows if a.target == v)
-
-
-def iter_arrows_out_of(quiver: Quiver, v: str) -> Iterator[Arrow]:
-    return (a for a in quiver.arrows if a.source == v)

@@ -19,7 +19,7 @@ from .pipeline import (
     PipelineResult,
     graded_algebra_isomorphism,
     koszul_pair_check,
-    lockstep_mutations,
+    lockstep_walk,
     standard_pair,
     wt_pipeline,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "graded_algebra_isomorphism",
     "k0_matrix",
     "koszul_pair_check",
-    "lockstep_mutations",
+    "lockstep_walk",
     "membership",
     "pattern_table",
     "standard_pair",

@@ -4,8 +4,9 @@ A certified pair — silting collection on one side, simple-minded
 collection on the other — can be walked through mutations in lockstep:
 mutating both sides at the same index and re-verifying the
 orthogonality pattern after every step keeps the certificate trail
-intact.  ``wt_pipeline`` drives that walk starting from the standard
-pair of an algebra.
+intact.  ``lockstep_walk`` is that walk; ``wt_pipeline`` drives it from
+the standard pair of an algebra, and the ``mutate`` command from a pair
+read from a file.
 
 ``koszul_pair_check`` compares the two sides' dg endomorphism algebras
 through Koszul duality: each side's dual (computed directly from its
@@ -18,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..core.algebras import PathAlgebra
-from ..core.modules import minimal_projective_resolution, simple_module
+from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution, simple_module
 from ..dg import (
     DGAlgebra,
     GradedAlgebraMap,
     cohomology_algebra,
-    dg_end,
     find_formality_witness,
     koszul_dual,
     verify_dg_quasi_iso,
@@ -48,9 +48,6 @@ from .checks import CheckReport, CorrespondenceCertificate, _Reporter, check_pat
 #: bijections for (factorial growth beyond this is pointless).
 ISO_SEARCH_MAX_VERTICES = 6
 
-#: Default resolution length when building the standard pair.
-RESOLUTION_BOUND = 12
-
 
 def standard_pair(
     algebra: PathAlgebra, resolution_bound: int = RESOLUTION_BOUND
@@ -70,22 +67,22 @@ def standard_pair(
     return silting, smc
 
 
-def lockstep_mutations(
+def lockstep_walk(
     silting: Sequence[ProjComplex],
     smc: Sequence[ProjComplex],
     script: Sequence[tuple[int, str]],
     seed: int = 0,
-    verify: bool = True,
-) -> list[tuple[list[ProjComplex], list[ProjComplex]]]:
-    """Apply a mutation script to both sides of a pair in lockstep.
+    depth: int = 3,
+) -> Iterator[tuple[list[ProjComplex], list[ProjComplex], CorrespondenceCertificate]]:
+    """Mutate both sides of a pair in lockstep, one script entry at a time.
 
     Script entries are (index, side) with 1-based indices and side
-    ``left`` or ``right``; the trail returned starts at the input pair,
-    so it has one more entry than the script.
+    ``left`` or ``right``.  Each step yields the mutated pair and its
+    pattern certificate.  An entry is validated when its step is reached
+    (ValueError); verification failures propagate unwrapped.
     """
     silting = list(silting)
     smc = list(smc)
-    trail = [(list(silting), list(smc))]
     for step, (index, side) in enumerate(script, start=1):
         if side not in {"left", "right"}:
             raise ValueError(f"step {step}: side must be 'left' or 'right', not {side!r}")
@@ -94,9 +91,8 @@ def lockstep_mutations(
                 f"step {step}: index {index} out of range 1..{len(silting)}"
             )
         silting = silting_mutate(silting, index - 1, side)
-        smc = smc_mutate(smc, index - 1, side, verify=verify, seed=seed)
-        trail.append((list(silting), list(smc)))
-    return trail
+        smc = smc_mutate(smc, index - 1, side, verify=True, seed=seed)
+        yield silting, smc, check_pattern(silting, smc, seed=seed, depth=depth)
 
 
 @dataclass
@@ -132,17 +128,10 @@ def wt_pipeline(
             f"standard pair fails its pattern check: {exc}", step=0
         ) from exc
 
+    walk = lockstep_walk(silting, smc, script, seed=seed, depth=depth)
     for step, (index, side) in enumerate(script, start=1):
-        if side not in {"left", "right"}:
-            raise ValueError(f"step {step}: side must be 'left' or 'right', not {side!r}")
-        if not 1 <= index <= len(silting):
-            raise ValueError(
-                f"step {step}: index {index} out of range 1..{len(silting)}"
-            )
         try:
-            silting = silting_mutate(silting, index - 1, side)
-            smc = smc_mutate(smc, index - 1, side, verify=True, seed=seed)
-            certificates.append(check_pattern(silting, smc, seed=seed, depth=depth))
+            silting, smc, certificate = next(walk)
         except MutationNotVerified as exc:
             raise StepFailed(
                 f"step {step} ({side} mutation at index {index}): mutated "
@@ -162,6 +151,7 @@ def wt_pipeline(
                 f"verification inconclusive: {exc}",
                 step=step,
             ) from exc
+        certificates.append(certificate)
         pairs.append((list(silting), list(smc)))
     return PipelineResult(
         silting=list(silting), smc=list(smc), pairs=pairs, certificates=certificates
@@ -315,12 +305,14 @@ def graded_algebra_isomorphism(
 
 
 def koszul_pair_check(
-    silting: Sequence[ProjComplex],
-    smc: Sequence[ProjComplex],
+    E: DGAlgebra,
+    F: DGAlgebra,
     window: tuple[int, int] = (-5, 5),
     budget: int = 64,
 ) -> CheckReport:
-    """Check that the two sides of a pair are Koszul dual to each other.
+    """Check that the two sides of a pair are Koszul dual to each other,
+    given the dg endomorphism algebras E of the silting side and F of the
+    simple-minded side.
 
     For each side, the dg endomorphism algebra's Koszul dual must have
     the cohomology of the opposite side's dg endomorphism algebra: equal
@@ -329,9 +321,6 @@ def koszul_pair_check(
     not-certified when the search comes back empty).
     """
     rep = _Reporter("koszul duality")
-    E = dg_end(list(silting), provenance="dg end of the silting collection")
-    F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
-
     for label, source, opposite in (
         ("dual of the silting side", E, F),
         ("dual of the simple side", F, E),

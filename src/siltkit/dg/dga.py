@@ -10,14 +10,29 @@ of a collection of complexes, with composition as product) and
 representatives).  Everything a constructor emits passes ``verify``:
 d^2 = 0, the graded Leibniz rule, associativity, unitality, and the
 idempotent axioms are checked exactly.
+
+Cohomology (dimensions, representatives, class coordinates) comes from
+``linalg.Cohomology`` on the differential matrices into and out of each
+degree.
 """
 
 from __future__ import annotations
 
 from ..errors import ChainConditionViolated, PositiveCohomology, TruncationUnsound
-from ..linalg import GaussianSpan, kernel_basis, solve, zero_vector
+from ..linalg import Cohomology, GaussianSpan, rank, solve, zero_vector
 
 Coords = dict[int, object]
+
+
+def differential_block(field, differential: dict[int, Coords], src: list, dst: list) -> list:
+    """Matrix of a sparse differential from the span of the basis indices
+    ``src`` to the span of ``dst``, in their local order."""
+    pos = {g: i for i, g in enumerate(dst)}
+    mat = [zero_vector(field, len(src)) for _ in dst]
+    for col, g in enumerate(src):
+        for k, c in differential.get(g, {}).items():
+            mat[pos[k]][col] = c
+    return mat
 
 
 class DGElement:
@@ -190,35 +205,32 @@ class DGAlgebra:
 
     def differential_matrix(self, n: int) -> list:
         """Matrix of d: degree-n span -> degree-(n+1) span, local indices."""
-        src = self.indices_at(n)
-        dst = self.indices_at(n + 1)
-        pos = {g: i for i, g in enumerate(dst)}
-        mat = [zero_vector(self.field, len(src)) for _ in dst]
-        for col, g in enumerate(src):
-            for k, c in self.differential.get(g, {}).items():
-                mat[pos[k]][col] = c
-        return mat
+        return differential_block(
+            self.field, self.differential, self.indices_at(n), self.indices_at(n + 1)
+        )
 
     def differential_rank(self, n: int) -> int:
-        from ..linalg import rank
-
         return rank(self.field, self.differential_matrix(n))
 
-    def cohomology_dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for n in sorted(set(self.degrees)):
-            dim = len(self.indices_at(n))
-            mat = self.differential_matrix(n)
-            cocycles = (
-                len(kernel_basis(self.field, mat, ncols=dim)) if mat else dim
-            )
-            prev = self.differential_matrix(n - 1)
-            from ..linalg import rank
+    def cohomology(self, n: int) -> Cohomology:
+        return Cohomology(
+            self.field,
+            len(self.indices_at(n)),
+            self.differential_matrix(n - 1),
+            self.differential_matrix(n),
+        )
 
-            boundaries = rank(self.field, prev)
-            if cocycles - boundaries:
-                out[n] = cocycles - boundaries
-        return out
+    def cohomology_dims(self) -> dict[int, int]:
+        dims = {n: self.cohomology(n).dimension for n in sorted(set(self.degrees))}
+        return {n: d for n, d in dims.items() if d}
+
+    def local_vector(self, n: int, coords: Coords) -> list:
+        """A homogeneous degree-n element as a vector over the degree-n basis."""
+        posn = {g: i for i, g in enumerate(self.indices_at(n))}
+        vec = zero_vector(self.field, len(posn))
+        for g, c in coords.items():
+            vec[posn[g]] = c
+        return vec
 
     # -- structural verification ---------------------------------------
 
@@ -466,74 +478,26 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
     representatives) and ``parent`` for downstream witnesses.
     """
     field = E.field
-    degree_list = sorted(set(E.degrees))
-    local = {n: E.indices_at(n) for n in degree_list}
-    boundary: dict[int, GaussianSpan] = {}
-    reps: list[tuple[int, Coords]] = []  # (degree, E-coords)
-    reps_local: dict[int, list] = {}
-    for n in degree_list:
-        idx = local[n]
-        width = len(idx)
-        span = GaussianSpan(field, width)
-        prev = E.differential_matrix(n - 1)
-        if prev:
-            for col in range(len(prev[0])):
-                span.add([prev[rowi][col] for rowi in range(len(prev))])
-        boundary[n] = span
-        mat = E.differential_matrix(n)
-        if mat:
-            cocycles = kernel_basis(field, mat, ncols=width)
-        else:
-            cocycles = []
-            for i in range(width):
-                v = zero_vector(field, width)
-                v[i] = field.one
-                cocycles.append(v)
-        chosen = []
-        for z in cocycles:
-            if span.add(z):
-                chosen.append(z)
-        reps_local[n] = chosen
-        for z in chosen:
-            coords = {idx[i]: c for i, c in enumerate(z) if c}
-            reps.append((n, coords))
-    # Re-freeze the boundary spans (they were extended during rep picking).
-    for n in degree_list:
-        span = GaussianSpan(field, len(local[n]))
-        prev = E.differential_matrix(n - 1)
-        if prev:
-            for col in range(len(prev[0])):
-                span.add([prev[rowi][col] for rowi in range(len(prev))])
-        boundary[n] = span
-
-    pos_of = {n: [] for n in degree_list}
-    for h, (n, _) in enumerate(reps):
-        pos_of[n].append(h)
+    cohomology = {n: E.cohomology(n) for n in sorted(set(E.degrees))}
+    reps: list[tuple[int, Coords]] = []  # (degree, E-coords), degree-ascending
+    first: dict[int, int] = {}  # degree -> position of its first rep
+    for n, h in cohomology.items():
+        idx = E.indices_at(n)
+        first[n] = len(reps)
+        reps += [(n, {idx[i]: c for i, c in enumerate(z) if c}) for z in h.reps]
 
     def class_of(coords: Coords) -> Coords | None:
         """H-coordinates of a homogeneous cocycle, None if not a cocycle."""
         if not coords:
             return {}
-        if E.differentiate(coords):
-            return None
         degs = {E.degrees[i] for i in coords}
         if len(degs) != 1:
             return None
         n = degs.pop()
-        idx = local[n]
-        vec = zero_vector(field, len(idx))
-        posn = {g: i for i, g in enumerate(idx)}
-        for g, c in coords.items():
-            vec[posn[g]] = c
-        reduced = boundary[n].reduce(vec)
-        cols = [boundary[n].reduce(z) for z in reps_local[n]]
-        if not cols:
-            return {} if not any(reduced) else None
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(vec))]
-        sol = solve(field, matrix, reduced)
+        sol = cohomology[n].coordinates(E.local_vector(n, coords))
         if sol is None:
             return None
-        return {pos_of[n][j]: c for j, c in enumerate(sol) if c}
+        return {first[n] + j: c for j, c in enumerate(sol) if c}
 
     products: dict[tuple[int, int], Coords] = {}
     for i, (ni, ci) in enumerate(reps):
@@ -558,8 +522,7 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
         if cls:
             idempotents[name] = cls
 
-    labels = tuple(f"h{n}:{k}" for n, chosen in sorted(reps_local.items()) for k in range(len(chosen)))
-    # reps were appended degree-ascending, matching the label order above.
+    labels = tuple(f"h{n}:{k}" for n, h in cohomology.items() for k in range(h.dimension))
     H = DGAlgebra(
         field,
         labels,
@@ -663,32 +626,18 @@ def verify_dg_quasi_iso(
     if he != hf:
         notes.append(f"cohomology dimensions differ: {he} vs {hf}")
         return False
-    for n in sorted(set(he)):
-        idx_e = E.indices_at(n)
-        mat = E.differential_matrix(n)
-        if mat:
-            cocycles = kernel_basis(field, mat, ncols=len(idx_e))
-        else:
-            cocycles = [
-                [field.one if i == k else field.zero for i in range(len(idx_e))]
-                for k in range(len(idx_e))
-            ]
-        idx_f = F.indices_at(n)
-        posn = {g: i for i, g in enumerate(idx_f)}
-        span = GaussianSpan(field, len(idx_f))
-        prev = F.differential_matrix(n - 1)
-        if prev:
-            for col in range(len(prev[0])):
-                span.add([prev[r][col] for r in range(len(prev))])
-        boundary_dim = span.dimension
-        for z in cocycles:
-            coords = {idx_e[i]: c for i, c in enumerate(z) if c}
-            img = f.apply(coords)
-            vec = zero_vector(field, len(idx_f))
-            for g, c in img.items():
-                vec[posn[g]] = c
-            span.add(vec)
-        if span.dimension - boundary_dim != he.get(n, 0):
+    # Once dimensions agree, f is bijective on H^n exactly when the classes
+    # of the images of E's representatives have full rank in H^n(F).
+    for n in sorted(he):
+        idx = E.indices_at(n)
+        target = F.cohomology(n)
+        classes = [
+            target.coordinates(
+                F.local_vector(n, f.apply({idx[i]: c for i, c in enumerate(z) if c}))
+            )
+            for z in E.cohomology(n).reps
+        ]
+        if rank(field, classes) != he[n]:
             notes.append(f"induced map on H^{n} is not bijective")
             return False
     return True
@@ -840,14 +789,7 @@ def smart_truncation(E: DGAlgebra) -> tuple[DGAlgebra, GradedAlgebraMap]:
             )
     neg = [i for i, d in enumerate(E.degrees) if d < 0]
     idx0 = E.indices_at(0)
-    mat = E.differential_matrix(0)
-    if mat:
-        z0 = kernel_basis(field, mat, ncols=len(idx0))
-    else:
-        z0 = [
-            [field.one if i == k else field.zero for i in range(len(idx0))]
-            for k in range(len(idx0))
-        ]
+    z0 = E.cohomology(0).cocycles
     # New basis vectors in E-coordinates.
     new_vectors: list[Coords] = [{g: field.one} for g in neg]
     for z in z0:
@@ -870,10 +812,7 @@ def smart_truncation(E: DGAlgebra) -> tuple[DGAlgebra, GradedAlgebraMap]:
         if not remaining:
             return out
         # Degree-0 leftover must be a combination of the chosen cocycles.
-        vec = zero_vector(field, len(idx0))
-        posn = {g: i for i, g in enumerate(idx0)}
-        for g, c in remaining.items():
-            vec[posn[g]] = c
+        vec = E.local_vector(0, remaining)
         matrix = [[z0[j][i] for j in range(len(z0))] for i in range(len(idx0))]
         sol = solve(field, matrix, vec)
         if sol is None:

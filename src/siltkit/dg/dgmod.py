@@ -23,8 +23,8 @@ from ..errors import (
     IdempotentLiftMissing,
     SimpleNotOneDimensional,
 )
-from ..linalg import GaussianSpan, kernel_basis, solve, zero_vector
-from .dga import Coords, DGAlgebra
+from ..linalg import Cohomology, GaussianSpan, solve
+from .dga import Coords, DGAlgebra, differential_block
 
 
 class DGModule:
@@ -160,7 +160,6 @@ def _character(E: DGAlgebra, name: str) -> list:
     field = E.field
     e = E.idempotents[name]
     idx0 = E.indices_at(0)
-    posn = {g: i for i, g in enumerate(idx0)}
 
     def corner(coords: Coords) -> Coords:
         return E.multiply(e, E.multiply(coords, e))
@@ -169,28 +168,17 @@ def _character(E: DGAlgebra, name: str) -> list:
     corner_basis: list[Coords] = []
     for g in idx0:
         c = corner({g: field.one})
-        vec = zero_vector(field, len(idx0))
-        for h, s in c.items():
-            vec[posn[h]] = s
-        if span.add(vec):
+        if span.add(E.local_vector(0, c)):
             corner_basis.append(c)
     m = len(corner_basis)
     if m == 0:
         raise IdempotentLiftMissing(f"idempotent {name} has a zero corner algebra")
 
-    basis_vecs = []
-    for c in corner_basis:
-        vec = zero_vector(field, len(idx0))
-        for h, s in c.items():
-            vec[posn[h]] = s
-        basis_vecs.append(vec)
+    basis_vecs = [E.local_vector(0, c) for c in corner_basis]
     matrix = [[basis_vecs[j][i] for j in range(m)] for i in range(len(idx0))]
 
     def in_corner_coords(coords: Coords) -> list:
-        vec = zero_vector(field, len(idx0))
-        for h, s in coords.items():
-            vec[posn[h]] = s
-        sol = solve(field, matrix, vec)
+        sol = solve(field, matrix, E.local_vector(0, coords))
         if sol is None:
             raise IdempotentLiftMissing(
                 f"corner of idempotent {name} is not closed under its basis"
@@ -440,11 +428,10 @@ class SemifreeResolution:
 
     def _cone_data(self):
         """Basis degrees and differential of M (+) F[1], with the comparison
-        map folded in.  Returns (degrees, labels, matrix columns dict)."""
+        map folded in.  Returns (degrees, sparse differential columns)."""
         field = self.field
         m_dim = self.target.dimension
         degrees = list(self.target.degrees) + [n - 1 for n in self.basis_degrees]
-        total = m_dim + self.dimension
         diff: dict[int, Coords] = {}
         for i, val in self.target.differential.items():
             diff[i] = dict(val)
@@ -458,39 +445,26 @@ class SemifreeResolution:
             col = {j: c for j, c in col.items() if c}
             if col:
                 diff[m_dim + p] = col
-        return degrees, total, diff
+        return degrees, diff
 
     def _cone_cohomology(self):
         """dict degree -> list of representative cone coordinate dicts."""
         field = self.field
-        degrees, total, diff = self._cone_data()
+        degrees, diff = self._cone_data()
         by_degree: dict[int, list[int]] = {}
         for i, n in enumerate(degrees):
             by_degree.setdefault(n, []).append(i)
         out: dict[int, list[Coords]] = {}
         for n in sorted(by_degree):
             src = by_degree[n]
-            dst = by_degree.get(n + 1, [])
-            dpos = {g: i for i, g in enumerate(dst)}
-            mat = [zero_vector(field, len(src)) for _ in dst]
-            for col, g in enumerate(src):
-                for k, c in diff.get(g, {}).items():
-                    mat[dpos[k]][col] = c
-            cocycles = kernel_basis(field, mat, ncols=len(src))
-            span = GaussianSpan(field, len(src))
-            prev = by_degree.get(n - 1, [])
-            spos = {g: i for i, g in enumerate(src)}
-            for g in prev:
-                vec = zero_vector(field, len(src))
-                for k, c in diff.get(g, {}).items():
-                    vec[spos[k]] = c
-                span.add(vec)
-            reps = []
-            for z in cocycles:
-                if span.add(z):
-                    reps.append({src[i]: c for i, c in enumerate(z) if c})
-            if reps:
-                out[n] = reps
+            h = Cohomology(
+                field,
+                len(src),
+                differential_block(field, diff, by_degree.get(n - 1, []), src),
+                differential_block(field, diff, src, by_degree.get(n + 1, [])),
+            )
+            if h.reps:
+                out[n] = [{src[i]: c for i, c in enumerate(z) if c} for z in h.reps]
         return out
 
     # -- materialization ----------------------------------------------

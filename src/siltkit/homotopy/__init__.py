@@ -17,8 +17,6 @@ from .homs import (
     HomComplex,
     HomSpace,
     cartan_pairing,
-    euler_form_cohomology,
-    euler_form_dims,
     hom_complex,
     hom_space,
     trusted_window,
@@ -41,8 +39,6 @@ __all__ = [
     "complex_cohomology_dims",
     "cone",
     "direct_sum",
-    "euler_form_cohomology",
-    "euler_form_dims",
     "find_isomorphism",
     "hom_complex",
     "hom_space",

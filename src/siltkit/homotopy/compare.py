@@ -14,7 +14,7 @@ import itertools
 import random
 
 from ..errors import CharacteristicUnsupported, Inconclusive
-from ..linalg import kernel_basis, zero_vector
+from ..linalg import kernel_basis, mat_vec, zero_vector
 from .complexes import ChainMap, ProjComplex, cone, identity_map, minimize
 from .homs import HomSpace, hom_space
 
@@ -197,10 +197,12 @@ def is_indecomposable(x: ProjComplex) -> bool:
     """Whether x is indecomposable, decided through its endomorphism ring.
 
     In characteristic zero the radical of H^0 End is the kernel of the trace
-    form of the regular representation; x is declared indecomposable when
-    the semisimple quotient is one-dimensional.  In characteristic p the
-    criterion is the absence of nontrivial idempotents, checked by
-    exhausting the finite ring when that fits the search budget.
+    form of the regular representation; x is indecomposable when the
+    semisimple quotient is one-dimensional.  Otherwise, in any
+    characteristic, x is declared decomposable only when the bounded search
+    exhibits a nontrivial idempotent.  Over F_p that search exhausts the
+    finite ring, so finding none proves indecomposability; over the
+    rationals it proves nothing and Inconclusive is raised.
     """
     mx = minimize(x)
     if mx.is_zero():
@@ -226,33 +228,32 @@ def is_indecomposable(x: ProjComplex) -> bool:
                     for b in range(dim):
                         trace = trace + mults[i][a][b] * mults[j][b][a]
                 gram[i][j] = trace
-        radical_dim = len(kernel_basis(field, gram))
-        return dim - radical_dim == 1
+        if dim - len(kernel_basis(field, gram)) == 1:
+            return True
 
-    p = field.characteristic
-    if p**dim > SEARCH_BUDGET:
-        raise CharacteristicUnsupported(
-            f"idempotent search over F_{p} needs {p}^{dim} trials, beyond the budget"
+    pool = _coefficient_pool(field)
+    if not _search_is_exhaustive(field, dim):
+        if field.characteristic:
+            raise CharacteristicUnsupported(
+                f"idempotent search over F_{field.characteristic} needs "
+                f"{len(pool)}^{dim} trials, beyond the budget"
+            )
+        raise Inconclusive(
+            f"idempotent search over {len(pool)}^{dim} coefficient choices "
+            f"exceeds SEARCH_BUDGET = {SEARCH_BUDGET}"
         )
 
-    def multiply(u, v):
-        out = zero_vector(field, dim)
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, val in enumerate(table[i][j]):
-                    out[k] = out[k] + ci * cj * val
-        return out
-
-    pool = [field.coerce(i) for i in range(p)]
     zero = zero_vector(field, dim)
     for cand in itertools.product(pool, repeat=dim):
         e = list(cand)
         if e == zero or e == ident:
             continue
-        if multiply(e, e) == e:
+        if mat_vec(field, _left_multiplication(field, table, e, dim), e) == e:
             return False
+    if field.characteristic == 0:
+        raise Inconclusive(
+            "H^0 End is not local by its trace form, but no nontrivial "
+            "idempotent has coefficients in -3..3 (the box the SEARCH_BUDGET "
+            f"= {SEARCH_BUDGET} search covers)"
+        )
     return True

@@ -513,10 +513,9 @@ def complex_cohomology_dims(x: ProjComplex) -> dict[int, dict[str, int]]:
     vertex component), computed by expanding the projectives to their
     underlying representations."""
     from ..core.modules import ProjectiveSumModule, entries_to_map
-    from ..linalg import kernel_basis, rank
+    from ..linalg import Cohomology
 
     algebra = x.algebra
-    field = algebra.field
     modules = {k: ProjectiveSumModule(algebra, vs) for k, vs in x.summands.items()}
     maps = {}
     for k in x.diffs:
@@ -525,18 +524,11 @@ def complex_cohomology_dims(x: ProjComplex) -> dict[int, dict[str, int]]:
     for k, mod in modules.items():
         per_vertex = {}
         for v in algebra.quiver.vertices:
-            dim_v = mod.dims[v]
-            if k in maps:
-                block = maps[k].blocks[v]
-                ker = len(kernel_basis(field, block, ncols=dim_v)) if dim_v else 0
-            else:
-                ker = dim_v
-            if k - 1 in maps:
-                img = rank(field, maps[k - 1].blocks[v])
-            else:
-                img = 0
-            if ker - img:
-                per_vertex[v] = ker - img
+            d_in = maps[k - 1].blocks[v] if k - 1 in maps else []
+            d_out = maps[k].blocks[v] if k in maps else []
+            dim = Cohomology(algebra.field, mod.dims[v], d_in, d_out).dimension
+            if dim:
+                per_vertex[v] = dim
         if per_vertex:
             out[k] = per_vertex
     return out

@@ -5,7 +5,8 @@ basis elements are tuples (k, r, c, q): component degree, target summand,
 source summand, and an algebra basis path supported on the matching
 idempotent block.  The differential is D(f) = d_Y f - (-1)^n f d_X, so
 degree-n cocycles are exactly degree-n chain maps and coboundaries are the
-null-homotopic ones.
+null-homotopic ones.  H^n comes from ``linalg.Cohomology`` on the
+differentials into and out of degree n.
 
 When either complex is an incomplete (truncated) resolution, cohomology is
 served only in the degree range where the missing part provably cannot
@@ -16,7 +17,7 @@ wrong number.
 from __future__ import annotations
 
 from ..errors import TruncationUnsound
-from ..linalg import GaussianSpan, identity_matrix, solve, zero_vector
+from ..linalg import Cohomology, zero_vector
 from .complexes import ChainMap, ProjComplex, alg_zero_matrix
 
 BasisElt = tuple[int, int, int, int]
@@ -69,14 +70,8 @@ class HomComplex:
 
     # -- underlying graded pieces --------------------------------------
 
-    def degrees(self) -> list[int]:
-        return sorted(n for n in self.basis if self.basis[n])
-
     def dimension(self, n: int) -> int:
         return len(self.basis.get(n, ()))
-
-    def graded_dimensions(self) -> dict[int, int]:
-        return {n: len(es) for n, es in self.basis.items() if es}
 
     def differential_matrix(self, n: int) -> list:
         return self._diff.get(n, [])
@@ -86,40 +81,10 @@ class HomComplex:
 
         return rank(self.field, self._diff.get(n, []))
 
-    # -- cocycles, boundaries, cohomology ------------------------------
-
-    def cocycles(self, n: int) -> list:
-        from ..linalg import kernel_basis
-
-        dim = self.dimension(n)
-        if dim == 0:
-            return []
-        mat = self._diff.get(n, [])
-        if not mat:
-            return [row[:] for row in identity_matrix(self.field, dim)]
-        return kernel_basis(self.field, mat)
-
-    def boundary_span(self, n: int) -> GaussianSpan:
-        span = GaussianSpan(self.field, self.dimension(n))
-        prev = self._diff.get(n - 1, [])
-        if prev:
-            cols = len(prev[0]) if prev else 0
-            for j in range(cols):
-                span.add([prev[i][j] for i in range(len(prev))])
-        return span
-
-    def cohomology_reps(self, n: int) -> list:
-        """Cocycle vectors spanning a complement of the boundaries, chosen
-        greedily in the fixed basis order."""
-        span = self.boundary_span(n)
-        reps = []
-        for z in self.cocycles(n):
-            if span.add(z):
-                reps.append(z)
-        return reps
-
-    def cohomology_dim(self, n: int) -> int:
-        return len(self.cohomology_reps(n))
+    def cohomology(self, n: int) -> Cohomology:
+        return Cohomology(
+            self.field, self.dimension(n), self._diff.get(n - 1, []), self._diff.get(n, [])
+        )
 
     # -- conversions ---------------------------------------------------
 
@@ -175,12 +140,11 @@ class HomSpace:
     def __init__(self, hom: HomComplex, degree: int):
         self.complex = hom
         self.degree = degree
-        self._boundary = hom.boundary_span(degree)
-        self._rep_vectors = hom.cohomology_reps(degree)
+        self.cohomology = hom.cohomology(degree)
         self.representatives = [
-            hom.vector_to_map(degree, v) for v in self._rep_vectors
+            hom.vector_to_map(degree, v) for v in self.cohomology.reps
         ]
-        self.dimension = len(self._rep_vectors)
+        self.dimension = len(self.representatives)
 
     def class_coordinates(self, f: ChainMap) -> list:
         """Coordinates of [f] in the representative basis (f must be a
@@ -188,23 +152,14 @@ class HomSpace:
         vec = self.complex.map_to_vector(f)
         if not vec:
             return []
-        reduced = self._boundary.reduce(vec)
-        if self.dimension == 0:
-            if any(reduced):
-                raise ValueError("map is not a boundary but the space is zero")
-            return []
-        cols = [self._boundary.reduce(r) for r in self._rep_vectors]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(vec))]
-        coords = solve(self.complex.field, matrix, reduced)
+        coords = self.cohomology.coordinates(vec)
         if coords is None:
             raise ValueError("map is not a cocycle modulo boundaries")
         return coords
 
     def is_boundary(self, f: ChainMap) -> bool:
         vec = self.complex.map_to_vector(f)
-        if not vec:
-            return True
-        return not any(self._boundary.reduce(vec))
+        return not vec or self.cohomology.boundaries.contains(vec)
 
 
 def hom_complex(x: ProjComplex, y: ProjComplex) -> HomComplex:
@@ -226,19 +181,6 @@ def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
             window=(lo, hi),
         )
     return HomSpace(HomComplex(x, y), n)
-
-
-def euler_form_dims(hom: HomComplex) -> int:
-    """Alternating sum of the graded dimensions of the Hom complex."""
-    return sum((-1) ** (n % 2) * d for n, d in hom.graded_dimensions().items())
-
-
-def euler_form_cohomology(hom: HomComplex) -> int:
-    """Alternating sum of the cohomology dimensions of the Hom complex."""
-    total = 0
-    for n in hom.degrees():
-        total += (-1) ** (n % 2) * hom.cohomology_dim(n)
-    return total
 
 
 def cartan_pairing(algebra, class_x: dict[str, int], class_y: dict[str, int]) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import MutationNotVerified
-from ..linalg import GaussianSpan
+from ..linalg import rank
 from .complexes import ChainMap, ProjComplex, cone, direct_sum, minimize, shift
 from .homs import hom_space
 
@@ -81,14 +81,8 @@ def _stack_from_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMa
 
 def _covers_target(space, compositions) -> bool:
     """Whether the classes of the given maps span the whole hom space."""
-    span = GaussianSpan(space.complex.field, space.complex.dimension(space.degree))
-    got = 0
-    for comp in compositions:
-        vec = space.complex.map_to_vector(comp)
-        reduced = space._boundary.reduce(vec)
-        if span.add(reduced):
-            got += 1
-    return got >= space.dimension
+    classes = [space.class_coordinates(comp) for comp in compositions]
+    return rank(space.complex.field, classes) == space.dimension
 
 
 def left_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approximation:

@@ -4,9 +4,16 @@ Matrices are lists of row lists; vectors are plain lists.  Everything is
 deterministic: pivots are always the first usable position, free variables
 are enumerated in ascending column order.  Exactness (no epsilon anywhere)
 is what makes rank arguments downstream sound.
+
+``Cohomology`` is the one place cohomology is computed: cocycles,
+boundaries, class representatives and class coordinates of a cochain
+complex at one degree.  Hom complexes, dg algebras, dg module cones and
+vertex blocks of complexes all hand it their differentials.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .fields import Field
 
@@ -197,6 +204,11 @@ class GaussianSpan:
         self.rows[pivot] = v
         return True
 
+    def copy(self) -> "GaussianSpan":
+        out = GaussianSpan(self.field, self.width)
+        out.rows = dict(self.rows)  # add() replaces rows, never edits them
+        return out
+
     def contains(self, vector: Vector) -> bool:
         return not any(self.reduce(vector))
 
@@ -205,3 +217,57 @@ class GaussianSpan:
 
     def pivots(self) -> list[int]:
         return sorted(self.rows)
+
+
+class Cohomology:
+    """H^n of a cochain complex, from the dense matrices of d^{n-1}
+    (``d_in``, ``width`` rows) and d^n (``d_out``, ``width`` columns).
+
+    Every part is computed on first use.  ``dimension`` comes from ranks
+    alone unless the representatives are already known, so callers that
+    need only dimensions never pick representatives.
+    """
+
+    def __init__(self, field: Field, width: int, d_in: Matrix, d_out: Matrix):
+        self.field = field
+        self.width = width
+        self.d_in = d_in
+        self.d_out = d_out
+
+    @cached_property
+    def cocycles(self) -> list[Vector]:
+        return kernel_basis(self.field, self.d_out, ncols=self.width)
+
+    @cached_property
+    def boundaries(self) -> GaussianSpan:
+        """The span of the columns of d^{n-1}; never extended afterwards."""
+        span = GaussianSpan(self.field, self.width)
+        for column in transpose(self.d_in):
+            span.add(column)
+        return span
+
+    @cached_property
+    def reps(self) -> list[Vector]:
+        """Cocycles independent modulo the boundaries, chosen greedily in
+        kernel-basis order."""
+        span = self.boundaries.copy()
+        return [z for z in self.cocycles if span.add(z)]
+
+    @property
+    def dimension(self) -> int:
+        if "reps" in self.__dict__:
+            return len(self.reps)
+        return self.width - rank(self.field, self.d_out) - rank(self.field, self.d_in)
+
+    @cached_property
+    def _reduced_reps(self) -> Matrix:
+        """Representatives reduced modulo the boundaries, as columns."""
+        return transpose([self.boundaries.reduce(z) for z in self.reps])
+
+    def coordinates(self, vector: Vector) -> Vector | None:
+        """Coordinates of the class of a cocycle in the representative
+        basis, or None if ``vector`` is not a cocycle modulo boundaries."""
+        residual = self.boundaries.reduce(vector)
+        if not self.reps:
+            return None if any(residual) else []
+        return solve(self.field, self._reduced_reps, residual)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from siltkit.core.modules import minimal_projective_resolution, simple_module
-from siltkit.errors import CharacteristicUnsupported
-from siltkit.fields import PrimeField
+from siltkit.core.modules import RightModule, minimal_projective_resolution, simple_module
+from siltkit.errors import CharacteristicUnsupported, Inconclusive
+from siltkit.fields import QQ, PrimeField
 from siltkit.homotopy.compare import find_isomorphism, is_indecomposable, is_isomorphic
 from siltkit.homotopy.complexes import (
     cone,
@@ -80,6 +80,21 @@ def test_direct_sums_are_decomposable(a2):
     assert not is_indecomposable(both)
     twice = direct_sum(res(a2, "1"), res(a2, "1"))
     assert not is_indecomposable(twice)
+
+
+def test_endomorphism_field_of_degree_two_is_not_called_decomposable(kronecker):
+    """With a = I and b = [[0, -1], [1, 0]] the Kronecker module has End = Q(i),
+    a field.  Its semisimple quotient is two-dimensional, yet it has no
+    nontrivial idempotent, so the answer must not be a definitive False."""
+    one, zero = QQ.one, QQ.zero
+    module = RightModule(
+        kronecker,
+        {"1": 2, "2": 2},
+        {"a": [[one, zero], [zero, one]], "b": [[zero, -one], [one, zero]]},
+    )
+    x = minimal_projective_resolution(module, 12)
+    with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
+        is_indecomposable(x)
 
 
 def test_indecomposability_over_a_prime_field():

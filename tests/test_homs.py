@@ -64,8 +64,8 @@ def test_underlying_hom_complex_of_the_f_classes(a2):
     assert hom.dimension(0) == 1
     assert hom.dimension(-1) == 1
     assert hom.differential_rank(-1) == 1
-    assert hom.cohomology_dim(0) == 0
-    assert hom.cohomology_dim(-1) == 0
+    assert hom.cohomology(0).dimension == 0
+    assert hom.cohomology(-1).dimension == 0
 
 
 def test_shift_equivariance_of_hom_spaces(a2):

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from oracles import sym_matrix, sym_nullity, sym_rank
 from siltkit.fields import QQ, PrimeField
 from siltkit.linalg import (
+    Cohomology,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -114,3 +116,47 @@ def test_matrix_product_agrees_with_sympy(pair):
     for i in range(len(ours)):
         for j in range(len(ours[0])):
             assert Fraction(int(theirs[i, j].p), int(theirs[i, j].q)) == ours[i][j]
+
+
+@st.composite
+def cochain_pieces(draw):
+    """Matrices of d^{n-1} (width x a) and d^n (b x width) with d^n d^{n-1} = 0,
+    plus a test vector.  The columns of d^{n-1} are random combinations of
+    sympy's null space of d^n."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    a = draw(st.integers(min_value=0, max_value=3))
+    b = draw(st.integers(min_value=0, max_value=3))
+    d_out = draw(_matrix(b, width))
+    kernel = sym_matrix(d_out).nullspace() if b else sympy.eye(width).columnspace()
+    kernel = [[Fraction(int(x.p), int(x.q)) for x in k] for k in kernel]
+    mix = draw(_matrix(len(kernel), a))
+    d_in = [
+        [sum((k[r] * m[j] for k, m in zip(kernel, mix)), Fraction(0)) for j in range(a)]
+        for r in range(width)
+    ]
+    vector = draw(st.lists(small_entries, min_size=width, max_size=width))
+    return width, d_in, d_out, vector
+
+
+@settings(max_examples=80)
+@given(cochain_pieces())
+def test_cohomology_agrees_with_the_sympy_rank_formula(pieces):
+    width, d_in, d_out, vector = pieces
+    h = Cohomology(QQ, width, d_in, d_out)
+    assert h.dimension == width - sym_rank(d_out) - sym_rank(d_in)
+    assert len(h.reps) == h.dimension
+    for i, rep in enumerate(h.reps):
+        assert h.coordinates(rep) == [Fraction(int(i == j)) for j in range(h.dimension)]
+    for column in zip(*d_in):
+        assert h.coordinates(list(column)) == [Fraction(0)] * h.dimension
+    coords = h.coordinates(vector)
+    if d_out and any(sym_matrix(d_out) * sym_matrix([vector]).T):
+        assert coords is None
+    else:
+        # The vector minus its combination of representatives is a boundary.
+        rest = [
+            x - sum((c * rep[r] for c, rep in zip(coords, h.reps)), Fraction(0))
+            for r, x in enumerate(vector)
+        ]
+        augmented = [row + [x] for row, x in zip(d_in, rest)]
+        assert sym_rank(augmented) == sym_rank(d_in)

@@ -8,7 +8,6 @@ from siltkit.correspond.pipeline import (
     PipelineResult,
     graded_algebra_isomorphism,
     koszul_pair_check,
-    lockstep_mutations,
     standard_pair,
     wt_pipeline,
 )
@@ -78,14 +77,6 @@ def test_script_validation(a2):
         wt_pipeline(a2, [(1, "sideways")])
 
 
-def test_lockstep_trail_includes_the_start(a2):
-    silting, smc = standard_pair(a2)
-    trail = lockstep_mutations(silting, smc, [(2, "left"), (2, "right")])
-    assert len(trail) == 3
-    for ours, original in zip(trail[-1][0], silting):
-        assert is_isomorphic(ours, original)
-
-
 def test_failed_step_is_wrapped_and_numbered(a2, monkeypatch):
     """A pattern failure mid-walk must surface as a numbered step
     failure rather than a bare exception."""
@@ -112,7 +103,7 @@ def test_pipeline_over_the_bigger_quivers(a3, a3rel, kronecker):
 
 
 def test_koszul_check_on_the_standard_pair(a2):
-    report = koszul_pair_check(*standard_pair(a2))
+    report = koszul_pair_check(*map(dg_end, standard_pair(a2)))
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: direct", "route: formality"]
@@ -120,7 +111,7 @@ def test_koszul_check_on_the_standard_pair(a2):
 
 def test_koszul_check_on_the_left_mutated_pair(a2):
     result = wt_pipeline(a2, [(2, "left")])
-    report = koszul_pair_check(result.silting, result.smc)
+    report = koszul_pair_check(dg_end(result.silting), dg_end(result.smc))
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: formality", "route: direct"]
@@ -128,7 +119,7 @@ def test_koszul_check_on_the_left_mutated_pair(a2):
 
 def test_koszul_check_on_the_right_mutated_pair(a2):
     result = wt_pipeline(a2, [(2, "right")])
-    report = koszul_pair_check(result.silting, result.smc)
+    report = koszul_pair_check(dg_end(result.silting), dg_end(result.smc))
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: direct", "route: formality"]
@@ -138,7 +129,7 @@ def test_koszul_check_never_overclaims_on_wide_arrow_spaces(kronecker):
     """Two independent dual routes agree on dimensions, but the bounded
     isomorphism search may honestly come back empty; the verdict then
     stays short of a pass."""
-    report = koszul_pair_check(*standard_pair(kronecker))
+    report = koszul_pair_check(*map(dg_end, standard_pair(kronecker)))
     assert report.verdict == "not-certified"
     dims_items = [item for item in report.items if "dimensions" in item.name]
     assert dims_items and all(item.ok for item in dims_items)
