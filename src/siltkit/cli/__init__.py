@@ -392,6 +392,7 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
     nodes: list[dict] = []
     edges: list[tuple[int, int, str, int]] = []
     inconclusive = False
+    capped = False
 
     def verdict_of(smc) -> str:
         # --depth bounds the mutation search here; node verification keeps
@@ -429,6 +430,7 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                             inconclusive = True
                     if target is None:
                         if len(nodes) >= GRAPH_NODE_CAP:
+                            capped = True
                             continue
                         nodes.append(
                             {
@@ -451,6 +453,13 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
         f"(window {lo}..{hi}, depth {config.depth})"
     ]
     structured = [f"graph nodes {len(nodes)} edges {len(edges)}"]
+    if capped:
+        verdicts["graph-cap"] = "not-certified"
+        body.append(
+            f"truncated at GRAPH_NODE_CAP = {GRAPH_NODE_CAP}: "
+            "new nodes beyond the cap and their edges were dropped"
+        )
+        structured.append(f"graph truncated GRAPH_NODE_CAP {GRAPH_NODE_CAP}")
     for n, node in enumerate(nodes):
         body.append(
             f"node {n}: silting {collection_summary(node['silting'])} | "

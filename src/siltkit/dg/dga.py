@@ -35,6 +35,22 @@ def differential_block(field, differential: dict[int, Coords], src: list, dst: l
     return mat
 
 
+def _index(pairs) -> dict[int, list[int]]:
+    """The second entries of ``pairs`` grouped by their first entry."""
+    out: dict[int, list[int]] = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
+
+
+def _factors(index: dict[int, list[int]], support) -> set[int]:
+    """The union of ``index[m]`` over the basis indices m in ``support``."""
+    out: set[int] = set()
+    for m in support:
+        out.update(index.get(m, ()))
+    return out
+
+
 class DGElement:
     """A sparse element of a DGAlgebra; supports ring arithmetic and d()."""
 
@@ -234,8 +250,41 @@ class DGAlgebra:
 
     # -- structural verification ---------------------------------------
 
+    def _leibniz_pairs(self, by_left: dict):
+        """The basis pairs (i, j) on which e_i e_j, d(e_i) e_j or e_i d(e_j)
+        can be nonzero, each once.  On every other pair both sides of the
+        Leibniz rule are 0."""
+        d_into = _index((m, j) for j, dj in self.differential.items() for m in dj)
+        for i in range(self.dimension):
+            js = _factors(by_left, (i, *self.differential.get(i, ())))
+            js |= _factors(d_into, by_left.get(i, ()))
+            for j in js:
+                yield i, j
+
+    def _associativity_triples(self, by_left: dict, by_right: dict):
+        """The basis triples (i, j, k) on which (e_i e_j) e_k or
+        e_i (e_j e_k) can be nonzero, each once.  A nonzero left side needs
+        e_i e_j != 0 and k a right factor of its support; a nonzero right
+        side needs e_j e_k != 0 and i a left factor of its support, and
+        unless e_i e_j != 0 too, k is then a right factor of j.  On every
+        other triple both sides are 0."""
+        products = self.products
+        for (i, j), ij in products.items():
+            for k in _factors(by_left, (j, *ij)):
+                yield i, j, k
+        for (j, k), jk in products.items():
+            for i in _factors(by_right, jk):
+                if (i, j) not in products:
+                    yield i, j, k
+
     def verify(self) -> None:
-        """Raises ChainConditionViolated on any broken axiom."""
+        """Raises ChainConditionViolated on any broken axiom.
+
+        Leibniz and associativity are checked only on the basis pairs and
+        triples where a product can be nonzero, found through the products
+        indexed by left and by right factor; everywhere else both sides
+        vanish, so the check stays exact.
+        """
         f = self.field
         dim = self.dimension
         for (i, j), val in self.products.items():
@@ -256,32 +305,31 @@ class DGAlgebra:
             dd = self.differentiate(self.differential.get(i, {}))
             if dd:
                 raise ChainConditionViolated(f"d(d({self.labels[i]})) != 0")
-        for i in range(dim):
-            for j in range(dim):
-                prod = self.products.get((i, j), {})
-                left = self.differentiate(prod)
-                sign = -1 if self.degrees[i] % 2 else 1
-                right = self.multiply(self.differential.get(i, {}), {j: f.one})
-                second = self.multiply({i: f.one}, self.differential.get(j, {}))
-                for k, c in second.items():
-                    right[k] = right.get(k, f.zero) + (c if sign == 1 else -c)
-                right = {k: c for k, c in right.items() if c}
-                if left != right:
-                    raise ChainConditionViolated(
-                        f"Leibniz fails on {self.labels[i]} * {self.labels[j]}"
-                    )
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    ab = self.products.get((i, j), {})
-                    bc = self.products.get((j, k), {})
-                    left = self.multiply(ab, {k: f.one})
-                    right = self.multiply({i: f.one}, bc)
-                    if left != right:
-                        raise ChainConditionViolated(
-                            f"associativity fails on "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
+        by_left = _index(self.products)
+        by_right = _index((j, i) for i, j in self.products)
+        for i, j in self._leibniz_pairs(by_left):
+            prod = self.products.get((i, j), {})
+            left = self.differentiate(prod)
+            sign = -1 if self.degrees[i] % 2 else 1
+            right = self.multiply(self.differential.get(i, {}), {j: f.one})
+            second = self.multiply({i: f.one}, self.differential.get(j, {}))
+            for k, c in second.items():
+                right[k] = right.get(k, f.zero) + (c if sign == 1 else -c)
+            right = {k: c for k, c in right.items() if c}
+            if left != right:
+                raise ChainConditionViolated(
+                    f"Leibniz fails on {self.labels[i]} * {self.labels[j]}"
+                )
+        for i, j, k in self._associativity_triples(by_left, by_right):
+            ab = self.products.get((i, j), {})
+            bc = self.products.get((j, k), {})
+            left = self.multiply(ab, {k: f.one})
+            right = self.multiply({i: f.one}, bc)
+            if left != right:
+                raise ChainConditionViolated(
+                    f"associativity fails on "
+                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                )
         for i in range(dim):
             if self.multiply(self.unit, {i: f.one}) != {i: f.one}:
                 raise ChainConditionViolated(f"1 * {self.labels[i]} != {self.labels[i]}")

@@ -114,14 +114,8 @@ class RationalField:
     """The field of exact rationals."""
 
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         """Turn an int, Fraction, or literal string like ``-3/4`` into a scalar."""
@@ -150,18 +144,12 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
 
     def coerce(self, value) -> FpElement:
         if isinstance(value, FpElement):

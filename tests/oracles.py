@@ -230,3 +230,102 @@ def module_hom_dimension(m, n) -> int:
         [[eq.coeff(s) for s in symbols] for eq in equations]
     )
     return len(symbols) - system.rank()
+
+
+# ---------------------------------------------------------------------------
+# dense dg algebra axioms
+# ---------------------------------------------------------------------------
+
+
+def _dg_multiply(A, x: dict, y: dict) -> dict:
+    out: dict = {}
+    for i, c in x.items():
+        for j, d in y.items():
+            for k, s in A.products.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + c * d * s
+    return {k: v for k, v in out.items() if v}
+
+
+def _dg_differentiate(A, x: dict) -> dict:
+    out: dict = {}
+    for i, c in x.items():
+        for k, s in A.differential.get(i, {}).items():
+            out[k] = out.get(k, 0) + c * s
+    return {k: v for k, v in out.items() if v}
+
+
+def _dg_add(x: dict, y: dict, sign: int = 1) -> dict:
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + (c if sign == 1 else -c)
+    return {k: v for k, v in out.items() if v}
+
+
+def dense_dg_verify(A) -> str | None:
+    """The first dg algebra axiom that A breaks, or None if it has none.
+
+    Reads only A's structure data (``degrees``, ``products``,
+    ``differential``, ``unit``, ``idempotents``, ``field.one``) and checks
+    in the order of ``DGAlgebra.verify``, but densely: Leibniz on every one
+    of the dim^2 basis pairs and associativity on every one of the dim^3
+    basis triples, zero products included.  The answer is one of
+    ``"product degree"``, ``"differential degree"``, ``"d squared"``,
+    ``"Leibniz"``, ``"associativity"``, ``"unit"``, ``"unit cycle"``,
+    ``"idempotent degree"``, ``"idempotent"``, ``"idempotent sum"``,
+    ``"orthogonality"`` and ``"block"``.
+    """
+    one = A.field.one
+    dim = len(A.degrees)
+    basis = [{i: one} for i in range(dim)]
+    for (i, j), val in A.products.items():
+        if any(A.degrees[k] != A.degrees[i] + A.degrees[j] for k in val):
+            return "product degree"
+    for i, val in A.differential.items():
+        if any(A.degrees[k] != A.degrees[i] + 1 for k in val):
+            return "differential degree"
+    for i in range(dim):
+        if _dg_differentiate(A, A.differential.get(i, {})):
+            return "d squared"
+    for i in range(dim):
+        for j in range(dim):
+            left = _dg_differentiate(A, A.products.get((i, j), {}))
+            right = _dg_add(
+                _dg_multiply(A, A.differential.get(i, {}), basis[j]),
+                _dg_multiply(A, basis[i], A.differential.get(j, {})),
+                -1 if A.degrees[i] % 2 else 1,
+            )
+            if left != right:
+                return "Leibniz"
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                left = _dg_multiply(A, A.products.get((i, j), {}), basis[k])
+                right = _dg_multiply(A, basis[i], A.products.get((j, k), {}))
+                if left != right:
+                    return "associativity"
+    for i in range(dim):
+        if _dg_multiply(A, A.unit, basis[i]) != basis[i]:
+            return "unit"
+        if _dg_multiply(A, basis[i], A.unit) != basis[i]:
+            return "unit"
+    if _dg_differentiate(A, A.unit):
+        return "unit cycle"
+    if not A.idempotents:
+        return None
+    total: dict = {}
+    for e in A.idempotents.values():
+        if any(A.degrees[i] != 0 for i in e):
+            return "idempotent degree"
+        if _dg_multiply(A, e, e) != e:
+            return "idempotent"
+        total = _dg_add(total, e)
+    if total != A.unit:
+        return "idempotent sum"
+    for a, ea in A.idempotents.items():
+        for b, eb in A.idempotents.items():
+            if a != b and _dg_multiply(A, ea, eb):
+                return "orthogonality"
+        de = _dg_differentiate(A, ea)
+        if de != _dg_multiply(A, ea, _dg_multiply(A, de, ea)):
+            return "block"
+    return None

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import siltkit.cli
 from siltkit.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -71,3 +75,27 @@ def test_replay_of_a_mutation_certificate_is_pinned(tmp_path):
     got = run_case(["replay", "{in}/a2.alg", str(tmp_path / "mutate" / "step-1.cert")],
                    tmp_path / "replay")
     assert got == (0, *golden("replay-step-1"))
+
+
+def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):
+    monkeypatch.setattr(siltkit.cli, "GRAPH_NODE_CAP", 3)
+    code, stdout, _ = run_case(["graph", "{in}/a2.alg"], tmp_path / "graph")
+    lines = stdout.splitlines()
+    assert code == 3
+    assert "graph nodes 3 edges 4" in lines
+    assert "graph truncated GRAPH_NODE_CAP 3" in lines
+    assert "verdict graph-cap not-certified" in lines
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(pathlib.Path(siltkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["verify", "--pattern", "inputs/a2.alg", "inputs/std.pair", "--format", "structured"]
+    done = subprocess.run(
+        [sys.executable, "-m", "siltkit", *argv],
+        cwd=INPUTS.parent,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, golden("verify-pattern-std")[0])

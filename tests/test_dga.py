@@ -1,9 +1,16 @@
 """Dg endomorphism algebras, cohomology algebras, formality witnesses,
 truncation, simple dg modules, semifree resolutions, and Koszul duals."""
 
-import pytest
+import functools
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import dense_dg_verify
+from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.quivers import Arrow, Quiver
 from siltkit.correspond.pipeline import graded_algebra_isomorphism, standard_pair
 from siltkit.dg import (
     DGAlgebra,
@@ -20,12 +27,13 @@ from siltkit.dg import (
     verify_dg_quasi_iso,
 )
 from siltkit.errors import (
+    ChainConditionViolated,
     IdempotentLiftMissing,
     PositiveCohomology,
     SimpleNotOneDimensional,
     TruncationUnsound,
 )
-from siltkit.fields import QQ
+from siltkit.fields import QQ, PrimeField
 from siltkit.homotopy.complexes import shift, single_projective
 
 
@@ -304,3 +312,247 @@ def test_dual_cohomology_in_degree_zero_recovers_the_algebra(a2, smc_end):
     HK = cohomology_algebra(K)
     assert HK.graded_dims() == {0: 3}
     assert graded_algebra_isomorphism(HK, path_algebra_to_dg(a2)) is not None
+
+
+# -- verify rejects each broken axiom ---------------------------------------
+#
+# The smc end of A2 has basis
+#   0 = [1->1]0:0, 1 = [1->1]0:1, 2 = [1->1]1:0, 3 = [1->2]1:0,
+#   4 = [2->1]-1:0, 5 = [2->1]0:0, 6 = [2->2]0:0
+# in degrees (0, 0, 1, 1, -1, 0, 0), with d(0) = 2, d(1) = -2, d(4) = 5,
+# unit 0 + 1 + 6 and idempotents "1" = 0 + 1, "2" = 6.  Each test below
+# changes one piece of that data so that the named axiom is the first one
+# verify finds broken; the docstrings of the d(1) and orthogonality tests
+# say why those two need another route.
+
+
+def rebuilt(E, **changes):
+    """A copy of E's structure data with some fields replaced."""
+    data = {
+        "products": {key: dict(val) for key, val in E.products.items()},
+        "differential": {i: dict(val) for i, val in E.differential.items()},
+        "unit": dict(E.unit),
+        "idempotents": {name: dict(e) for name, e in E.idempotents.items()},
+    }
+    for name, change in changes.items():
+        data[name] = change(data[name])
+    return DGAlgebra(E.field, E.labels, E.degrees, **data)
+
+
+def with_entry(key, value):
+    """A change that sets ``data[key] = value`` (or deletes it for None)."""
+
+    def change(data):
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        return data
+
+    return change
+
+
+def test_verify_accepts_the_unchanged_copy(smc_end):
+    rebuilt(smc_end).verify()
+
+
+def test_verify_rejects_a_product_of_the_wrong_degree(smc_end):
+    broken = rebuilt(smc_end, products=with_entry((4, 3), {0: QQ.one, 2: QQ.one}))
+    with pytest.raises(ChainConditionViolated, match=r"component of degree 1, expected 0"):
+        broken.verify()
+
+
+def test_verify_rejects_a_differential_not_of_degree_one(smc_end):
+    broken = rebuilt(smc_end, differential=with_entry(6, {6: QQ.one}))
+    with pytest.raises(ChainConditionViolated, match=r"not homogeneous of degree \+1"):
+        broken.verify()
+
+
+def test_verify_rejects_a_differential_that_does_not_square_to_zero(smc_end):
+    broken = rebuilt(smc_end, differential=with_entry(5, {2: QQ.one}))
+    with pytest.raises(ChainConditionViolated, match=r"^d\(d\(\[2->1\]-1:0\)\) != 0$"):
+        broken.verify()
+
+
+def test_verify_rejects_a_broken_leibniz_rule(smc_end):
+    broken = rebuilt(smc_end, products=with_entry((2, 4), {5: QQ.coerce(2)}))
+    with pytest.raises(ChainConditionViolated, match=r"^Leibniz fails on "):
+        broken.verify()
+
+
+def test_verify_rejects_a_non_associative_product(smc_end):
+    # 3 * 0 = 0 leaves Leibniz intact but (3 * 0) * 4 = 0 != 3 * (0 * 4) = 6.
+    broken = rebuilt(smc_end, products=with_entry((3, 0), None))
+    with pytest.raises(ChainConditionViolated, match=r"^associativity fails on "):
+        broken.verify()
+
+
+def test_verify_rejects_a_non_associative_triple_of_nonzero_products(a3):
+    """In A3 with (a;b) * e_3 = 0, the triple (a, b, e_3) breaks although
+    a * b and b * e_3 are both nonzero; d = 0 leaves Leibniz intact."""
+    D = path_algebra_to_dg(a3)
+    broken = rebuilt(D, products=with_entry((5, 2), None))
+    assert dense_dg_verify(broken) == "associativity"
+    with pytest.raises(ChainConditionViolated, match=r"^associativity fails on \(a, b, e_3\)$"):
+        broken.verify()
+
+
+def test_verify_rejects_a_unit_that_fails_on_the_left(smc_end):
+    broken = rebuilt(smc_end, unit=with_entry(3, QQ.one))
+    with pytest.raises(ChainConditionViolated, match=r"^1 \* \[1->1\]0:0 != "):
+        broken.verify()
+
+
+def test_verify_rejects_a_unit_that_fails_on_the_right(smc_end):
+    broken = rebuilt(smc_end, unit=with_entry(4, QQ.one))
+    with pytest.raises(ChainConditionViolated, match=r"^\[1->1\]0:0 \* 1 != "):
+        broken.verify()
+
+
+def test_verify_rejects_a_unit_that_is_not_a_cycle(smc_end):
+    """d(1) != 0 always breaks Leibniz first: once 1 is a two-sided unit,
+    Leibniz gives d(1) = d(1 * 1) = 2 d(1), so d(1) = 0.  The separate
+    d(1) check can therefore only back up the Leibniz check."""
+    broken = rebuilt(smc_end, differential=with_entry(6, {3: QQ.one}))
+    assert broken.differentiate(broken.unit)
+    with pytest.raises(ChainConditionViolated, match=r"^Leibniz fails on "):
+        broken.verify()
+
+
+def test_verify_rejects_an_idempotent_that_is_not_idempotent(smc_end):
+    broken = rebuilt(smc_end, idempotents=with_entry("2", {6: QQ.coerce(2)}))
+    with pytest.raises(ChainConditionViolated, match=r"^idempotent 2 is not idempotent$"):
+        broken.verify()
+
+
+def test_verify_rejects_idempotents_that_miss_the_unit(smc_end):
+    broken = rebuilt(smc_end, idempotents=with_entry("2", None))
+    with pytest.raises(ChainConditionViolated, match=r"^idempotents do not sum to the unit$"):
+        broken.verify()
+
+
+def test_verify_rejects_idempotents_that_are_not_orthogonal():
+    """Over QQ, idempotents that sum to 1 are orthogonal (compare the
+    traces of left multiplication), so the break needs characteristic p:
+    over F_2, three copies of e_1 plus e_2 still sum to the unit."""
+    quiver = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
+    _, smc = standard_pair(build_algebra(quiver, [], 2, PrimeField(2)))
+    E = dg_end(smc)
+    e1 = E.idempotents["1"]
+    broken = rebuilt(E, idempotents=lambda idem: {**idem, "1b": e1, "1c": e1})
+    with pytest.raises(ChainConditionViolated, match=r"^idempotents 1 and 1b are not orthogonal$"):
+        broken.verify()
+
+
+def test_verify_rejects_an_idempotent_whose_differential_leaves_its_block(smc_end):
+    """d + [x, -] with x = 3 of degree 1 is again a differential
+    (x^2 = 0 and d(x) = 0) and a derivation, but it moves the idempotent
+    "1" to x, which lies outside the block of "1"."""
+    x = {3: QQ.one}
+
+    def twisted(differential):
+        for i in range(smc_end.dimension):
+            b = {i: QQ.one}
+            sign = -1 if smc_end.degrees[i] % 2 else 1
+            term = smc_end.multiply(x, b)
+            for k, c in smc_end.multiply(b, x).items():
+                term[k] = term.get(k, QQ.zero) - sign * c
+            row = differential.setdefault(i, {})
+            for k, c in term.items():
+                row[k] = row.get(k, QQ.zero) + c
+        return differential
+
+    broken = rebuilt(smc_end, differential=twisted)
+    with pytest.raises(ChainConditionViolated, match=r"^d of idempotent 1 leaves its block$"):
+        broken.verify()
+
+
+# -- verify against the dense referee ---------------------------------------
+
+#: The kind of axiom each verify message names, as the referee reports it.
+AXIOM_OF_MESSAGE = [
+    (r"has a component of degree", "product degree"),
+    (r"is not homogeneous of degree \+1", "differential degree"),
+    (r"^d\(d\(", "d squared"),
+    (r"^Leibniz fails", "Leibniz"),
+    (r"^associativity fails", "associativity"),
+    (r"^1 \* | \* 1 != ", "unit"),
+    (r"^d\(1\) != 0$", "unit cycle"),
+    (r"not concentrated in degree 0", "idempotent degree"),
+    (r"is not idempotent", "idempotent"),
+    (r"do not sum to the unit", "idempotent sum"),
+    (r"are not orthogonal", "orthogonality"),
+    (r"leaves its block", "block"),
+]
+
+
+def broken_axiom(E) -> str | None:
+    """The axiom ``E.verify()`` reports broken, or None if it accepts E."""
+    try:
+        E.verify()
+    except ChainConditionViolated as exc:
+        return next(kind for pattern, kind in AXIOM_OF_MESSAGE if re.search(pattern, str(exc)))
+    return None
+
+
+@functools.cache
+def referee_bases() -> tuple:
+    """The dg ends of the standard pairs of A2 and A3 and the Koszul dual
+    of the dg end of the projectives of A2."""
+    a2 = build_algebra(Quiver(("1", "2"), (Arrow("a", "2", "1"),)), [], 2)
+    a3 = build_algebra(
+        Quiver(("1", "2", "3"), (Arrow("a", "2", "1"), Arrow("b", "3", "2"))), [], 3
+    )
+    bases = [dg_end(side) for algebra in (a2, a3) for side in standard_pair(algebra)]
+    bases.append(koszul_dual(bases[0]))
+    return tuple(bases)
+
+
+@st.composite
+def perturbed_dg_algebras(draw):
+    """A base algebra with one to three of: a coefficient bumped, a product
+    dropped, a product of the right degree added, a differential term of
+    the right degree added."""
+    E = draw(st.sampled_from(referee_bases()))
+    products = {key: dict(val) for key, val in E.products.items()}
+    differential = {i: dict(val) for i, val in E.differential.items()}
+    basis = range(E.dimension)
+    scalar = st.integers(min_value=-2, max_value=2).filter(bool).map(QQ.coerce)
+
+    def add(table, key, k, c):
+        row = table.setdefault(key, {})
+        row[k] = row.get(k, QQ.zero) + c
+
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["bump", "drop", "product", "differential"]))
+        if kind in ("bump", "drop") and products:
+            key = draw(st.sampled_from(sorted(products)))
+            if kind == "drop":
+                del products[key]
+            else:
+                add(products, key, draw(st.sampled_from(sorted(products[key]))), draw(scalar))
+        elif kind == "product":
+            i, j = draw(st.tuples(st.sampled_from(basis), st.sampled_from(basis)))
+            targets = [k for k in basis if E.degrees[k] == E.degrees[i] + E.degrees[j]]
+            if targets:
+                add(products, (i, j), draw(st.sampled_from(targets)), draw(scalar))
+        elif kind == "differential":
+            i = draw(st.sampled_from(basis))
+            targets = [k for k in basis if E.degrees[k] == E.degrees[i] + 1]
+            if targets:
+                add(differential, i, draw(st.sampled_from(targets)), draw(scalar))
+    return DGAlgebra(
+        E.field, E.labels, E.degrees, products, differential, E.unit, E.idempotents
+    )
+
+
+def test_the_referee_accepts_the_bases():
+    for E in referee_bases():
+        assert dense_dg_verify(E) is None
+        assert broken_axiom(E) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_dg_algebras())
+def test_verify_agrees_with_the_dense_referee(E):
+    assert broken_axiom(E) == dense_dg_verify(E)
