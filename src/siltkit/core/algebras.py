@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from ..errors import MalformedRelation, NonAdmissible, UnknownVertex
 from ..fields import Field, QQ
-from ..linalg import GaussianSpan
+from ..linalg import GaussianSpan, sparse_product
 from .quivers import Path, Quiver, deglex_key, enumerate_paths, path_from_arrows, trivial_path
 
 #: A relation is a list of (coefficient, path) terms.
@@ -72,20 +72,11 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            out: dict[int, object] = {}
-            for i, ci in self.coeffs.items():
-                for j, cj in other.coeffs.items():
-                    prod = self.algebra.multiply_basis(i, j)
-                    if not prod:
-                        continue
-                    c = ci * cj
-                    for k, ck in prod.items():
-                        acc = out.get(k, self.algebra.field.zero) + c * ck
-                        if acc:
-                            out[k] = acc
-                        elif k in out:
-                            del out[k]
-            return AlgebraElement(self.algebra, out)
+            algebra = self.algebra
+            return AlgebraElement(
+                algebra,
+                sparse_product(algebra.field, algebra.products, self.coeffs, other.coeffs),
+            )
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -102,10 +93,6 @@ class AlgebraElement:
     def vertex_scalar(self, v: str):
         """The coefficient of the trivial path at vertex v."""
         return self.coefficient(self.algebra.idempotent_index[v])
-
-    def is_radical(self) -> bool:
-        """True when the element has no component on any trivial path."""
-        return all(self.algebra.basis[i].length >= 1 for i in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -161,7 +148,9 @@ class PathAlgebra:
             key = (p.target, p.source)
             self._hom_basis.setdefault(key, ())
             self._hom_basis[key] += (i,)
-        self._products: dict[tuple[int, int], dict[int, object]] = {}
+        #: Structure constants: (i, j) -> coordinates of b_i b_j, for the
+        #: nonzero products only, in ascending (i, j) order.
+        self.products: dict[tuple[int, int], dict[int, object]] = {}
         for i, p in enumerate(basis):
             for j, q in enumerate(basis):
                 if p.source != q.target:
@@ -169,7 +158,7 @@ class PathAlgebra:
                 joined = Path(p.arrows + q.arrows, q.source, p.target)
                 nf = self.normal_form(joined)
                 if nf:
-                    self._products[(i, j)] = nf
+                    self.products[(i, j)] = nf
 
     # -- basic queries ----------------------------------------------------
 
@@ -186,9 +175,6 @@ class PathAlgebra:
         if path.length >= self.nilpotency_bound and path not in self._normal_forms:
             return {}
         return self._normal_forms.get(path, {})
-
-    def multiply_basis(self, i: int, j: int) -> dict[int, object]:
-        return self._products.get((i, j), {})
 
     def hom_basis(self, target: str, source: str) -> tuple[int, ...]:
         """Basis indices of e_target · A · e_source (paths target<-source)."""
@@ -220,12 +206,6 @@ class PathAlgebra:
     def from_path(self, path: Path) -> AlgebraElement:
         """The residue class of an arbitrary path (zero if it dies)."""
         return AlgebraElement(self, dict(self.normal_form(path)))
-
-    def from_terms(self, terms: Iterable[tuple[object, Path]]) -> AlgebraElement:
-        acc = self.zero()
-        for coeff, path in terms:
-            acc = acc + self.from_path(path).scale(coeff)
-        return acc
 
     def __repr__(self):
         return (

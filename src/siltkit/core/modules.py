@@ -24,7 +24,7 @@ from ..linalg import (
     zero_matrix,
     zero_vector,
 )
-from .algebras import AlgebraElement, PathAlgebra
+from .algebras import PathAlgebra
 from .quivers import Path
 
 #: Resolution length used for ``res(simple v)`` in input files and for the
@@ -84,20 +84,6 @@ class RightModule:
         for name in path.arrows:
             mat = mat_mul(field, self.action[name], mat)
         return mat
-
-    def act_element(self, x: AlgebraElement, target: str, source: str) -> list:
-        """Matrix of the action of the (target, source)-block of x."""
-        field = self.algebra.field
-        acc = zero_matrix(field, self.dims[source], self.dims[target])
-        for i, coeff in x.coeffs.items():
-            p = self.algebra.basis[i]
-            if p.target == target and p.source == source:
-                term = self.act_path(p)
-                acc = [
-                    [u + coeff * w for u, w in zip(ra, rt)]
-                    for ra, rt in zip(acc, term)
-                ]
-        return acc
 
     @property
     def total_dim(self) -> int:
@@ -160,10 +146,6 @@ class ModuleMap:
 
     def is_zero(self) -> bool:
         return all(not any(any(row) for row in b) for b in self.blocks.values())
-
-    def total_rank(self) -> int:
-        field = self.source.algebra.field
-        return sum(rank(field, b) for b in self.blocks.values())
 
     def kernel(self) -> tuple[RightModule, "ModuleMap"]:
         """The kernel submodule together with its inclusion."""
@@ -239,7 +221,7 @@ class ProjectiveSumModule(RightModule):
             mat = zero_matrix(field, dims[a.source], dims[a.target])
             arrow_idx = algebra.basis_index[Path((a.name,), a.source, a.target)]
             for col, (c, q) in enumerate(self.positions[a.target]):
-                for r, coeff in algebra.multiply_basis(q, arrow_idx).items():
+                for r, coeff in algebra.products.get((q, arrow_idx), {}).items():
                     mat[self.position_index[a.source][(c, r)]][col] = coeff
             action[a.name] = mat
         super().__init__(algebra, dims, action)
@@ -248,16 +230,6 @@ class ProjectiveSumModule(RightModule):
         """(vertex, index) of the generator e_w of the given copy."""
         w = self.copies[copy]
         return w, self.position_index[w][(copy, self.algebra.idempotent_index[w])]
-
-    def element_vector(self, copy: int, x: AlgebraElement) -> dict[str, list]:
-        """Per-vertex coordinates of x placed in the given copy (x must lie
-        in e_w A for the copy's vertex w)."""
-        field = self.algebra.field
-        out = {u: zero_vector(field, self.dims[u]) for u in self.algebra.quiver.vertices}
-        for i, coeff in x.coeffs.items():
-            p = self.algebra.basis[i]
-            out[p.source][self.position_index[p.source][(copy, i)]] = coeff
-        return out
 
 
 def projective_module(algebra: PathAlgebra, v: str) -> ProjectiveSumModule:

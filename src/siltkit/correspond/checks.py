@@ -657,10 +657,6 @@ class CorrespondenceCertificate:
         self.characteristic = algebra.field.characteristic
         self.timestamp = datetime.datetime.now(datetime.timezone.utc)
 
-    def hom_dim(self, i: int, j: int, m: int) -> int:
-        """Recorded dim Hom(P_i, L_j[m]); zero outside the windows."""
-        return self.table.get((i, j), {}).get(m, 0)
-
     def serialize(self) -> str:
         lines = ["certificate pattern"]
         lines.append(f"algebra-hash {algebra_hash(self.algebra)}")

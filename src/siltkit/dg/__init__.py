@@ -2,7 +2,6 @@
 
 from .dga import (
     DGAlgebra,
-    DGElement,
     GradedAlgebraMap,
     cohomology_algebra,
     dg_end,
@@ -22,7 +21,6 @@ from .dgmod import (
 
 __all__ = [
     "DGAlgebra",
-    "DGElement",
     "DGModule",
     "GradedAlgebraMap",
     "SemifreeResolution",

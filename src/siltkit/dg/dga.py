@@ -19,9 +19,16 @@ degree.
 from __future__ import annotations
 
 from ..errors import ChainConditionViolated, PositiveCohomology, TruncationUnsound
-from ..linalg import Cohomology, GaussianSpan, rank, solve, zero_vector
-
-Coords = dict[int, object]
+from ..linalg import (
+    Coords,
+    Cohomology,
+    GaussianSpan,
+    rank,
+    solve,
+    sparse_apply,
+    sparse_product,
+    zero_vector,
+)
 
 
 def differential_block(field, differential: dict[int, Coords], src: list, dst: list) -> list:
@@ -49,76 +56,6 @@ def _factors(index: dict[int, list[int]], support) -> set[int]:
     for m in support:
         out.update(index.get(m, ()))
     return out
-
-
-class DGElement:
-    """A sparse element of a DGAlgebra; supports ring arithmetic and d()."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: "DGAlgebra", coords: Coords):
-        self.algebra = algebra
-        self.coords = {i: c for i, c in coords.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __add__(self, other: "DGElement") -> "DGElement":
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            out[i] = out.get(i, self.algebra.field.zero) + c
-        return DGElement(self.algebra, out)
-
-    def __sub__(self, other: "DGElement") -> "DGElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "DGElement":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "DGElement":
-        s = self.algebra.field.coerce(scalar)
-        return DGElement(self.algebra, {i: c * s for i, c in self.coords.items()})
-
-    def __mul__(self, other: "DGElement") -> "DGElement":
-        if isinstance(other, DGElement):
-            return DGElement(
-                self.algebra, self.algebra.multiply(self.coords, other.coords)
-            )
-        return self.scale(other)
-
-    def __rmul__(self, scalar) -> "DGElement":
-        return self.scale(scalar)
-
-    def d(self) -> "DGElement":
-        return DGElement(self.algebra, self.algebra.differentiate(self.coords))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DGElement)
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.coords))))
-
-    def degree(self) -> int | None:
-        """The common degree of the support, or None for 0 / mixed."""
-        degs = {self.algebra.degrees[i] for i in self.coords}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for i in sorted(self.coords):
-            c = self.coords[i]
-            name = self.algebra.labels[i]
-            parts.append(name if c == self.algebra.field.one else f"{c}*{name}")
-        return " + ".join(parts)
 
 
 class DGAlgebra:
@@ -182,40 +119,10 @@ class DGAlgebra:
     # -- arithmetic ----------------------------------------------------
 
     def multiply(self, a: Coords, b: Coords) -> Coords:
-        out: Coords = {}
-        for i, ci in a.items():
-            if not ci:
-                continue
-            for j, cj in b.items():
-                if not cj:
-                    continue
-                for k, s in self.products.get((i, j), {}).items():
-                    out[k] = out.get(k, self.field.zero) + ci * cj * s
-        return {k: c for k, c in out.items() if c}
+        return sparse_product(self.field, self.products, a, b)
 
     def differentiate(self, a: Coords) -> Coords:
-        out: Coords = {}
-        for i, ci in a.items():
-            if not ci:
-                continue
-            for k, s in self.differential.get(i, {}).items():
-                out[k] = out.get(k, self.field.zero) + ci * s
-        return {k: c for k, c in out.items() if c}
-
-    def element(self, coords: Coords) -> DGElement:
-        return DGElement(self, coords)
-
-    def basis_element(self, i: int) -> DGElement:
-        return DGElement(self, {i: self.field.one})
-
-    def zero(self) -> DGElement:
-        return DGElement(self, {})
-
-    def one(self) -> DGElement:
-        return DGElement(self, dict(self.unit))
-
-    def idempotent(self, name: str) -> DGElement:
-        return DGElement(self, dict(self.idempotents[name]))
+        return sparse_apply(self.field, self.differential, a)
 
     # -- differential as matrices --------------------------------------
 
@@ -390,13 +297,6 @@ class DGAlgebra:
 def path_algebra_to_dg(algebra) -> DGAlgebra:
     """A path algebra quotient viewed as a dg algebra in degree 0."""
     field = algebra.field
-    dim = algebra.dimension
-    products = {}
-    for i in range(dim):
-        for j in range(dim):
-            val = algebra.multiply_basis(i, j)
-            if val:
-                products[(i, j)] = dict(val)
     unit = {algebra.idempotent_index[v]: field.one for v in algebra.quiver.vertices}
     idempotents = {
         v: {algebra.idempotent_index[v]: field.one} for v in algebra.quiver.vertices
@@ -404,8 +304,8 @@ def path_algebra_to_dg(algebra) -> DGAlgebra:
     return DGAlgebra(
         field,
         tuple(str(p) for p in algebra.basis),
-        tuple(0 for _ in range(dim)),
-        products,
+        (0,) * algebra.dimension,
+        algebra.products,
         {},
         unit,
         idempotents,
@@ -465,7 +365,7 @@ def dg_end(collection, provenance: str = "") -> DGAlgebra:
             if k1 != k2 + n2 or c1 != r2:
                 continue
             coords: Coords = {}
-            for q, coeff in algebra.multiply_basis(q1, q2).items():
+            for q, coeff in algebra.products.get((q1, q2), {}).items():
                 loc = hcs[(s2, t1)].index[n1 + n2][(k2, r1, c2, q)]
                 gk = global_index[(s2, t1, n1 + n2, loc)]
                 coords[gk] = coords.get(gk, field.zero) + coeff
@@ -590,26 +490,26 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
 
 class GradedAlgebraMap:
     """A degree-0 linear map between dg algebras, stored columnwise: the
-    image of each source basis element as target coordinates."""
+    image of each source basis element as target coordinates.
+
+    ``images`` is given as one entry per source basis element and kept as
+    a dict from source index to its nonzero image; a missing index maps
+    to zero.
+    """
 
     def __init__(self, source: DGAlgebra, target: DGAlgebra, images: list[Coords]):
         if len(images) != source.dimension:
             raise ValueError("one image per source basis element required")
         self.source = source
         self.target = target
-        self.images = [
-            {i: c for i, c in img.items() if c} for img in images
-        ]
+        self.images: dict[int, Coords] = {}
+        for i, img in enumerate(images):
+            img = {j: c for j, c in img.items() if c}
+            if img:
+                self.images[i] = img
 
     def apply(self, coords: Coords) -> Coords:
-        out: Coords = {}
-        field = self.target.field
-        for i, c in coords.items():
-            if not c:
-                continue
-            for j, s in self.images[i].items():
-                out[j] = out.get(j, field.zero) + c * s
-        return {j: c for j, c in out.items() if c}
+        return sparse_apply(self.target.field, self.images, coords)
 
     def __repr__(self):
         return f"GradedAlgebraMap({self.source!r} -> {self.target!r})"
@@ -641,19 +541,17 @@ def verify_dg_quasi_iso(
         notes.append("map endpoints disagree with the supplied algebras")
         ok = False
     field = F.field
-    for i in range(E.dimension):
-        for j, c in f.images[i].items():
-            if c and F.degrees[j] != E.degrees[i]:
-                notes.append(f"image of {E.labels[i]} is not degree-preserving")
-                ok = False
-                break
+    for i, img in f.images.items():
+        if any(F.degrees[j] != E.degrees[i] for j in img):
+            notes.append(f"image of {E.labels[i]} is not degree-preserving")
+            ok = False
     if f.apply(E.unit) != F.unit:
         notes.append("map is not unital")
         ok = False
     for i in range(E.dimension):
         for j in range(E.dimension):
             left = f.apply(E.products.get((i, j), {}))
-            right = F.multiply(f.images[i], f.images[j])
+            right = F.multiply(f.images.get(i, {}), f.images.get(j, {}))
             if left != right:
                 notes.append(
                     f"multiplicativity fails on {E.labels[i]} * {E.labels[j]}"
@@ -661,7 +559,7 @@ def verify_dg_quasi_iso(
                 ok = False
     for i in range(E.dimension):
         left = f.apply(E.differential.get(i, {}))
-        right = F.differentiate(f.images[i])
+        right = F.differentiate(f.images.get(i, {}))
         if left != right:
             notes.append(f"chain condition fails on {E.labels[i]}")
             ok = False

@@ -23,15 +23,17 @@ from ..errors import (
     IdempotentLiftMissing,
     SimpleNotOneDimensional,
 )
-from ..linalg import Cohomology, GaussianSpan, solve
+from ..linalg import Cohomology, GaussianSpan, solve, sparse_apply, sparse_product
 from .dga import Coords, DGAlgebra, differential_block
 
 
 class DGModule:
     """A right dg module over a DGAlgebra, given by structure constants.
 
-    ``action[a]`` maps a module basis index ``i`` to the sparse coordinates
-    of ``m_i * b_a``; missing entries mean zero.
+    The ``action`` argument maps an algebra basis index ``a`` to a dict
+    from module basis index ``i`` to the sparse coordinates of
+    ``m_i * b_a``; missing entries mean zero.  It is stored keyed by
+    ``(i, a)``, the layout of ``DGAlgebra.products``.
     """
 
     def __init__(
@@ -55,12 +57,10 @@ class DGModule:
             if any(val.values())
         }
         self.action = {
-            a: {
-                i: {j: c for j, c in row.items() if c}
-                for i, row in rows.items()
-                if any(row.values())
-            }
+            (i, a): {j: c for j, c in row.items() if c}
             for a, rows in action.items()
+            for i, row in rows.items()
+            if any(row.values())
         }
         self.provenance = provenance
 
@@ -75,38 +75,21 @@ class DGModule:
         return out
 
     def act(self, coords: Coords, algebra_coords: Coords) -> Coords:
-        out: Coords = {}
-        for a, ca in algebra_coords.items():
-            if not ca:
-                continue
-            rows = self.action.get(a, {})
-            for i, ci in coords.items():
-                if not ci:
-                    continue
-                for j, s in rows.get(i, {}).items():
-                    out[j] = out.get(j, self.field.zero) + ci * ca * s
-        return {j: c for j, c in out.items() if c}
+        return sparse_product(self.field, self.action, coords, algebra_coords)
 
     def differentiate(self, coords: Coords) -> Coords:
-        out: Coords = {}
-        for i, ci in coords.items():
-            if not ci:
-                continue
-            for j, s in self.differential.get(i, {}).items():
-                out[j] = out.get(j, self.field.zero) + ci * s
-        return {j: c for j, c in out.items() if c}
+        return sparse_apply(self.field, self.differential, coords)
 
     def verify(self) -> None:
         E = self.algebra
         one = self.field.one
-        for a, rows in self.action.items():
-            for i, row in rows.items():
-                for j in row:
-                    if self.degrees[j] != self.degrees[i] + E.degrees[a]:
-                        raise ChainConditionViolated(
-                            f"action of {E.labels[a]} does not shift degree "
-                            f"by {E.degrees[a]}"
-                        )
+        for (i, a), row in self.action.items():
+            for j in row:
+                if self.degrees[j] != self.degrees[i] + E.degrees[a]:
+                    raise ChainConditionViolated(
+                        f"action of {E.labels[a]} does not shift degree "
+                        f"by {E.degrees[a]}"
+                    )
         for i, val in self.differential.items():
             for j in val:
                 if self.degrees[j] != self.degrees[i] + 1:

@@ -172,11 +172,6 @@ class ProjComplex:
         cols = len(self.summands.get(k, ()))
         return self.diffs.get(k, alg_zero_matrix(self.algebra, rows, cols))
 
-    def is_minimal(self) -> bool:
-        return all(
-            entry.is_radical() for mat in self.diffs.values() for row in mat for entry in row
-        )
-
     def copy(self, label: str | None = None) -> "ProjComplex":
         return ProjComplex(
             self.algebra,
@@ -337,10 +332,6 @@ class ChainMap:
 
     def scale(self, scalar) -> "ChainMap":
         components = {k: alg_mat_scale(m, scalar) for k, m in self.components.items()}
-        return ChainMap(self.source, self.target, components, degree=self.degree, check=False)
-
-    def negate(self) -> "ChainMap":
-        components = {k: alg_mat_neg(m) for k, m in self.components.items()}
         return ChainMap(self.source, self.target, components, degree=self.degree, check=False)
 
     def shift(self, n: int) -> "ChainMap":

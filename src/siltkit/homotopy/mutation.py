@@ -85,25 +85,44 @@ def _covers_target(space, compositions) -> bool:
     return rank(space.complex.field, classes) == space.dimension
 
 
-def left_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approximation:
-    """The minimal left approximation X -> E with E in the additive closure
-    of the generators."""
+def _universal(
+    x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap], side: str
+) -> ChainMap:
+    """The stacked map X -> ⊕ parts on the left side, ⊕ parts -> X on the
+    right side."""
+    if side == "left":
+        return _stack_to_sum(x, parts, maps)
+    return _stack_from_sum(x, parts, maps)
+
+
+def _hom_0(x: ProjComplex, g: ProjComplex, side: str):
+    """Hom(X, G) on the left side, Hom(G, X) on the right side, in degree 0."""
+    return hom_space(x, g, 0) if side == "left" else hom_space(g, x, 0)
+
+
+def _approximation(x: ProjComplex, generators: list[ProjComplex], side: str) -> Approximation:
+    """The minimal left (X -> E) or right (E -> X) approximation of X with
+    E in the additive closure of the generators."""
     copies: list[tuple[int, ChainMap]] = []
     for u, g in enumerate(generators):
-        space = hom_space(x, g, 0)
-        for rep in space.representatives:
+        for rep in _hom_0(x, g, side).representatives:
             copies.append((u, rep))
 
+    def stacked(kept: list[tuple[int, ChainMap]]) -> ChainMap:
+        return _universal(x, [generators[u] for u, _ in kept], [rep for _, rep in kept], side)
+
     def is_approximation(kept: list[tuple[int, ChainMap]]) -> bool:
-        parts = [generators[u] for u, _ in kept]
-        f = _stack_to_sum(x, parts, [rep for _, rep in kept])
-        total = f.target
+        f = stacked(kept)
+        total = f.target if side == "left" else f.source
         for g in generators:
-            target_space = hom_space(x, g, 0)
+            target_space = _hom_0(x, g, side)
             if target_space.dimension == 0:
                 continue
-            out_space = hom_space(total, g, 0)
-            comps = [h.compose(f) for h in out_space.representatives]
+            reps = _hom_0(total, g, side).representatives
+            if side == "left":
+                comps = [h.compose(f) for h in reps]
+            else:
+                comps = [f.compose(h) for h in reps]
             if not _covers_target(target_space, comps):
                 return False
         return True
@@ -120,47 +139,19 @@ def left_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approxi
     mults: dict[int, int] = {u: 0 for u in range(len(generators))}
     for u, _ in kept:
         mults[u] += 1
-    final = _stack_to_sum(x, [generators[u] for u, _ in kept], [rep for _, rep in kept])
-    return Approximation(map=final, multiplicities=mults, side="left")
+    return Approximation(map=stacked(kept), multiplicities=mults, side=side)
+
+
+def left_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approximation:
+    """The minimal left approximation X -> E with E in the additive closure
+    of the generators."""
+    return _approximation(x, generators, "left")
 
 
 def right_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approximation:
     """The minimal right approximation E -> X with E in the additive closure
     of the generators."""
-    copies: list[tuple[int, ChainMap]] = []
-    for u, g in enumerate(generators):
-        space = hom_space(g, x, 0)
-        for rep in space.representatives:
-            copies.append((u, rep))
-
-    def is_approximation(kept: list[tuple[int, ChainMap]]) -> bool:
-        parts = [generators[u] for u, _ in kept]
-        f = _stack_from_sum(x, parts, [rep for _, rep in kept])
-        total = f.source
-        for g in generators:
-            target_space = hom_space(g, x, 0)
-            if target_space.dimension == 0:
-                continue
-            in_space = hom_space(g, total, 0)
-            comps = [f.compose(h) for h in in_space.representatives]
-            if not _covers_target(target_space, comps):
-                return False
-        return True
-
-    kept = list(copies)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1 :]
-        if is_approximation(trial):
-            kept = trial
-        else:
-            i += 1
-
-    mults: dict[int, int] = {u: 0 for u in range(len(generators))}
-    for u, _ in kept:
-        mults[u] += 1
-    final = _stack_from_sum(x, [generators[u] for u, _ in kept], [rep for _, rep in kept])
-    return Approximation(map=final, multiplicities=mults, side="right")
+    return _approximation(x, generators, "right")
 
 
 def silting_mutate(
@@ -189,24 +180,15 @@ def silting_mutate(
     return result
 
 
-def _power_map_into(x: ProjComplex, g: ProjComplex, degree_shift: int) -> ChainMap | None:
-    """Universal map x -> g[degree_shift]^d built from all hom classes."""
-    target = shift(g, degree_shift)
-    space = hom_space(x, target, 0)
+def _power_map(x: ProjComplex, g: ProjComplex, degree_shift: int, side: str) -> ChainMap | None:
+    """Universal map x -> g[degree_shift]^d (left side) or
+    g[degree_shift]^d -> x (right side) built from all hom classes."""
+    other = shift(g, degree_shift)
+    space = _hom_0(x, other, side)
     if space.dimension == 0:
         return None
-    parts = [target for _ in space.representatives]
-    return _stack_to_sum(x, parts, list(space.representatives))
-
-
-def _power_map_from(x: ProjComplex, g: ProjComplex, degree_shift: int) -> ChainMap | None:
-    """Universal map g[degree_shift]^d -> x built from all hom classes."""
-    source = shift(g, degree_shift)
-    space = hom_space(source, x, 0)
-    if space.dimension == 0:
-        return None
-    parts = [source for _ in space.representatives]
-    return _stack_from_sum(x, parts, list(space.representatives))
+    parts = [other for _ in space.representatives]
+    return _universal(x, parts, list(space.representatives), side)
 
 
 def smc_mutate(
@@ -226,30 +208,22 @@ def smc_mutate(
     """
     if not 0 <= index < len(collection):
         raise IndexError(f"index {index} out of range for {len(collection)} summands")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    step = 1 if side == "left" else -1
     t_i = collection[index]
     result: list[ProjComplex] = []
-    if side == "left":
-        for j, t_j in enumerate(collection):
-            if j == index:
-                result.append(minimize(shift(t_j, 1)))
-                continue
-            g = _power_map_into(t_j, t_i, 1)
-            if g is None:
-                result.append(minimize(t_j))
-                continue
+    for j, t_j in enumerate(collection):
+        if j == index:
+            result.append(minimize(shift(t_j, step)))
+            continue
+        g = _power_map(t_j, t_i, step, side)
+        if g is None:
+            result.append(minimize(t_j))
+        elif side == "left":
             result.append(minimize(shift(cone(g), -1)))
-    elif side == "right":
-        for j, t_j in enumerate(collection):
-            if j == index:
-                result.append(minimize(shift(t_j, -1)))
-                continue
-            h = _power_map_from(t_j, t_i, -1)
-            if h is None:
-                result.append(minimize(t_j))
-                continue
-            result.append(minimize(cone(h)))
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+        else:
+            result.append(minimize(cone(g)))
 
     if verify:
         from ..correspond.checks import check_smc

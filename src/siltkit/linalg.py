@@ -9,6 +9,11 @@ is what makes rank arguments downstream sound.
 boundaries, class representatives and class coordinates of a cochain
 complex at one degree.  Hom complexes, dg algebras, dg module cones and
 vertex blocks of complexes all hand it their differentials.
+
+``sparse_product`` and ``sparse_apply`` are the one place sparse structure
+constants are applied: path algebras, dg algebras and dg modules multiply
+through the first; dg differentials and algebra maps act through the
+second.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .fields import Field
 
 Vector = list
 Matrix = list
+#: Sparse coordinates over a basis: basis index -> nonzero coefficient.
+Coords = dict[int, object]
 
 
 def zero_vector(field: Field, n: int) -> Vector:
@@ -66,20 +73,50 @@ def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def sparse_product(
+    field: Field, table: dict[tuple[int, int], Coords], x: Coords, y: Coords
+) -> Coords:
+    """The bilinear product sum x_i y_j * table[(i, j)] of sparse
+    coordinates, for structure constants ``table`` (missing pairs are 0).
+
+    Terms cancel as they are added, so the result holds no zero entry.
+    """
+    out: Coords = {}
+    zero = field.zero
+    for i, xi in x.items():
+        for j, yj in y.items():
+            prod = table.get((i, j))
+            if not prod:
+                continue
+            c = xi * yj
+            for k, ck in prod.items():
+                acc = out.get(k, zero) + c * ck
+                if acc:
+                    out[k] = acc
+                elif k in out:
+                    del out[k]
+    return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def sparse_apply(field: Field, table: dict[int, Coords], x: Coords) -> Coords:
+    """The linear image sum x_i * table[i] of sparse coordinates, for a map
+    given by its sparse columns ``table`` (missing columns are 0).
 
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    Terms cancel as they are added, so the result holds no zero entry.
+    """
+    out: Coords = {}
+    zero = field.zero
+    for i, xi in x.items():
+        column = table.get(i)
+        if not column:
+            continue
+        for k, ck in column.items():
+            acc = out.get(k, zero) + xi * ck
+            if acc:
+                out[k] = acc
+            elif k in out:
+                del out[k]
+    return out
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -141,15 +141,10 @@ def algebra_hash(algebra: "PathAlgebra") -> str:
     for p in algebra.basis:
         chunks.append(f"{p} : {p.target} <- {p.source}\n")
     chunks.append("[products]\n")
-    dim = algebra.dimension
-    for i in range(dim):
-        for j in range(dim):
-            prod = algebra.multiply_basis(i, j)
-            if not prod:
-                continue
-            body = " + ".join(
-                f"{scalar_text(prod[k])}*{k}" for k in sorted(prod)
-            )
-            chunks.append(f"{i}.{j} = {body}\n")
+    for (i, j), prod in sorted(algebra.products.items()):
+        body = " + ".join(
+            f"{scalar_text(prod[k])}*{k}" for k in sorted(prod)
+        )
+        chunks.append(f"{i}.{j} = {body}\n")
     digest = hashlib.sha256("".join(chunks).encode("utf-8"))
     return digest.hexdigest()

@@ -98,15 +98,33 @@ def test_path_algebra_as_a_dg_algebra(a3rel):
     D.verify()
 
 
+sparse_coords = st.dictionaries(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-3, max_value=3).map(QQ.coerce),
+    max_size=5,
+)
+
+
+@settings(max_examples=60)
+@given(sparse_coords, sparse_coords)
+def test_dg_product_of_a_path_algebra_is_its_path_product(a3rel, x, y):
+    product = path_algebra_to_dg(a3rel).multiply(x, y)
+    assert product == (a3rel.element(x) * a3rel.element(y)).coeffs
+    assert all(product.values())
+
+
 def test_cohomology_algebra_of_the_smc_end(smc_end):
     H = cohomology_algebra(smc_end)
     assert H.graded_dims() == {0: 2, 1: 1}
     assert not H.differential
     H.verify()
     # the degree-1 class squares to zero and is a bimodule generator
-    (g,) = (H.basis_element(i) for i in H.indices_at(1))
-    assert (g * g).is_zero()
-    assert sum((e * g + g * e).is_zero() for e in map(H.idempotent, H.idempotents)) == 0
+    (g,) = ({i: QQ.one} for i in H.indices_at(1))
+    assert H.multiply(g, g) == {}
+    for e in H.idempotents.values():
+        left, right = H.multiply(e, g), H.multiply(g, e)
+        both = {k: left.get(k, QQ.zero) + right.get(k, QQ.zero) for k in left | right}
+        assert any(both.values())
 
 
 def test_cohomology_algebra_is_idempotent_on_formal_input(a2):
@@ -121,8 +139,8 @@ def test_cohomology_of_the_doubly_dual_end(shifted_end):
     K = koszul_dual(shifted_end)
     H = cohomology_algebra(K)
     assert H.graded_dims() == {0: 2, 2: 1}
-    (g,) = (H.basis_element(i) for i in H.indices_at(2))
-    assert (g * g).is_zero()
+    (g,) = ({i: QQ.one} for i in H.indices_at(2))
+    assert H.multiply(g, g) == {}
 
 
 def test_identity_is_a_quasi_isomorphism(smc_end):

@@ -16,6 +16,8 @@ from siltkit.linalg import (
     rank,
     rref,
     solve,
+    sparse_apply,
+    sparse_product,
 )
 
 F7 = PrimeField(7)
@@ -59,6 +61,14 @@ def test_solve_consistent_and_inconsistent():
     assert mat_vec(QQ, m, x) == [Fraction(5), Fraction(2)]
     singular = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert solve(QQ, singular, [Fraction(0), Fraction(1)]) is None
+
+
+def test_sparse_kernels_cancel_to_an_empty_dict():
+    table = {(0, 0): {0: QQ.one}, (1, 1): {0: QQ.one, 1: QQ.one}, (1, 0): {1: QQ.one}}
+    # 1*1*e0 - 1*1*(e0 + e1) + 1*1*e1 = 0
+    assert sparse_product(QQ, table, {0: QQ.one, 1: QQ.one}, {0: QQ.one, 1: -QQ.one}) == {}
+    columns = {0: {2: QQ.one}, 1: {2: QQ.coerce(2)}}
+    assert sparse_apply(QQ, columns, {0: QQ.coerce(2), 1: -QQ.one}) == {}
 
 
 def test_prime_field_rank():
