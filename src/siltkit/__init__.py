@@ -15,7 +15,6 @@ from .errors import (
     IdempotentLiftMissing,
     Inconclusive,
     MalformedRelation,
-    MutationNotVerified,
     NonAdmissible,
     NotInAmbient,
     ParseError,
@@ -37,7 +36,6 @@ __all__ = [
     "IdempotentLiftMissing",
     "Inconclusive",
     "MalformedRelation",
-    "MutationNotVerified",
     "NonAdmissible",
     "NotInAmbient",
     "ParseError",

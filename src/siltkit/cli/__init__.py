@@ -33,7 +33,6 @@ from ..errors import (
     ChainConditionViolated,
     Inconclusive,
     MalformedRelation,
-    MutationNotVerified,
     NonAdmissible,
     ParseError,
     PatternFailed,
@@ -270,7 +269,7 @@ def cmd_mutate(
             silting, smc, cert = next(walk)
         except ValueError as exc:
             raise ParseError(str(exc), 1, 1) from exc
-        except (MutationNotVerified, PatternFailed, Inconclusive) as exc:
+        except (PatternFailed, Inconclusive) as exc:
             body.append(f"step {step} ({side} at index {index}) failed: {exc}")
             structured.append(f"{tag} failed {exc}")
             verdicts[tag] = "fail"
@@ -395,8 +394,9 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
     capped = False
 
     def verdict_of(smc) -> str:
-        # --depth bounds the mutation search here; node verification keeps
-        # the checker's own closure depth so shallow walks still certify.
+        # --depth bounds the mutation search here.  Nodes mutated from a
+        # complete standard pair carry their generation by provenance; any
+        # other node falls back to the checker's own closure depth.
         return check_smc(smc, seed=config.seed).verdict
 
     nodes.append({"silting": silting0, "smc": smc0, "verdict": verdict_of(smc0)})
@@ -412,10 +412,7 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                     if not in_window(mutated):
                         continue
                     try:
-                        partner = smc_mutate(
-                            node["smc"], index - 1, side, verify=False,
-                            seed=config.seed,
-                        )
+                        partner = smc_mutate(node["smc"], index - 1, side)
                     except TruncationUnsound:
                         continue
                     target = None

@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from typing import Sequence
 
 from ..core.algebras import AlgebraElement, PathAlgebra, build_algebra
 from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution, simple_module
 from ..core.quivers import Arrow, Path, Quiver
 from ..errors import ChainConditionViolated, ParseError, UnknownVertex
 from ..fields import field_of_characteristic
-from ..homotopy.complexes import ProjComplex, shift, single_projective
+from ..homotopy.complexes import Generated, ProjComplex, shift, single_projective
 
 _IDENT = r"[A-Za-z_0-9]+"
 _ARROW_LINE = re.compile(rf"^({_IDENT})\s*:\s*({_IDENT})\s*->\s*({_IDENT})$")
@@ -289,9 +290,10 @@ class CollectionFile:
 
     complexes: dict[str, ProjComplex] = dataclass_field(default_factory=dict)
     silting: dict[str, list[ProjComplex]] = dataclass_field(default_factory=dict)
-    smc: dict[str, list[ProjComplex]] = dataclass_field(default_factory=dict)
+    #: A declaration of the resolved simples is kept as :class:`Generated`.
+    smc: dict[str, Sequence[ProjComplex]] = dataclass_field(default_factory=dict)
 
-    def sole(self, keyword: str) -> list[ProjComplex]:
+    def sole(self, keyword: str) -> Sequence[ProjComplex]:
         """The unique collection declared under ``keyword``."""
         table = self.silting if keyword == "silting" else self.smc
         if len(table) != 1:
@@ -302,7 +304,7 @@ class CollectionFile:
             )
         return next(iter(table.values()))
 
-    def any_collection(self) -> tuple[str, str, list[ProjComplex]]:
+    def any_collection(self) -> tuple[str, str, Sequence[ProjComplex]]:
         """The unique collection of either kind, as (kind, name, members)."""
         found = [("silting", n, c) for n, c in self.silting.items()]
         found += [("smc", n, c) for n, c in self.smc.items()]
@@ -314,7 +316,7 @@ class CollectionFile:
             )
         return found[0]
 
-    def pair(self) -> tuple[list[ProjComplex], list[ProjComplex]]:
+    def pair(self) -> tuple[Sequence[ProjComplex], Sequence[ProjComplex]]:
         """The (silting, smc) pair of a pair file."""
         return self.sole("silting"), self.sole("smc")
 
@@ -337,13 +339,16 @@ def parse_collection_file(text: str, algebra: PathAlgebra) -> CollectionFile:
         m = re.match(rf"^(silting|smc)\s+({_IDENT})\s*=\s*\[(.*)\]$", line)
         if m:
             keyword, name, body = m.groups()
-            members = [
+            entries = [
                 _resolve_entry(tok.strip(), algebra, out, no)
                 for tok in body.split(",")
                 if tok.strip()
             ]
-            if not members:
+            if not entries:
                 _fail(f"collection {name!r} is empty", no)
+            members = [x for x, _ in entries]
+            if keyword == "smc" and _is_standard(entries, algebra):
+                members = Generated(members, "standard collection")
             table = out.silting if keyword == "silting" else out.smc
             if name in table:
                 _fail(f"duplicate {keyword} name {name!r}", no)
@@ -422,9 +427,24 @@ def _parse_summands(text: str, no: int) -> tuple[str, ...]:
     return tuple(vertices)
 
 
+def _is_standard(
+    entries: list[tuple[ProjComplex, str | None]], algebra: PathAlgebra
+) -> bool:
+    """Whether the entries are the complete resolutions of the simples,
+    each vertex once and none shifted."""
+    simples = [v for _, v in entries]
+    return (
+        None not in simples
+        and sorted(simples) == sorted(algebra.quiver.vertices)
+        and all(x.complete for x, _ in entries)
+    )
+
+
 def _resolve_entry(
     token: str, algebra: PathAlgebra, out: CollectionFile, no: int
-) -> ProjComplex:
+) -> tuple[ProjComplex, str | None]:
+    """The entry's complex, and its vertex v when the entry is an
+    unshifted ``res(simple v)``."""
     m = _ENTRY.match(token)
     if not m:
         _fail(f"cannot parse collection entry {token!r}", no)
@@ -447,6 +467,7 @@ def _resolve_entry(
         if base not in out.complexes:
             _fail(f"unknown complex {base!r}", no)
         x = out.complexes[base]
+    amount = int(shift_text or 0)
     if shift_text:
-        x = shift(x, int(shift_text))
-    return x
+        x = shift(x, amount)
+    return x, rm.group(1) if rm and not amount else None

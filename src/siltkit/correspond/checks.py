@@ -30,7 +30,14 @@ from ..errors import (
     PatternFailed,
 )
 from ..homotopy.compare import is_indecomposable, is_isomorphic
-from ..homotopy.complexes import ChainMap, ProjComplex, cone, minimize, shift
+from ..homotopy.complexes import (
+    ChainMap,
+    Generated,
+    ProjComplex,
+    cone,
+    minimize,
+    shift,
+)
 from ..homotopy.homs import cartan_pairing, hom_space
 from ..serialize import algebra_hash, collection_text
 
@@ -45,9 +52,10 @@ class CheckItem:
     name: str
     ok: bool
     detail: str = ""
+    soft: bool = False
 
     def line(self) -> str:
-        mark = "ok  " if self.ok else "FAIL"
+        mark = "ok  " if self.ok else "open" if self.soft else "FAIL"
         tail = f" ({self.detail})" if self.detail else ""
         return f"[{mark}] {self.name}{tail}"
 
@@ -105,7 +113,7 @@ class _Reporter:
                 self.witness = witness
 
     def soft(self, name: str, ok: bool, detail: str = ""):
-        self.items.append(CheckItem(name, ok, detail))
+        self.items.append(CheckItem(name, ok, detail, soft=True))
         if not ok:
             self._uncertain = True
 
@@ -366,8 +374,13 @@ def _closure_search(
             f"({len(nodes)} objects examined)"
         )
     missing = [v for v in verts if v not in reached]
+    bound = (
+        f"CLOSURE_NODE_CAP = {CLOSURE_NODE_CAP} hit in round {level}"
+        if len(nodes) >= CLOSURE_NODE_CAP
+        else f"within depth {depth}"
+    )
     return False, (
-        f"vertices {', '.join(missing)} not reached within depth {depth} "
+        f"vertices {', '.join(missing)} not reached {bound} "
         f"({len(nodes)} objects examined)"
     )
 
@@ -422,6 +435,10 @@ def check_smc(
 ) -> CheckReport:
     """Negative-degree vanishing, degree-0 orthogonality between distinct
     members, one-dimensional endomorphisms, and a generation certificate.
+
+    Generation is taken from a :class:`Generated` collection's route
+    when it carries one, and from the bounded thick-closure search
+    otherwise.
 
     An endomorphism ring of dimension above one is reported as
     ``not-certified`` rather than ``fail``: over a non-closed field it
@@ -509,7 +526,10 @@ def check_smc(
     if rep.failed:
         return rep.report()
 
-    ok, detail = _closure_search(collection, depth=depth, seed=seed)
+    if isinstance(collection, Generated):
+        ok, detail = True, f"by provenance: {collection.route}"
+    else:
+        ok, detail = _closure_search(collection, depth=depth, seed=seed)
     rep.soft("thick closure reaches all projectives", ok, detail)
     return rep.report()
 

@@ -71,15 +71,6 @@ class CharacteristicUnsupported(SiltkitError):
     field within the configured budget."""
 
 
-class MutationNotVerified(SiltkitError):
-    """A mutation recipe produced a collection that failed re-verification.
-    The failing report is attached so the caller can inspect the witness."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class PositiveCohomology(SiltkitError):
     """The truncation to non-positive degrees requires the cohomology to
     vanish in positive degrees, and it does not."""
@@ -117,13 +108,12 @@ class NotInAmbient(SiltkitError):
 
 
 class StepFailed(SiltkitError):
-    """A pipeline step failed verification.  ``step`` is the 0-based index
-    into the mutation script, ``report`` the failing check report."""
+    """A pipeline step failed verification.  ``step`` is 0 for the starting
+    pair and k for the k-th script entry."""
 
-    def __init__(self, message: str, step: int, report=None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-        self.report = report
 
 
 class ParseError(SiltkitError):

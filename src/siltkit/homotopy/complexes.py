@@ -192,6 +192,20 @@ class ProjComplex:
         return f"ProjComplex({'; '.join(parts)}{flag})"
 
 
+class Generated(tuple):
+    """A collection known to generate K^b(proj A), with the reason why.
+
+    The fact lives on the sequence itself: a slice, a ``list(...)``, a
+    concatenation or any rebuilt sequence is a plain sequence again, so
+    no edit can keep a grant it no longer deserves.
+    """
+
+    def __new__(cls, members, route: str):
+        self = super().__new__(cls, members)
+        self.route = route
+        return self
+
+
 def make_complex(
     algebra: PathAlgebra,
     summands: dict[int, tuple[str, ...]],

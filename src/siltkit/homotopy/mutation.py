@@ -8,17 +8,27 @@ generator G.  Because dropped copies only ever shrink the available maps, a
 single forward pass lands on a genuinely minimal approximation.
 
 Mutation at a chosen index replaces that summand by a cone construction and
-keeps everything else; the heuristic simple-minded recipe re-verifies its
-output and refuses to return an unverified collection unless asked to.
+keeps everything else.  Simple-minded mutation does not verify its output;
+callers check the result (``check_pattern`` runs ``check_smc``).  It passes
+on a certified generation fact, since a mutation triangle leaves the thick
+closure unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from ..errors import MutationNotVerified
 from ..linalg import rank
-from .complexes import ChainMap, ProjComplex, cone, direct_sum, minimize, shift
+from .complexes import (
+    ChainMap,
+    Generated,
+    ProjComplex,
+    cone,
+    direct_sum,
+    minimize,
+    shift,
+)
 from .homs import hom_space
 
 
@@ -192,19 +202,18 @@ def _power_map(x: ProjComplex, g: ProjComplex, degree_shift: int, side: str) -> 
 
 
 def smc_mutate(
-    collection: list[ProjComplex],
-    index: int,
-    side: str = "left",
-    verify: bool = True,
-    seed: int = 0,
-) -> list[ProjComplex]:
+    collection: Sequence[ProjComplex], index: int, side: str = "left"
+) -> Sequence[ProjComplex]:
     """Mutation of a simple-minded collection at one index.
 
     The chosen summand is shifted; every other summand is corrected by the
     cone or cocone over the universal map out of (or into) the shifted
-    summand's first extension space.  The outcome is then re-checked as a
-    simple-minded collection, and MutationNotVerified is raised if the check
-    fails; pass verify=False to skip the safety net.
+    summand's first extension space.  The result is not re-checked.
+
+    Each new member sits in a triangle with an old member and a power of
+    the shifted summand, so the thick closure is unchanged.  A
+    :class:`Generated` input therefore yields a :class:`Generated` result,
+    provided every result member is a complete complex.
     """
     if not 0 <= index < len(collection):
         raise IndexError(f"index {index} out of range for {len(collection)} summands")
@@ -225,12 +234,8 @@ def smc_mutate(
         else:
             result.append(minimize(cone(g)))
 
-    if verify:
-        from ..correspond.checks import check_smc
-
-        report = check_smc(result, seed=seed)
-        if not report.passed:
-            raise MutationNotVerified(
-                "mutated collection failed re-verification", report=report
-            )
+    if isinstance(collection, Generated) and all(x.complete for x in result):
+        return Generated(
+            result, f"{side} mutation at {index + 1} of a certified collection"
+        )
     return result

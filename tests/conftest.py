@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+import siltkit.correspond.checks as checks
 from siltkit.core.algebras import build_algebra
 from siltkit.core.quivers import Arrow, Path, Quiver
 from siltkit.fields import QQ
@@ -54,6 +55,20 @@ def loop2():
 def one_vertex():
     """The base field as a path algebra: one vertex, no arrows."""
     return build_algebra(Quiver(("1",), ()), [], 1)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The collections the bounded thick-closure search is run on."""
+    calls = []
+    real = checks._closure_search
+
+    def counting(collection, *args, **kwargs):
+        calls.append(collection)
+        return real(collection, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_closure_search", counting)
+    return calls
 
 
 #: Forbidden subwords per fixture name, for the independent path oracles.

@@ -4,6 +4,8 @@ projectivity, covers, and membership tests."""
 
 import pytest
 
+import siltkit.correspond.checks as checks
+from siltkit.cli.parsing import parse_collection_file
 from siltkit.correspond.checks import (
     check_pattern,
     check_presilting,
@@ -18,7 +20,7 @@ from siltkit.correspond.checks import (
 )
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.errors import NotInAmbient, PatternFailed
-from siltkit.homotopy.complexes import direct_sum, shift, single_projective
+from siltkit.homotopy.complexes import Generated, direct_sum, shift, single_projective
 from siltkit.homotopy.homs import hom_space
 
 
@@ -81,6 +83,68 @@ def test_exhausted_closure_budget_is_not_certified(a2_cast):
     assert report.verdict == "not-certified"
     (bad,) = [item for item in report.items if not item.ok]
     assert "not reached" in bad.detail
+
+
+def test_closure_search_names_the_node_cap_when_it_stops_there(a3, monkeypatch):
+    monkeypatch.setattr(checks, "CLOSURE_NODE_CAP", 2)
+    _, smc = standard_pair(a3)
+    report = check_smc(list(smc))
+    assert report.verdict == "not-certified"
+    (bad,) = [item for item in report.items if not item.ok]
+    assert bad.name == "thick closure reaches all projectives"
+    assert "CLOSURE_NODE_CAP = 2" in bad.detail
+
+
+def test_standard_collection_generates_by_provenance(a2_cast, searches):
+    report = check_smc(a2_cast["smc"])
+    assert report.verdict == "pass"
+    generation = report.items[-1]
+    assert generation.name == "thick closure reaches all projectives"
+    assert generation.detail == "by provenance: standard collection"
+    assert searches == []
+
+
+def test_parsed_resolved_simples_generate_in_any_order(a2, searches):
+    parsed = parse_collection_file("smc s = [res(simple 2), res(simple 1)]", a2)
+    smc = parsed.sole("smc")
+    assert isinstance(smc, Generated)
+    assert check_smc(smc).verdict == "pass"
+    assert searches == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [list, lambda g: g[:], lambda g: (shift(g[0], 1), g[1])],
+    ids=["list", "slice", "member-swapped-for-its-shift"],
+)
+def test_an_edited_collection_loses_the_grant(a2_cast, searches, edit):
+    edited = edit(a2_cast["smc"])
+    assert not isinstance(edited, Generated)
+    report = check_smc(edited)
+    assert report.verdict == "pass"
+    assert not report.items[-1].detail.startswith("by provenance")
+    assert searches == [edited]
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["res(simple 1), res(simple 1)", "res(simple 1), res(simple 2)[1]"],
+    ids=["repeated-vertex", "shifted-entry"],
+)
+def test_a_nonstandard_declaration_gets_no_grant(a2, searches, body):
+    smc = parse_collection_file(f"smc s = [{body}]", a2).sole("smc")
+    assert not isinstance(smc, Generated)
+    report = check_smc(smc)
+    assert report.verdict == "fail"
+    assert not any("provenance" in item.detail for item in report.items)
+
+
+def test_truncated_resolutions_get_no_grant(loop2):
+    _, smc = standard_pair(loop2)
+    assert not smc[0].complete
+    assert not isinstance(smc, Generated)
+    parsed = parse_collection_file("smc s = [res(simple 1)]", loop2).sole("smc")
+    assert not isinstance(parsed, Generated)
 
 
 def test_resolved_simples_are_simple_minded(a2_cast):

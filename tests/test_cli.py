@@ -20,7 +20,10 @@ import sys
 import pytest
 
 import siltkit.cli
+import siltkit.correspond.checks as checks
 from siltkit.cli import main
+from siltkit.correspond.checks import _closure_search
+from siltkit.homotopy.complexes import Generated
 
 HERE = pathlib.Path(__file__).resolve().parent
 INPUTS = HERE.parent / "inputs"
@@ -36,6 +39,7 @@ CASES = [
     ("verify-pattern-std", ["verify", "--pattern", "{in}/a2.alg", "{in}/std.pair"], 0),
     ("verify-pattern-mismatch", ["verify", "--pattern", "{in}/a2.alg", "{in}/mismatch.pair"], 2),
     ("verify-smc-bad", ["verify", "--smc", "{in}/a2.alg", "{in}/bad.smc"], 2),
+    ("verify-smc-std", ["verify", "--smc", "{in}/a2.alg", "{in}/smc-std"], 0),
     ("mutate-std", MUTATE, 0),
     ("koszul-std", ["koszul", "{in}/a2.alg", "{in}/std.pair"], 0),
     ("koszul-ex46", ["koszul", "{in}/a2.alg", "{in}/ex46.pair"], 0),
@@ -99,3 +103,68 @@ def test_python_dash_m_runs_the_command_line():
         text=True,
     )
     assert (done.returncode, done.stdout) == (0, golden("verify-pattern-std")[0])
+
+
+def table_output(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of a run in the default table format."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main([a.format(**{"in": INPUTS}) for a in argv])
+    return code, buffer.getvalue()
+
+
+def test_table_output_marks_a_soft_miss_open():
+    code, stdout = table_output(["koszul", "{in}/kron.alg", "{in}/std.pair"])
+    assert code == 3
+    assert "[open]" in stdout
+    assert "[FAIL]" not in stdout
+
+
+def test_table_output_marks_a_hard_failure_fail():
+    code, stdout = table_output(["verify", "--smc", "{in}/a2.alg", "{in}/bad.smc"])
+    assert code == 2
+    assert "[FAIL]" in stdout
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every collection handed to check_smc, by the graph or a pattern check."""
+    seen = []
+    real = checks.check_smc
+
+    def recording(collection, *args, **kwargs):
+        seen.append(collection)
+        return real(collection, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "check_smc", recording)
+    monkeypatch.setattr(siltkit.cli, "check_smc", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graph", "{in}/a2.alg"], ["graph", "{in}/kron.alg", "--depth", "1"], MUTATE],
+    ids=["graph-a2", "graph-kron-depth-1", "mutate-std"],
+)
+def test_the_closure_search_referees_every_provenance_grant(
+    argv, checked, searches, tmp_path
+):
+    code, _, _ = run_case(argv, tmp_path / "run")
+    assert code == 0
+    assert checked and all(isinstance(c, Generated) for c in checked)
+    assert searches == []
+    for collection in checked:
+        reached, detail = _closure_search(list(collection), depth=3, seed=0)
+        assert reached, f"{collection.route}: {detail}"
+
+
+def test_a_replayed_certificate_runs_the_closure_search(tmp_path, searches):
+    run_case(MUTATE, tmp_path / "mutate")
+    searches.clear()
+    code, _, _ = run_case(
+        ["replay", "{in}/a2.alg", str(tmp_path / "mutate" / "step-1.cert")],
+        tmp_path / "replay",
+    )
+    assert code == 0
+    assert len(searches) == 1
+    assert not isinstance(searches[0], Generated)

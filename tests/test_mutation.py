@@ -3,9 +3,10 @@
 import pytest
 
 from siltkit.core.modules import minimal_projective_resolution, simple_module
-from siltkit.errors import MutationNotVerified
+from siltkit.correspond.checks import check_pattern
+from siltkit.errors import PatternFailed
 from siltkit.homotopy.compare import is_isomorphic
-from siltkit.homotopy.complexes import shift, single_projective
+from siltkit.homotopy.complexes import Generated, shift, single_projective
 from siltkit.homotopy.mutation import (
     left_approximation,
     right_approximation,
@@ -82,17 +83,24 @@ def test_smc_mutation_is_an_involution(std_smc):
     assert same_collection(back, std_smc)
 
 
-def test_smc_mutation_verification_rejects_junk(a2, std_smc):
+def test_smc_mutation_passes_the_grant_on(a2, std_smc):
+    there = smc_mutate(Generated(std_smc, "standard collection"), 1, "left")
+    assert there.route == "left mutation at 2 of a certified collection"
+    back = smc_mutate(there, 0, "right")
+    assert back.route == "right mutation at 1 of a certified collection"
+    assert not isinstance(smc_mutate(std_smc, 1, "left"), Generated)
+
+
+def test_smc_mutation_verification_rejects_junk(a2, std_silting, std_smc):
     broken = [std_smc[0], shift(std_smc[0], 1)]
-    with pytest.raises(MutationNotVerified) as info:
-        smc_mutate(broken, 0, "left", verify=True)
-    assert info.value.report is not None
-    assert not info.value.report.passed
+    mutated = smc_mutate(broken, 0, "left")
+    with pytest.raises(PatternFailed, match="simple-minded side fails"):
+        check_pattern(silting_mutate(std_silting, 0, "left"), mutated)
 
 
 def test_smc_mutation_without_verification_returns_something(a2, std_smc):
     broken = [std_smc[0], shift(std_smc[0], 1)]
-    result = smc_mutate(broken, 0, "left", verify=False)
+    result = smc_mutate(broken, 0, "left")
     assert len(result) == 2
 
 
