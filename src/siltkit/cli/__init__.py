@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 
 from ..correspond.checks import (
     CheckReport,
@@ -40,7 +39,7 @@ from ..errors import (
     UnknownVertex,
     ZeroModule,
 )
-from ..homotopy.compare import is_isomorphic
+from ..homotopy.compare import isomorphic_collections
 from ..homotopy.mutation import silting_mutate, smc_mutate
 from ..serialize import algebra_hash, collection_text
 from .parsing import CollectionFile, parse_algebra, parse_collection_file
@@ -67,7 +66,6 @@ class RunConfig:
     seed: int = 0
     depth: int = 3
     window: tuple[int, int] = (-5, 5)
-    budget: int = 64
     fmt: str = "table"
     out: str | None = None
 
@@ -170,7 +168,7 @@ def cmd_verify(
     if kind != "pattern":
         members = parsed.sole(kind)
         check = check_silting if kind == "silting" else check_smc
-        report = check(members, seed=config.seed, depth=config.depth)
+        report = check(members, depth=config.depth)
         verdicts = {kind: report.verdict}
         body = [f"collection: {collection_summary(members)}", ""]
         body += report_lines(report)
@@ -341,7 +339,7 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
         )
     E = dg_end(list(silting), provenance="dg end of the silting collection")
     F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
-    report = koszul_pair_check(E, F, window=config.window, budget=config.budget)
+    report = koszul_pair_check(E, F, window=config.window)
     body = dg_table_lines(E, "dg endomorphism algebra of the silting side")
     body += [""]
     body += dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")
@@ -361,21 +359,6 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
     )
 
 
-def _collections_isomorphic(a, b, seed: int) -> bool:
-    if len(a) != len(b):
-        return False
-    saw_inconclusive = False
-    for perm in permutations(range(len(b))):
-        try:
-            if all(is_isomorphic(a[i], b[j], seed=seed) for i, j in enumerate(perm)):
-                return True
-        except Inconclusive:
-            saw_inconclusive = True
-    if saw_inconclusive:
-        raise Inconclusive("collection comparison exhausted its search budget")
-    return False
-
-
 def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
     algebra = parse_algebra(_read(algebra_path), config.characteristic)
     inputs = _inputs_hash([algebra_path])
@@ -390,14 +373,14 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
 
     nodes: list[dict] = []
     edges: list[tuple[int, int, str, int]] = []
-    inconclusive = False
+    doubt = None
     capped = False
 
     def verdict_of(smc) -> str:
         # --depth bounds the mutation search here.  Nodes mutated from a
         # complete standard pair carry their generation by provenance; any
         # other node falls back to the checker's own closure depth.
-        return check_smc(smc, seed=config.seed).verdict
+        return check_smc(smc).verdict
 
     nodes.append({"silting": silting0, "smc": smc0, "verdict": verdict_of(smc0)})
     frontier = [0]
@@ -418,13 +401,11 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                     target = None
                     for n, known in enumerate(nodes):
                         try:
-                            if _collections_isomorphic(
-                                mutated, known["silting"], config.seed
-                            ):
+                            if isomorphic_collections(mutated, known["silting"]):
                                 target = n
                                 break
-                        except Inconclusive:
-                            inconclusive = True
+                        except Inconclusive as exc:
+                            doubt = doubt or str(exc)
                     if target is None:
                         if len(nodes) >= GRAPH_NODE_CAP:
                             capped = True
@@ -443,13 +424,15 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
         level += 1
 
     verdicts = {f"node{n} smc": node["verdict"] for n, node in enumerate(nodes)}
-    if inconclusive:
-        verdicts["dedup"] = "not-certified"
     body = [
         f"silting mutation graph: {len(nodes)} nodes, {len(edges)} edges "
         f"(window {lo}..{hi}, depth {config.depth})"
     ]
     structured = [f"graph nodes {len(nodes)} edges {len(edges)}"]
+    if doubt is not None:
+        verdicts["dedup"] = "not-certified"
+        body.append(f"dedup not certified: {doubt}")
+        structured.append(f"graph dedup inconclusive {doubt}")
     if capped:
         verdicts["graph-cap"] = "not-certified"
         body.append(
@@ -593,7 +576,7 @@ def _build_parser() -> _ArgumentParser:
     shared.add_argument("--char", type=int, default=None, metavar="P",
                         help="override the coefficient characteristic")
     shared.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized searches")
+                        help="seed recorded in reports and certificates")
     shared.add_argument("--depth", type=int, default=3, metavar="N",
                         help="closure/graph search depth")
     shared.add_argument("--window", type=str, default="-5..5", metavar="A..B",

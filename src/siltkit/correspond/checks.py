@@ -34,6 +34,7 @@ from ..homotopy.complexes import (
     ChainMap,
     Generated,
     ProjComplex,
+    component_split,
     cone,
     minimize,
     shift,
@@ -157,7 +158,7 @@ def _hom_dim(x: ProjComplex, y: ProjComplex, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_presilting(collection: Sequence[ProjComplex], seed: int = 0) -> CheckReport:
+def check_presilting(collection: Sequence[ProjComplex]) -> CheckReport:
     """Indecomposability, pairwise distinctness, and vanishing of all
     positive-degree Homs between members (self-Homs included)."""
     rep = _Reporter("presilting")
@@ -181,7 +182,7 @@ def check_presilting(collection: Sequence[ProjComplex], seed: int = 0) -> CheckR
     for i in range(len(collection)):
         for j in range(i + 1, len(collection)):
             try:
-                same = is_isomorphic(collection[i], collection[j], seed=seed)
+                same = is_isomorphic(collection[i], collection[j])
                 rep.hard(
                     f"members {i + 1} and {j + 1} are non-isomorphic",
                     not same,
@@ -248,65 +249,8 @@ def _determinant(rows: list[list[int]]) -> Fraction:
     return det
 
 
-def _component_split(x: ProjComplex) -> list[ProjComplex]:
-    """Direct summands exhibited by the differential's block structure.
-
-    Summand positions connected through nonzero differential entries
-    must stay together; the connected components genuinely split off as
-    direct summands (though they need not be indecomposable).
-    """
-    positions = [(k, i) for k in sorted(x.summands) for i in range(len(x.summands[k]))]
-    if len(positions) <= 1:
-        return [x]
-    index = {p: n for n, p in enumerate(positions)}
-    parent = list(range(len(positions)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for k, mat in x.diffs.items():
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if entry:
-                    union(index[(k + 1, r)], index[(k, c)])
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for p, n in index.items():
-        groups.setdefault(find(n), []).append(p)
-    if len(groups) == 1:
-        return [x]
-
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        pts = sorted(groups[root])
-        degs: dict[int, list[int]] = {}
-        for k, i in pts:
-            degs.setdefault(k, []).append(i)
-        summands = {k: tuple(x.summands[k][i] for i in idxs) for k, idxs in degs.items()}
-        diffs = {}
-        for k in degs:
-            if k + 1 not in degs:
-                continue
-            mat = x.differential(k)
-            diffs[k] = [[mat[r][c] for c in degs[k]] for r in degs[k + 1]]
-        out.append(
-            ProjComplex(
-                x.algebra, summands, diffs, complete=x.complete, check=False
-            )
-        )
-    return out
-
-
 def _closure_search(
-    collection: Sequence[ProjComplex], depth: int, seed: int
+    collection: Sequence[ProjComplex], depth: int
 ) -> tuple[bool, str]:
     """Bounded thick-closure search: can shifts, cones along computed
     maps, and summand extraction reach every stalk projective?
@@ -325,7 +269,7 @@ def _closure_search(
         m = minimize(c)
         if m.is_zero():
             return
-        for piece in _component_split(m):
+        for piece in component_split(m):
             if piece.total_summands() == 1:
                 v = next(iter(piece.summands.values()))[0]
                 reached.setdefault(v, level)
@@ -334,7 +278,7 @@ def _closure_search(
             known = False
             for n in nodes:
                 try:
-                    if is_isomorphic(piece, n, seed=seed):
+                    if is_isomorphic(piece, n):
                         known = True
                         break
                 except Inconclusive:
@@ -385,9 +329,7 @@ def _closure_search(
     )
 
 
-def check_silting(
-    collection: Sequence[ProjComplex], seed: int = 0, depth: int = 3
-) -> CheckReport:
+def check_silting(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
     """Presilting conditions plus a generation certificate.
 
     Generation is certified in two halves: the members' classes must
@@ -397,7 +339,7 @@ def check_silting(
     ``not-certified``.
     """
     rep = _Reporter("silting")
-    rep.absorb(check_presilting(collection, seed=seed))
+    rep.absorb(check_presilting(collection))
     if rep.failed:
         return rep.report()
 
@@ -420,7 +362,7 @@ def check_silting(
     if rep.failed:
         return rep.report()
 
-    ok, detail = _closure_search(collection, depth=depth, seed=seed)
+    ok, detail = _closure_search(collection, depth=depth)
     rep.soft("thick closure reaches all projectives", ok, detail)
     return rep.report()
 
@@ -430,9 +372,7 @@ def check_silting(
 # ---------------------------------------------------------------------------
 
 
-def check_smc(
-    collection: Sequence[ProjComplex], seed: int = 0, depth: int = 3
-) -> CheckReport:
+def check_smc(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
     """Negative-degree vanishing, degree-0 orthogonality between distinct
     members, one-dimensional endomorphisms, and a generation certificate.
 
@@ -529,7 +469,7 @@ def check_smc(
     if isinstance(collection, Generated):
         ok, detail = True, f"by provenance: {collection.route}"
     else:
-        ok, detail = _closure_search(collection, depth=depth, seed=seed)
+        ok, detail = _closure_search(collection, depth=depth)
     rep.soft("thick closure reaches all projectives", ok, detail)
     return rep.report()
 
@@ -651,8 +591,8 @@ class CorrespondenceCertificate:
     simple-minded-side collection.
 
     Carries both collections, the index bijection, the full Hom table
-    over the support windows, the sub-check verdicts, and the seed the
-    verification ran with.  ``serialize`` emits a canonical text form
+    over the support windows, the sub-check verdicts, and the run's
+    recorded seed.  ``serialize`` emits a canonical text form
     that replays byte-identically; the creation timestamp is an
     attribute only and deliberately never serialized.
     """
@@ -733,13 +673,13 @@ def check_pattern(
     offending (i, j, m, dim) and the full table; success returns a
     certificate.
     """
-    pres = check_presilting(silting, seed=seed)
+    pres = check_presilting(silting)
     if pres.verdict == "fail":
         raise PatternFailed(
             f"silting side fails its presilting check: {pres.summary()}",
             witness=pres.witness,
         )
-    smc_report = check_smc(smc, seed=seed, depth=depth)
+    smc_report = check_smc(smc, depth=depth)
     if smc_report.verdict == "fail":
         raise PatternFailed(
             f"simple-minded side fails its check: {smc_report.summary()}",

@@ -60,9 +60,10 @@ class TruncationUnsound(SiltkitError):
 
 
 class Inconclusive(SiltkitError):
-    """The isomorphism test exhausted its randomized budget and the
-    deterministic fallback was disabled or infeasible.  Deliberately distinct
-    from a ``False`` answer: callers must not treat this as "not isomorphic".
+    """An isomorphism or indecomposability test could not decide: the
+    endomorphism ring is not known to be local and the coefficient search
+    would exceed ``SEARCH_BUDGET``.  Deliberately distinct from a ``False``
+    answer: callers must not treat this as "not isomorphic".
     """
 
 

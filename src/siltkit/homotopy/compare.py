@@ -1,21 +1,33 @@
 """Deciding isomorphism and indecomposability in the homotopy category.
 
-Both questions are answered through exact invariants first (graded summand
-multiplicities, cohomology dimensions) and only then through searches that
-are deterministic given the seed.  A failed search over the rationals is
-reported as Inconclusive, never as a definitive "no": the coefficient box is
-finite, so absence of a unit inside it proves nothing.  Over a prime field
-the same search can be exhaustive, and a negative answer is then real.
+K^b(proj A) is Krull–Schmidt: an indecomposable object has a local
+endomorphism ring.  Isomorphism is decided through exact invariants first
+(graded summand multiplicities, cohomology dimensions, a zero H^0 Hom), then
+by matching visible direct summands, then by testing H^0 Hom representatives
+for invertibility.  When H^0 End of either side is local this test is
+exact: an isomorphism is a combination of representatives, and the
+non-units of a local ring form an ideal, so some representative is itself
+invertible.  Otherwise every combination in a coefficient box bounded by
+``SEARCH_BUDGET`` is tried.  Over the rationals a failed box search is
+reported as Inconclusive, never as a definitive "no"; over a prime field
+the box is the whole space, and a negative answer is then real.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+from collections.abc import Sequence
 
 from ..errors import CharacteristicUnsupported, Inconclusive
-from ..linalg import kernel_basis, mat_vec, zero_vector
-from .complexes import ChainMap, ProjComplex, cone, identity_map, minimize
+from ..linalg import kernel_basis, mat_vec, solve, zero_vector
+from .complexes import (
+    ChainMap,
+    ProjComplex,
+    complex_cohomology_dims,
+    component_split,
+    identity_map,
+    minimize,
+)
 from .homs import HomSpace, hom_space
 
 SEARCH_BUDGET = 100_000
@@ -28,33 +40,32 @@ def _coefficient_pool(field) -> list:
 
 
 def _combination(space: HomSpace, coeffs) -> ChainMap:
-    f = None
+    f = space.representatives[0].scale(space.complex.field.zero)
     for c, rep in zip(coeffs, space.representatives):
-        if not c:
-            continue
-        term = rep.scale(c)
-        f = term if f is None else f.add(term)
-    if f is None:
-        zero = space.representatives[0].scale(space.complex.field.zero)
-        return zero
+        if c:
+            f = f.add(rep.scale(c))
     return f
 
 
-def _is_contractible_after(f: ChainMap) -> bool:
-    return minimize(cone(f)).is_zero()
+def _known_local(x: ProjComplex) -> bool:
+    """Whether H^0 End(x) is known to be a local ring."""
+    try:
+        return is_indecomposable(x)
+    except (Inconclusive, CharacteristicUnsupported):
+        return False
 
 
 def find_isomorphism(
-    x: ProjComplex, y: ProjComplex, seed: int = 0, samples: int = 16
+    x: ProjComplex, y: ProjComplex
 ) -> tuple[ChainMap, ChainMap] | None:
     """A pair (f, g) of mutually inverse degree-0 maps up to homotopy, or
     None if the search finds none.
 
-    f is hunted among combinations of H^0 Hom(x, y) representatives: each
-    representative alone, then seeded random small-integer combinations,
-    then (when the coefficient box is small enough) every combination.  A
-    candidate passes when its cone collapses to the zero complex; the inverse
-    is then recovered by solving [g][f] = [id] on classes.
+    f is tried among the H^0 Hom(x, y) representatives, then, unless
+    H^0 End(x) or H^0 End(y) is local, among every combination in the
+    coefficient box when that box fits in ``SEARCH_BUDGET``.  A candidate
+    f passes when [g][f] = [1_x] has a solution g and that g also gives
+    [f][g] = [1_y].
     """
     mx, my = minimize(x), minimize(y)
     if mx.is_zero() and my.is_zero():
@@ -63,43 +74,40 @@ def find_isomorphism(
     if mx.is_zero() or my.is_zero():
         return None
     forward = hom_space(mx, my, 0)
-    if forward.dimension == 0:
+    backward = hom_space(my, mx, 0)
+    if forward.dimension == 0 or backward.dimension == 0:
         return None
+    field = mx.algebra.field
+    end_x, end_y = hom_space(mx, mx, 0), hom_space(my, my, 0)
+    one_x = end_x.class_coordinates(identity_map(mx))
+    one_y = end_y.class_coordinates(identity_map(my))
 
-    def attempt(coeffs):
-        f = _combination(forward, coeffs)
-        if f.is_zero():
-            return None
-        if not _is_contractible_after(f):
-            return None
-        g = _invert(forward, f, mx, my)
-        if g is None:
-            return None
-        return f, g
-
-    for i in range(forward.dimension):
-        unit = [forward.complex.field.zero] * forward.dimension
-        unit[i] = forward.complex.field.one
-        found = attempt(unit)
-        if found:
-            return found
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        coeffs = [
-            forward.complex.field.coerce(rng.randint(-3, 3))
-            for _ in range(forward.dimension)
+    def inverse(f: ChainMap) -> ChainMap | None:
+        columns = [
+            end_x.class_coordinates(g.compose(f)) for g in backward.representatives
         ]
-        found = attempt(coeffs)
-        if found:
-            return found
+        matrix = [[column[i] for column in columns] for i in range(len(one_x))]
+        coords = solve(field, matrix, one_x)
+        if coords is None:
+            return None
+        g = _combination(backward, coords)
+        if end_y.class_coordinates(f.compose(g)) != one_y:
+            return None
+        return g
 
-    pool = _coefficient_pool(forward.complex.field)
-    if len(pool) ** forward.dimension <= SEARCH_BUDGET:
+    def box():
+        if not _search_is_exhaustive(field, forward.dimension):
+            return
+        if _known_local(mx) or _known_local(my):
+            return
+        pool = _coefficient_pool(field)
         for coeffs in itertools.product(pool, repeat=forward.dimension):
-            found = attempt(list(coeffs))
-            if found:
-                return found
+            yield _combination(forward, coeffs)
+
+    for f in itertools.chain(forward.representatives, box()):
+        g = inverse(f)
+        if g is not None:
+            return f, g
     return None
 
 
@@ -108,47 +116,47 @@ def _search_is_exhaustive(field, dimension: int) -> bool:
     return len(pool) ** dimension <= SEARCH_BUDGET
 
 
-def _invert(
-    forward: HomSpace, f: ChainMap, mx: ProjComplex, my: ProjComplex
-) -> ChainMap | None:
-    backward = hom_space(my, mx, 0)
-    if backward.dimension == 0:
-        return None
-    end_x = hom_space(mx, mx, 0)
-    target = end_x.class_coordinates(identity_map(mx))
-    columns = [
-        end_x.class_coordinates(rep.compose(f)) for rep in backward.representatives
-    ]
-    matrix = [
-        [columns[j][i] for j in range(len(columns))] for i in range(len(target))
-    ]
-    from ..linalg import solve
-
-    coords = solve(end_x.complex.field, matrix, target)
-    if coords is None:
-        return None
-    g = _combination(backward, coords)
-    end_y = hom_space(my, my, 0)
-    left = end_y.class_coordinates(f.compose(g))
-    if left != end_y.class_coordinates(identity_map(my)):
-        return None
-    return g
-
-
-def is_isomorphic(
-    x: ProjComplex, y: ProjComplex, seed: int = 0, samples: int = 16
+def isomorphic_collections(
+    xs: Sequence[ProjComplex], ys: Sequence[ProjComplex]
 ) -> bool:
+    """Whether the members of xs and ys match up to isomorphism and order.
+
+    Each member of xs takes the first unmatched isomorphic member of ys.
+    Isomorphism is transitive, so this greedy matching succeeds whenever
+    any matching does.  A member left without a match after an
+    Inconclusive comparison re-raises it.
+    """
+    if len(xs) != len(ys):
+        return False
+    free = list(ys)
+    for x in xs:
+        doubt = None
+        for n, y in enumerate(free):
+            try:
+                if is_isomorphic(x, y):
+                    del free[n]
+                    break
+            except Inconclusive as exc:
+                doubt = exc
+        else:
+            if doubt is not None:
+                raise doubt
+            return False
+    return True
+
+
+def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     """Whether x and y are isomorphic in the homotopy category.
 
-    Cheap exact invariants (graded multiplicities of the minimal models,
-    then vertex-wise cohomology dimensions) settle most negatives.  The
-    remaining positives are settled by exhibiting an invertible map.  If no
-    map is found and the search was not exhaustive (always the case over the
-    rationals when invariants agree), Inconclusive is raised instead of
-    guessing.
+    Exact invariants (graded multiplicities of the minimal models, then
+    vertex-wise cohomology dimensions) settle most negatives.  Complexes
+    whose differential visibly splits are first matched summand by
+    summand.  Otherwise :func:`find_isomorphism` decides: a found map
+    proves True, and a miss proves False when H^0 Hom(x, y) is zero, when
+    H^0 End of either side is local, or when the box over a prime field
+    covered all of H^0 Hom(x, y).  Any other miss raises Inconclusive
+    naming ``SEARCH_BUDGET``.
     """
-    from .complexes import complex_cohomology_dims
-
     mx, my = minimize(x), minimize(y)
     if mx.is_zero() or my.is_zero():
         return mx.is_zero() and my.is_zero()
@@ -156,16 +164,33 @@ def is_isomorphic(
         return False
     if complex_cohomology_dims(mx) != complex_cohomology_dims(my):
         return False
-    found = find_isomorphism(mx, my, seed=seed, samples=samples)
-    if found is not None:
+    xs, ys = component_split(mx), component_split(my)
+    if len(xs) > 1 or len(ys) > 1:
+        try:
+            if isomorphic_collections(xs, ys):
+                return True
+        except Inconclusive:
+            pass
+    if find_isomorphism(mx, my) is not None:
         return True
     forward_dim = hom_space(mx, my, 0).dimension
-    field = mx.algebra.field
-    if field.characteristic != 0 and _search_is_exhaustive(field, forward_dim):
+    if forward_dim == 0 or _known_local(mx) or _known_local(my):
         return False
+    field = mx.algebra.field
+    if not _search_is_exhaustive(field, forward_dim):
+        reach = (
+            f"the {len(_coefficient_pool(field))}^{forward_dim} coefficient "
+            f"choices exceed SEARCH_BUDGET = {SEARCH_BUDGET}"
+        )
+    elif field.characteristic != 0:
+        return False
+    else:
+        reach = (
+            "no invertible map has coefficients in -3..3 (the box the "
+            f"SEARCH_BUDGET = {SEARCH_BUDGET} search covers)"
+        )
     raise Inconclusive(
-        "invariants agree but no invertible map was found within the "
-        "search budget; the complexes may still be isomorphic"
+        f"invariants agree and neither H^0 End is known to be local, but {reach}"
     )
 
 

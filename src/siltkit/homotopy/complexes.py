@@ -537,3 +537,47 @@ def complex_cohomology_dims(x: ProjComplex) -> dict[int, dict[str, int]]:
         if per_vertex:
             out[k] = per_vertex
     return out
+
+
+def component_split(x: ProjComplex) -> list[ProjComplex]:
+    """Direct summands exhibited by the differential's block structure.
+
+    Summand positions connected through nonzero differential entries
+    must stay together; the connected components genuinely split off as
+    direct summands (though they need not be indecomposable).
+    """
+    positions = [(k, i) for k in sorted(x.summands) for i in range(len(x.summands[k]))]
+    parent = {p: p for p in positions}
+
+    def find(p: tuple[int, int]) -> tuple[int, int]:
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for k, mat in x.diffs.items():
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                if entry:
+                    parent[find((k + 1, r))] = find((k, c))
+
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p in positions:
+        groups.setdefault(find(p), []).append(p)
+    if len(groups) <= 1:
+        return [x]
+
+    out = []
+    for points in groups.values():
+        degs: dict[int, list[int]] = {}
+        for k, i in points:
+            degs.setdefault(k, []).append(i)
+        summands = {k: tuple(x.summands[k][i] for i in idxs) for k, idxs in degs.items()}
+        diffs = {
+            k: [[x.diffs[k][r][c] for c in degs[k]] for r in degs[k + 1]]
+            for k in degs
+            if k + 1 in degs
+        }
+        out.append(
+            ProjComplex(x.algebra, summands, diffs, complete=x.complete, check=False)
+        )
+    return out

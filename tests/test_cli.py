@@ -23,7 +23,14 @@ import siltkit.cli
 import siltkit.correspond.checks as checks
 from siltkit.cli import main
 from siltkit.correspond.checks import _closure_search
-from siltkit.homotopy.complexes import Generated
+from siltkit.homotopy.compare import is_isomorphic
+from siltkit.homotopy.complexes import (
+    Generated,
+    cone,
+    direct_sum,
+    single_projective,
+)
+from siltkit.homotopy.homs import hom_space
 
 HERE = pathlib.Path(__file__).resolve().parent
 INPUTS = HERE.parent / "inputs"
@@ -91,6 +98,34 @@ def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):
     assert "verdict graph-cap not-certified" in lines
 
 
+def test_an_open_dedup_names_the_search_budget(monkeypatch, kronecker, tmp_path):
+    p1 = single_projective(kronecker, "1", 0)
+    p2 = single_projective(kronecker, "2", 0)
+    ra, rb = (cone(f) for f in hom_space(p2, p1, 0).representatives)
+    x = direct_sum(direct_sum(ra, ra), direct_sum(rb, rb))
+    y = direct_sum(direct_sum(ra, ra), direct_sum(ra, rb))
+    monkeypatch.setattr(
+        siltkit.cli, "isomorphic_collections", lambda xs, ys: is_isomorphic(x, y)
+    )
+    code, stdout, _ = run_case(["graph", "{in}/kron.alg", "--depth", "1"], tmp_path / "g")
+    lines = stdout.splitlines()
+    assert code == 3
+    assert "verdict dedup not-certified" in lines
+    assert any(
+        l.startswith("graph dedup inconclusive") and "SEARCH_BUDGET = 100000" in l
+        for l in lines
+    )
+
+
+def test_the_seed_only_reaches_its_own_line(tmp_path):
+    argv = ["graph", "{in}/kron.alg", "--depth", "1"]
+    _, zero, _ = run_case(argv + ["--seed", "0"], tmp_path / "zero")
+    _, nine, _ = run_case(argv + ["--seed", "9"], tmp_path / "nine")
+    diff = [(a, b) for a, b in zip(zero.splitlines(), nine.splitlines()) if a != b]
+    assert len(zero.splitlines()) == len(nine.splitlines())
+    assert diff == [("seed 0", "seed 9")]
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(pathlib.Path(siltkit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -154,7 +189,7 @@ def test_the_closure_search_referees_every_provenance_grant(
     assert checked and all(isinstance(c, Generated) for c in checked)
     assert searches == []
     for collection in checked:
-        reached, detail = _closure_search(list(collection), depth=3, seed=0)
+        reached, detail = _closure_search(list(collection), depth=3)
         assert reached, f"{collection.route}: {detail}"
 
 

@@ -5,7 +5,12 @@ import pytest
 from siltkit.core.modules import RightModule, minimal_projective_resolution, simple_module
 from siltkit.errors import CharacteristicUnsupported, Inconclusive
 from siltkit.fields import QQ, PrimeField
-from siltkit.homotopy.compare import find_isomorphism, is_indecomposable, is_isomorphic
+from siltkit.homotopy.compare import (
+    find_isomorphism,
+    is_indecomposable,
+    is_isomorphic,
+    isomorphic_collections,
+)
 from siltkit.homotopy.complexes import (
     cone,
     direct_sum,
@@ -108,17 +113,86 @@ def test_indecomposability_over_a_prime_field():
     assert not is_indecomposable(direct_sum(p1, p1))
 
 
-def test_kronecker_regular_family_is_inconclusive(kronecker):
-    """Cones over the two arrows share every coarse invariant but are not
-    isomorphic; the randomized test must refuse to answer rather than
-    claim either verdict."""
-    from siltkit.errors import Inconclusive
-
+def regulars(kronecker):
+    """The Kronecker regular modules R_a = cone(a) and R_b = cone(b)."""
     p1 = single_projective(kronecker, "1", 0)
     p2 = single_projective(kronecker, "2", 0)
     maps = hom_space(p2, p1, 0).representatives
     assert len(maps) == 2
-    x, y = cone(maps[0]), cone(maps[1])
+    return cone(maps[0]), cone(maps[1])
+
+
+def direct_sums(*xs):
+    total = xs[0]
+    for x in xs[1:]:
+        total = direct_sum(total, x)
+    return total
+
+
+def test_kronecker_regular_family_is_not_isomorphic(kronecker):
+    """Cones over the two arrows share every coarse invariant, but H^0 Hom
+    between them vanishes, so they are not isomorphic."""
+    x, y = regulars(kronecker)
     assert is_isomorphic(x, x)
-    with pytest.raises(Inconclusive):
+    assert not is_isomorphic(x, y)
+
+
+def test_doubled_regular_modules_are_not_isomorphic(kronecker):
+    ra, rb = regulars(kronecker)
+    assert not is_isomorphic(direct_sum(ra, ra), direct_sum(rb, rb))
+
+
+def test_a_local_side_with_no_invertible_representative_decides(kronecker):
+    """The regular Kronecker module of length two (b acting by a Jordan
+    block) has a local End of dimension 2; the sum of two copies of its
+    top shares every invariant and has nonzero Homs both ways.  No Hom
+    representative is invertible, so they are not isomorphic, in either
+    order."""
+    one, zero = QQ.one, QQ.zero
+
+    def resolved(b):
+        ident = [[one, zero], [zero, one]]
+        module = RightModule(kronecker, {"1": 2, "2": 2}, {"a": ident, "b": b})
+        return minimal_projective_resolution(module, 12)
+
+    x = resolved([[zero, one], [zero, zero]])
+    y = resolved([[zero, zero], [zero, zero]])
+    assert hom_space(x, y, 0).dimension and hom_space(y, x, 0).dimension
+    assert is_indecomposable(x)
+    assert not is_isomorphic(x, y)
+    assert not is_isomorphic(y, x)
+
+
+def test_sums_beyond_the_coefficient_box_are_isomorphic(kronecker):
+    """End dimensions 9 and 8 put every combination search out of reach;
+    matching the visible summands settles both."""
+    p1 = single_projective(kronecker, "1", 0)
+    cube = direct_sums(p1, p1, p1)
+    assert hom_space(cube, cube, 0).dimension == 9
+    assert is_isomorphic(cube, cube)
+    ra, rb = regulars(kronecker)
+    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, rb, ra, rb)
+    assert hom_space(x, x, 0).dimension == 8
+    assert is_isomorphic(x, y)
+
+
+def test_an_open_comparison_names_the_search_budget(kronecker):
+    ra, rb = regulars(kronecker)
+    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
+    with pytest.raises(Inconclusive, match="SEARCH_BUDGET = 100000"):
         is_isomorphic(x, y)
+
+
+def test_collections_match_up_to_order(a2):
+    a, b, c = res(a2, "1"), res(a2, "2"), shift(res(a2, "1"), 1)
+    assert isomorphic_collections([a, b, c], [c, a, b])
+    assert not isomorphic_collections([a, a, b], [a, b, b])
+    assert not isomorphic_collections([a, b], [a, b, c])
+
+
+def test_an_unmatched_open_member_reraises(kronecker):
+    ra, rb = regulars(kronecker)
+    p1 = single_projective(kronecker, "1", 0)
+    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
+    with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
+        isomorphic_collections([p1, x], [y, p1])
