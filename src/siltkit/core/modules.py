@@ -419,13 +419,13 @@ def minimal_projective_resolution(m: RightModule, length_bound: int):
     is exact and its completeness flag is set; otherwise it is truncated and
     flagged incomplete, and Hom computations will respect the trust window.
     """
-    from ..homotopy.complexes import ProjComplex, make_complex
+    from ..homotopy.complexes import ProjComplex
 
     if length_bound < 0:
         raise ValueError("length_bound must be >= 0")
     algebra = m.algebra
     if m.is_zero():
-        return make_complex(algebra, {}, {}, complete=True, label="0")
+        return ProjComplex(algebra, {}, {}, complete=True, label="0")
 
     layers: list[ProjectiveSumModule] = []
     diff_entries: list[list] = []  # entries of P_n -> P_{n-1}
@@ -450,7 +450,7 @@ def minimal_projective_resolution(m: RightModule, length_bound: int):
     diffs = {}
     for n, entries in enumerate(diff_entries, start=1):
         diffs[-n] = entries
-    return make_complex(
+    return ProjComplex(
         algebra,
         summands,
         diffs,

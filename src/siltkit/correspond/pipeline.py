@@ -207,7 +207,7 @@ def _propagate_scalars(
 
     Works entirely with one-dimensional blocks, so every product has at
     most one term.  Returns False on a constraint that already cannot
-    hold; leftover scalars stay undetermined for the caller to default.
+    hold; leftover scalars stay undetermined for the caller to fix.
     """
     changed = True
     while changed:
@@ -293,9 +293,15 @@ def graded_algebra_isomorphism(
             lam[i] = c2 / c
         if not consistent:
             continue
-        if not _propagate_scalars(h1, h2, img, lam):
+        # A stalled propagation fixes the first open scalar to 1 and goes on.
+        settled = _propagate_scalars(h1, h2, img, lam)
+        for i in range(h1.dimension):
+            if settled and i not in lam:
+                lam[i] = one
+                settled = _propagate_scalars(h1, h2, img, lam)
+        if not settled:
             continue
-        images = [{img[i]: lam.get(i, one)} for i in range(h1.dimension)]
+        images = [{img[i]: lam[i]} for i in range(h1.dimension)]
         candidate = GradedAlgebraMap(h1, h2, images)
         if verify_dg_quasi_iso(candidate):
             return candidate

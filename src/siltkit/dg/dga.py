@@ -4,12 +4,18 @@ A DGAlgebra is a graded basis with integer degrees, a multiplication table,
 a degree +1 differential, a unit, and a distinguished family of orthogonal
 idempotents.  Elements are sparse coordinate dictionaries over the basis.
 
-The two constructors that matter are ``dg_end`` (the endomorphism dg algebra
-of a collection of complexes, with composition as product) and
+The two constructors that matter are ``end_algebra`` (the endomorphism dg
+algebra of a family of free dg modules, with composition as product) and
 ``cohomology_algebra`` (the induced graded algebra on chosen cocycle
-representatives).  Everything a constructor emits passes ``verify``:
-d^2 = 0, the graded Leibniz rule, associativity, unitality, and the
-idempotent axioms are checked exactly.
+representatives).  Free modules are kept in generator form
+(``FreeModule``): a generator ``g`` of degree ``n`` attached to idempotent
+``e`` spans ``g * (e E)``, and every map out of a free module is fixed by
+its generator images, which makes the End finite and exact.  ``dg_end``
+reads each complex of projectives as a free dg module over the path
+algebra, one generator per summand, and ``dgmod.koszul_dual`` takes the
+End of semifree resolutions; both are ``end_algebra``.  Everything a
+constructor emits passes ``verify``: d^2 = 0, the graded Leibniz rule,
+associativity, unitality, and the idempotent axioms are checked exactly.
 
 Cohomology (dimensions, representatives, class coordinates) comes from
 ``linalg.Cohomology`` on the differential matrices into and out of each
@@ -17,6 +23,8 @@ degree.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..errors import ChainConditionViolated, PositiveCohomology, TruncationUnsound
 from ..linalg import (
@@ -313,92 +321,183 @@ def path_algebra_to_dg(algebra) -> DGAlgebra:
     )
 
 
-def dg_end(collection, provenance: str = "") -> DGAlgebra:
-    """The dg endomorphism algebra of a list of complexes of projectives.
+@dataclass(frozen=True)
+class Generator:
+    label: str
+    degree: int
+    vertex: str  # idempotent name the generator is attached to
 
-    The basis is the union of the pairwise Hom-complex bases; multiplication
-    is composition; the idempotents (labelled by 1-based position in the
-    collection) are the identity maps of the members.
+
+class FreeModule:
+    """A free right dg module over a DGAlgebra, kept in generator form.
+
+    A generator ``g`` of degree ``n`` attached to idempotent ``e`` spans
+    ``g * (e E)``, with basis the pairs ``(t, b)`` over the basis elements
+    ``b`` fixed by ``e`` on the left.  ``d_gens[t]`` is the differential of
+    the t-th generator in pair coordinates; everything else follows by
+    right-linearity.
     """
-    from ..homotopy.homs import HomComplex
 
-    members = list(collection)
-    if not members:
-        raise ValueError("empty collection")
-    algebra = members[0].algebra
-    field = algebra.field
-    for m in members:
-        if not m.complete:
-            raise TruncationUnsound(
-                "dg endomorphism algebra needs fully resolved members"
-            )
+    def __init__(
+        self,
+        algebra: DGAlgebra,
+        generators=(),
+        d_gens=(),
+        complete: bool = True,
+    ):
+        self.algebra = algebra
+        self.field = algebra.field
+        self.generators: list[Generator] = list(generators)
+        self.d_gens: list[dict[tuple[int, int], object]] = list(d_gens)
+        self.complete = complete
+        one = algebra.field.one
+        self._left_fixed = {
+            name: [
+                b for b in range(algebra.dimension)
+                if algebra.multiply(e, {b: one}) == {b: one}
+            ]
+            for name, e in algebra.idempotents.items()
+        }
+        self._rebuild()
 
-    hcs: dict[tuple[int, int], HomComplex] = {}
-    for s in range(len(members)):
-        for t in range(len(members)):
-            hcs[(s, t)] = HomComplex(members[s], members[t])
+    def _rebuild(self) -> None:
+        self.basis_pairs: list[tuple[int, int]] = []
+        self.pair_index: dict[tuple[int, int], int] = {}
+        self.basis_degrees: list[int] = []
+        for t, gen in enumerate(self.generators):
+            for b in self._left_fixed[gen.vertex]:
+                self.pair_index[(t, b)] = len(self.basis_pairs)
+                self.basis_pairs.append((t, b))
+                self.basis_degrees.append(gen.degree + self.algebra.degrees[b])
 
-    # Global basis: blocks ordered by (source, target), then by hom degree,
-    # then by the hom complex's own basis order.
-    entries: list[tuple[int, int, int, int]] = []  # (s, t, n, local index)
-    global_index: dict[tuple[int, int, int, int], int] = {}
+    @property
+    def dimension(self) -> int:
+        return len(self.basis_pairs)
+
+    def graded_dims(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for n in self.basis_degrees:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    def act(self, coords: dict[tuple[int, int], object], a: int):
+        """Right action of the a-th algebra basis element on coordinates
+        keyed by (generator, algebra basis) pairs."""
+        out: dict[tuple[int, int], object] = {}
+        field = self.field
+        for (t, b), c in coords.items():
+            if not c:
+                continue
+            for k, s in self.algebra.products.get((b, a), {}).items():
+                key = (t, k)
+                out[key] = out.get(key, field.zero) + c * s
+        return {k: c for k, c in out.items() if c}
+
+    def d_pair(self, t: int, b: int) -> dict[tuple[int, int], object]:
+        """d(g_t * b) = d(g_t) * b + (-1)^{deg g_t} g_t * d(b)."""
+        field = self.field
+        out = self.act(self.d_gens[t], b)
+        sign = -1 if self.generators[t].degree % 2 else 1
+        for k, s in self.algebra.differential.get(b, {}).items():
+            key = (t, k)
+            out[key] = out.get(key, field.zero) + (s if sign == 1 else -s)
+        return {k: c for k, c in out.items() if c}
+
+
+def end_algebra(
+    objects: list[FreeModule],
+    names: list[str],
+    provenance: str,
+    window: tuple[int, int] | None = None,
+) -> DGAlgebra:
+    """The dg endomorphism algebra of free dg modules over one dg algebra.
+
+    A basis element of the (s, t) block sends a generator g of
+    ``objects[s]`` to a basis pair (u, b) of ``objects[t]``, with b fixed
+    on the right by g's idempotent.  Within a block the basis runs by
+    degree, then the degree of g, then u, g and b.  The product is
+    composition, the differential is D(f) = d f - (-1)^|f| f d, and the
+    idempotent ``names[t]`` is the identity of ``objects[t]``.
+    """
+    E = objects[0].algebra
+    field = E.field
+    one = field.one
+    right_fixed = {
+        name: {b for b in range(E.dimension) if E.multiply({b: one}, e) == {b: one}}
+        for name, e in E.idempotents.items()
+    }
+
+    entries: list[tuple[int, int, int, int, int]] = []  # (s, t, g, u, b)
+    index: dict[tuple[int, int, int, int, int], int] = {}
     labels: list[str] = []
     degrees: list[int] = []
-    for s in range(len(members)):
-        for t in range(len(members)):
-            hc = hcs[(s, t)]
-            for n in sorted(hc.basis):
-                for loc in range(len(hc.basis[n])):
-                    global_index[(s, t, n, loc)] = len(entries)
-                    entries.append((s, t, n, loc))
-                    labels.append(f"[{s + 1}->{t + 1}]{n}:{loc}")
-                    degrees.append(n)
+    for s, X in enumerate(objects):
+        for t, Y in enumerate(objects):
+            block = []
+            for g, gen in enumerate(X.generators):
+                fixed = right_fixed[gen.vertex]
+                for p, (u, b) in enumerate(Y.basis_pairs):
+                    if b in fixed:
+                        deg = Y.basis_degrees[p] - gen.degree
+                        block.append((deg, gen.degree, u, g, b))
+            block.sort()
+            local: dict[int, int] = {}
+            for deg, _, u, g, b in block:
+                index[(s, t, g, u, b)] = len(entries)
+                entries.append((s, t, g, u, b))
+                labels.append(f"[{names[s]}->{names[t]}]{deg}:{local.get(deg, 0)}")
+                local[deg] = local.get(deg, 0) + 1
+                degrees.append(deg)
 
+    # f after h is nonzero only when f's source generator is h's target
+    # generator, so each entry meets only the entries leaving that one.
+    by_source: dict[tuple[int, int], list[int]] = {}
+    for i, (s, _, g, _, _) in enumerate(entries):
+        by_source.setdefault((s, g), []).append(i)
     products: dict[tuple[int, int], Coords] = {}
-    for gi, (s1, t1, n1, l1) in enumerate(entries):
-        k1, r1, c1, q1 = hcs[(s1, t1)].basis[n1][l1]
-        for gj, (s2, t2, n2, l2) in enumerate(entries):
-            # product = entry_i composed after entry_j
-            if t2 != s1:
-                continue
-            k2, r2, c2, q2 = hcs[(s2, t2)].basis[n2][l2]
-            if k1 != k2 + n2 or c1 != r2:
-                continue
-            coords: Coords = {}
-            for q, coeff in algebra.products.get((q1, q2), {}).items():
-                loc = hcs[(s2, t1)].index[n1 + n2][(k2, r1, c2, q)]
-                gk = global_index[(s2, t1, n1 + n2, loc)]
-                coords[gk] = coords.get(gk, field.zero) + coeff
+    for j, (s2, t2, g2, u2, b2) in enumerate(entries):
+        for i in by_source.get((t2, u2), ()):
+            _, t1, _, u1, b1 = entries[i]
+            coords = {
+                index[(s2, t1, g2, u1, k)]: c
+                for k, c in E.products.get((b1, b2), {}).items()
+            }
             if coords:
-                products[(gi, gj)] = coords
+                products[(i, j)] = coords
 
+    # (f d)(g') collects f(g) b'' over the terms g b'' of d(g').
+    d_into: list[dict[int, list]] = []
+    for X in objects:
+        into: dict[int, list] = {}
+        for g2, dg in enumerate(X.d_gens):
+            for (g, bb), c in dg.items():
+                into.setdefault(g, []).append((g2, bb, c))
+        d_into.append(into)
     differential: dict[int, Coords] = {}
-    for gi, (s, t, n, l) in enumerate(entries):
-        hc = hcs[(s, t)]
-        mat = hc.differential_matrix(n)
+    for i, (s, t, g, u, b) in enumerate(entries):
+        Y = objects[t]
         coords: Coords = {}
-        for row in range(len(mat)):
-            c = mat[row][l]
-            if c:
-                gk = global_index[(s, t, n + 1, row)]
-                coords[gk] = c
+        for (u2, k), c in Y.d_pair(u, b).items():
+            key = index[(s, t, g, u2, k)]
+            coords[key] = coords.get(key, field.zero) + c
+        sign = -1 if degrees[i] % 2 else 1
+        for g2, bb, c in d_into[s].get(g, ()):
+            for k, ck in E.products.get((b, bb), {}).items():
+                key = index[(s, t, g2, u, k)]
+                coords[key] = coords.get(key, field.zero) - sign * c * ck
+        coords = {k: c for k, c in coords.items() if c}
         if coords:
-            differential[gi] = coords
+            differential[i] = coords
 
     idempotents: dict[str, Coords] = {}
     unit: Coords = {}
-    for t, member in enumerate(members):
-        coords: Coords = {}
-        hc = hcs[(t, t)]
-        for k, vs in member.summands.items():
-            for i, v in enumerate(vs):
-                q = algebra.idempotent_index[v]
-                loc = hc.index[0][(k, i, i, q)]
-                gk = global_index[(t, t, 0, loc)]
-                coords[gk] = field.one
-        idempotents[str(t + 1)] = coords
-        for gk, c in coords.items():
-            unit[gk] = c
+    for t, Y in enumerate(objects):
+        idempotents[names[t]] = {
+            index[(t, t, g, g, b)]: c
+            for g, gen in enumerate(Y.generators)
+            for b, c in E.idempotents[gen.vertex].items()
+        }
+        unit.update(idempotents[names[t]])
 
     out = DGAlgebra(
         field,
@@ -408,10 +507,61 @@ def dg_end(collection, provenance: str = "") -> DGAlgebra:
         differential,
         unit,
         idempotents,
-        provenance=provenance or "dg end",
+        provenance=provenance,
+        window=window,
+        complete=all(X.complete for X in objects),
     )
     out.verify()
     return out
+
+
+def _free_module(E: DGAlgebra, x) -> FreeModule:
+    """A complex of projectives as a free dg module over
+    ``E = path_algebra_to_dg(A)``: one generator per summand e_v A of x^k,
+    in degree k, whose differential is its column of d^k."""
+    position: dict[tuple[int, int], int] = {}
+    generators = []
+    for k in sorted(x.summands):
+        for c, v in enumerate(x.summands[k]):
+            position[(k, c)] = len(generators)
+            generators.append(Generator(f"{k}.{c}", k, v))
+    d_gens = []
+    for k in sorted(x.summands):
+        d = x.differential(k)
+        for c in range(len(x.summands[k])):
+            d_gens.append({
+                (position[(k + 1, r)], q): coeff
+                for r, row in enumerate(d)
+                for q, coeff in row[c].coeffs.items()
+                if coeff
+            })
+    return FreeModule(E, generators, d_gens)
+
+
+def dg_end(collection, provenance: str = "") -> DGAlgebra:
+    """The dg endomorphism algebra of a list of complexes of projectives.
+
+    Each member is a free dg module over the path algebra, and the result
+    is their ``end_algebra``: composition as product, idempotents labelled
+    by 1-based position in the collection.
+    """
+    members = list(collection)
+    if not members:
+        raise ValueError("empty collection")
+    algebra = members[0].algebra
+    for m in members:
+        if m.algebra is not algebra:
+            raise ValueError("complexes live over different algebras")
+        if not m.complete:
+            raise TruncationUnsound(
+                "dg endomorphism algebra needs fully resolved members"
+            )
+    E = path_algebra_to_dg(algebra)
+    return end_algebra(
+        [_free_module(E, m) for m in members],
+        [str(s + 1) for s in range(len(members))],
+        provenance or "dg end",
+    )
 
 
 def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:

@@ -7,16 +7,12 @@ dg module built by repeatedly killing cone cohomology classes
 (``semifree_resolution``); and the endomorphism dg algebra of the direct sum
 of those resolutions is the dual algebra (``koszul_dual``).
 
-Free modules are kept in generator form: a generator ``g`` of degree ``n``
-attached to idempotent ``e`` spans ``g * (e E)``, with basis the pairs
-``(g, b)`` over the basis elements ``b`` fixed by ``e`` on the left.  All
-maps out of a free module are determined by generator images, which is what
-makes the dual algebra's multiplication table finite and exact.
+A ``SemifreeResolution`` is a ``dga.FreeModule`` with a comparison map to
+the module it resolves, and the dual is ``dga.end_algebra`` of the
+resolutions: the same End construction as ``dg_end``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import (
     ChainConditionViolated,
@@ -24,7 +20,14 @@ from ..errors import (
     SimpleNotOneDimensional,
 )
 from ..linalg import Cohomology, GaussianSpan, solve, sparse_apply, sparse_product
-from .dga import Coords, DGAlgebra, differential_block
+from .dga import (
+    Coords,
+    DGAlgebra,
+    FreeModule,
+    Generator,
+    differential_block,
+    end_algebra,
+)
 
 
 class DGModule:
@@ -295,90 +298,19 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, DGModule]:
     return out
 
 
-@dataclass(frozen=True)
-class Generator:
-    label: str
-    degree: int
-    vertex: str  # idempotent name the generator is attached to
-    stage: int
-
-
-class SemifreeResolution:
+class SemifreeResolution(FreeModule):
     """A free resolution of a dg module, kept in generator form.
 
-    ``d_gens[t]`` and ``phi_gens[t]`` fix the differential and the
-    comparison map on the t-th generator; everything else follows by
-    right-linearity.  The basis is the list of pairs ``(t, b)`` over
-    algebra basis elements ``b`` fixed on the left by the generator's
-    idempotent.
+    ``phi_gens[t]`` fixes the comparison map to the target module on the
+    t-th generator; with ``d_gens`` it determines everything else by
+    right-linearity.
     """
 
     def __init__(self, algebra: DGAlgebra, target: DGModule, window):
-        self.algebra = algebra
-        self.field = algebra.field
+        super().__init__(algebra, complete=False)
         self.target = target
         self.window = window
-        self.generators: list[Generator] = []
-        self.d_gens: list[dict[tuple[int, int], object]] = []
         self.phi_gens: list[Coords] = []
-        self.complete = False
-        self._left_fixed: dict[str, list[int]] = {}
-        for name, e in algebra.idempotents.items():
-            fixed = []
-            for b in range(algebra.dimension):
-                if algebra.multiply(e, {b: algebra.field.one}) == {b: algebra.field.one}:
-                    fixed.append(b)
-            self._left_fixed[name] = fixed
-        self._rebuild()
-
-    # -- basis bookkeeping --------------------------------------------
-
-    def _rebuild(self) -> None:
-        self.basis_pairs: list[tuple[int, int]] = []
-        self.pair_index: dict[tuple[int, int], int] = {}
-        self.basis_degrees: list[int] = []
-        for t, gen in enumerate(self.generators):
-            for b in self._left_fixed[gen.vertex]:
-                self.pair_index[(t, b)] = len(self.basis_pairs)
-                self.basis_pairs.append((t, b))
-                self.basis_degrees.append(gen.degree + self.algebra.degrees[b])
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis_pairs)
-
-    def graded_dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for n in self.basis_degrees:
-            out[n] = out.get(n, 0) + 1
-        return out
-
-    # -- structure maps ------------------------------------------------
-
-    def act(self, coords: dict[tuple[int, int], object], a: int):
-        """Right action of the a-th algebra basis element on F-coordinates
-        keyed by (generator, algebra basis) pairs."""
-        out: dict[tuple[int, int], object] = {}
-        field = self.field
-        for (t, b), c in coords.items():
-            if not c:
-                continue
-            for k, s in self.algebra.products.get((b, a), {}).items():
-                key = (t, k)
-                out[key] = out.get(key, field.zero) + c * s
-        return {k: c for k, c in out.items() if c}
-
-    def d_pair(self, t: int, b: int) -> dict[tuple[int, int], object]:
-        """d(g_t * b) = d(g_t) * b + (-1)^{deg g_t} g_t * d(b)."""
-        field = self.field
-        out: dict[tuple[int, int], object] = {}
-        for key, c in self.act(self.d_gens[t], b).items():
-            out[key] = out.get(key, field.zero) + c
-        sign = -1 if self.generators[t].degree % 2 else 1
-        for k, s in self.algebra.differential.get(b, {}).items():
-            key = (t, k)
-            out[key] = out.get(key, field.zero) + (s if sign == 1 else -s)
-        return {k: c for k, c in out.items() if c}
 
     def phi_pair(self, t: int, b: int) -> Coords:
         """phi(g_t * b) = phi(g_t) * b in the target module."""
@@ -531,7 +463,7 @@ def semifree_resolution(
     lo, hi = window
     depth_cap = max(abs(lo), abs(hi)) + spread + 2
     counter = 0
-    for stage in range(256):
+    for _ in range(256):
         classes = res._cone_cohomology()
         if not classes:
             res.complete = True
@@ -560,9 +492,7 @@ def semifree_resolution(
                 if not m_part and not f_part:
                     continue
                 counter += 1
-                res.generators.append(
-                    Generator(f"g{counter}", n, vertex, stage)
-                )
+                res.generators.append(Generator(f"g{counter}", n, vertex))
                 res.d_gens.append(f_part)
                 res.phi_gens.append({j: -c for j, c in m_part.items()})
         res._rebuild()
@@ -582,99 +512,15 @@ def koszul_dual(
     trustworthy inside ``window``, and the window is recorded on the output.
     """
     simples = simple_dg_modules(E)
-    resolutions = {
-        name: semifree_resolution(simples[name], E, window) for name in simples
-    }
-    field = E.field
     names = list(simples)
-
-    entries: list[tuple[str, str, int, int]] = []  # (s, t, gen idx, basis idx)
-    index: dict[tuple[str, str, int, int], int] = {}
-    labels: list[str] = []
-    degrees: list[int] = []
-    for s in names:
-        for t in names:
-            Fs, Ft = resolutions[s], resolutions[t]
-            block: list[tuple[int, int, int]] = []
-            for gi, gen in enumerate(Fs.generators):
-                e_fix = E.idempotents[gen.vertex]
-                for p, (u, b) in enumerate(Ft.basis_pairs):
-                    if E.multiply({b: field.one}, e_fix) == {b: field.one}:
-                        deg = Ft.basis_degrees[p] - gen.degree
-                        block.append((deg, gi, p))
-            block.sort()
-            for deg, gi, p in block:
-                index[(s, t, gi, p)] = len(entries)
-                entries.append((s, t, gi, p))
-                labels.append(f"[{s}->{t}]{deg}:{gi}.{p}")
-                degrees.append(deg)
-
-    products: dict[tuple[int, int], Coords] = {}
-    for gj, (s2, t2, g2, p2) in enumerate(entries):
-        u2, b2 = resolutions[t2].basis_pairs[p2]
-        for gi, (s1, t1, g1, p1) in enumerate(entries):
-            # composite: entry_i applied after entry_j
-            if t2 != s1:
-                continue
-            u1, b1 = resolutions[t1].basis_pairs[p1]
-            if u2 != g1:
-                continue
-            coords: Coords = {}
-            for k, c in E.products.get((b1, b2), {}).items():
-                gk = index[(s2, t1, g2, resolutions[t1].pair_index[(u1, k)])]
-                coords[gk] = coords.get(gk, field.zero) + c
-            if coords:
-                products[(gi, gj)] = coords
-
-    differential: dict[int, Coords] = {}
-    for gi, (s, t, g, p) in enumerate(entries):
-        Fs, Ft = resolutions[s], resolutions[t]
-        u, b = Ft.basis_pairs[p]
-        coords: Coords = {}
-        for key, c in Ft.d_pair(u, b).items():
-            gk = index[(s, t, g, Ft.pair_index[key])]
-            coords[gk] = coords.get(gk, field.zero) + c
-        sign = -1 if degrees[gi] % 2 else 1
-        for g2 in range(len(Fs.generators)):
-            for (gg, bb), c in Fs.d_gens[g2].items():
-                if gg != g:
-                    continue
-                img = E.products.get((b, bb), {})
-                for k, s_c in img.items():
-                    gk = index[(s, t, g2, Ft.pair_index[(u, k)])]
-                    contrib = c * s_c
-                    coords[gk] = coords.get(gk, field.zero) - (
-                        contrib if sign == 1 else -contrib
-                    )
-        coords = {k: c for k, c in coords.items() if c}
-        if coords:
-            differential[gi] = coords
-
-    idempotents: dict[str, Coords] = {}
-    unit: Coords = {}
-    for t in names:
-        Ft = resolutions[t]
-        coords: Coords = {}
-        for gi, gen in enumerate(Ft.generators):
-            for b, c in E.idempotents[gen.vertex].items():
-                p = Ft.pair_index[(gi, b)]
-                coords[index[(t, t, gi, p)]] = c
-        idempotents[t] = coords
-        for gk, c in coords.items():
-            unit[gk] = c
-
-    out = DGAlgebra(
-        field,
-        tuple(labels),
-        tuple(degrees),
-        products,
-        differential,
-        unit,
-        idempotents,
-        provenance=f"dual of {E.provenance}" if E.provenance else "dual",
-        window=window,
-        complete=all(r.complete for r in resolutions.values()),
+    resolutions = {
+        name: semifree_resolution(simples[name], E, window) for name in names
+    }
+    out = end_algebra(
+        [resolutions[name] for name in names],
+        names,
+        f"dual of {E.provenance}" if E.provenance else "dual",
+        window,
     )
-    out.verify()
     out.resolutions = resolutions
     return out

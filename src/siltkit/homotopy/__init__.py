@@ -8,7 +8,6 @@ from .complexes import (
     cone,
     direct_sum,
     identity_map,
-    make_complex,
     minimize,
     shift,
     single_projective,
@@ -17,7 +16,6 @@ from .homs import (
     HomComplex,
     HomSpace,
     cartan_pairing,
-    hom_complex,
     hom_space,
     trusted_window,
 )
@@ -40,13 +38,11 @@ __all__ = [
     "cone",
     "direct_sum",
     "find_isomorphism",
-    "hom_complex",
     "hom_space",
     "identity_map",
     "is_indecomposable",
     "is_isomorphic",
     "left_approximation",
-    "make_complex",
     "minimize",
     "right_approximation",
     "shift",

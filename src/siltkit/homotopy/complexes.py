@@ -206,16 +206,6 @@ class Generated(tuple):
         return self
 
 
-def make_complex(
-    algebra: PathAlgebra,
-    summands: dict[int, tuple[str, ...]],
-    diffs: dict[int, list],
-    complete: bool = True,
-    label: str = "",
-) -> ProjComplex:
-    return ProjComplex(algebra, summands, diffs, complete=complete, label=label)
-
-
 def single_projective(
     algebra: PathAlgebra, v: str, degree: int = 0, label: str = ""
 ) -> ProjComplex:

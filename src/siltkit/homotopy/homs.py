@@ -162,10 +162,6 @@ class HomSpace:
         return not vec or self.cohomology.boundaries.contains(vec)
 
 
-def hom_complex(x: ProjComplex, y: ProjComplex) -> HomComplex:
-    return HomComplex(x, y)
-
-
 def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
     """H^n Hom(x, y): degree-n chain maps up to homotopy.
 

@@ -52,6 +52,7 @@ CASES = [
     ("koszul-ex46", ["koszul", "{in}/a2.alg", "{in}/ex46.pair"], 0),
     ("koszul-ex47", ["koszul", "{in}/a2.alg", "{in}/ex47.pair"], 0),
     ("koszul-kron", ["koszul", "{in}/kron.alg", "{in}/std.pair"], 3),
+    ("koszul-a3rel-std3", ["koszul", "{in}/a3rel.alg", "{in}/std3.pair"], 0),
     ("dgend-smc-std", ["dgend", "{in}/a2.alg", "{in}/smc-std"], 0),
     ("graph-a2", ["graph", "{in}/a2.alg"], 0),
 ]

@@ -11,7 +11,6 @@ from siltkit.homotopy.complexes import (
     cone,
     direct_sum,
     identity_map,
-    make_complex,
     minimize,
     shift,
     single_projective,
@@ -34,7 +33,7 @@ def test_single_projective_is_a_stalk(a2):
 def test_differential_must_square_to_zero(loop2):
     with pytest.raises(ChainConditionViolated):
         # consecutive identity differentials compose to the identity
-        make_complex(
+        ProjComplex(
             loop2,
             {0: ("1",), 1: ("1",), 2: ("1",)},
             {0: [[loop2.idempotent("1")]], 1: [[loop2.idempotent("1")]]},
@@ -44,7 +43,7 @@ def test_differential_must_square_to_zero(loop2):
 def test_differential_composability_of_vertices(a2):
     with pytest.raises(ChainConditionViolated):
         # entry must lie in e_1 A e_1, but a runs 2 -> 1
-        make_complex(
+        ProjComplex(
             a2,
             {0: ("1",), 1: ("1",)},
             {0: [[a2.from_path(Path(("a",), "2", "1"))]]},

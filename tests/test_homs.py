@@ -8,8 +8,8 @@ from siltkit.core.modules import minimal_projective_resolution, simple_module
 from siltkit.errors import TruncationUnsound
 from siltkit.homotopy.complexes import cone, shift, single_projective
 from siltkit.homotopy.homs import (
+    HomComplex,
     cartan_pairing,
-    hom_complex,
     hom_space,
     trusted_window,
 )
@@ -60,7 +60,7 @@ def test_simple_resolution_hom_table(a2):
 def test_underlying_hom_complex_of_the_f_classes(a2):
     """The Hom complex from the resolved 2 to the resolved 1 is spanned by
     the degree-0 and degree -1 maps, with a rank-one differential."""
-    hom = hom_complex(res(a2, "2"), res(a2, "1"))
+    hom = HomComplex(res(a2, "2"), res(a2, "1"))
     assert hom.dimension(0) == 1
     assert hom.dimension(-1) == 1
     assert hom.differential_rank(-1) == 1
