@@ -459,11 +459,10 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
     inputs = _inputs_hash([algebra_path, cert_path])
 
     recorded_hash = None
-    recorded_seed = None
-    recorded_char = None
+    recorded: dict[str, int] = {}
     kept: list[str] = []
     inside = 0
-    for line in original.splitlines():
+    for number, line in enumerate(original.splitlines(), start=1):
         stripped = line.strip()
         if inside > 0:
             kept.append(line)
@@ -472,15 +471,20 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
             continue
         if stripped.startswith("algebra-hash "):
             recorded_hash = stripped.split(None, 1)[1]
-        elif stripped.startswith("seed "):
-            recorded_seed = int(stripped.split(None, 1)[1])
-        elif stripped.startswith("characteristic "):
-            recorded_char = int(stripped.split(None, 1)[1])
+        elif stripped.startswith(("seed ", "characteristic ")):
+            key, value = stripped.split(None, 1)
+            try:
+                recorded[key] = int(value)
+            except ValueError:
+                raise ParseError(
+                    f"certificate {key} {value!r} is not an integer", number, 1
+                ) from None
         elif stripped.startswith("complex ") and stripped.endswith("{"):
             kept.append(line)
             inside += 1
         elif stripped.startswith(("silting ", "smc ")):
             kept.append(line)
+    recorded_seed, recorded_char = recorded.get("seed"), recorded.get("characteristic")
     if recorded_hash is None or recorded_seed is None:
         raise ParseError("certificate is missing its hash or seed header", 1, 1)
     if recorded_char is not None and recorded_char != algebra.field.characteristic:

@@ -11,7 +11,6 @@ from .modules import (
     module_hom_basis,
     projective_cover,
     projective_module,
-    projective_sum,
     simple_module,
     top_data,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "path_from_arrows",
     "projective_cover",
     "projective_module",
-    "projective_sum",
     "simple_module",
     "top_data",
 ]

@@ -238,10 +238,6 @@ def projective_module(algebra: PathAlgebra, v: str) -> ProjectiveSumModule:
     return ProjectiveSumModule(algebra, (v,))
 
 
-def projective_sum(algebra: PathAlgebra, copies: tuple[str, ...]) -> ProjectiveSumModule:
-    return ProjectiveSumModule(algebra, tuple(copies))
-
-
 def entries_to_map(
     source: ProjectiveSumModule, target: ProjectiveSumModule, entries: list
 ) -> ModuleMap:

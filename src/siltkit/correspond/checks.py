@@ -9,6 +9,12 @@ Every check returns a :class:`CheckReport` with a three-valued verdict:
   settled within the search budget (generation certificates and
   isomorphism searches are bounded, so silence is not evidence).
 
+Every condition on a pair of collections is a statement about one
+table, dim Hom(X_i, Y_j[m]): presilting wants zeros for m > 0,
+simple-minded zeros for m < 0 and orthogonality at m = 0, a derived
+projective zeros for m ≠ 0.  Each check reads its Hom dimensions from a
+:func:`pattern_table`, built from one Hom complex per pair of members.
+
 ``check_pattern`` is the entry point for pairs: it verifies the Hom
 orthogonality table between a (pre)silting collection and a
 simple-minded collection and packages the result, with the full table
@@ -21,7 +27,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import (
     CharacteristicUnsupported,
@@ -39,11 +45,14 @@ from ..homotopy.complexes import (
     minimize,
     shift,
 )
-from ..homotopy.homs import cartan_pairing, hom_space
+from ..homotopy.homs import cartan_pairing, hom_dims, hom_space
 from ..serialize import algebra_hash, collection_text
 
 #: Ceiling on distinct objects tracked by the thick-closure search.
 CLOSURE_NODE_CAP = 120
+
+#: dim Hom(X_i, Y_j[m]) as ``{(i, j): {m: dim}}``.
+PatternTable = dict[tuple[int, int], dict[int, int]]
 
 
 @dataclass
@@ -67,13 +76,16 @@ class CheckReport:
 
     ``witness`` carries the first concrete counterexample for a ``fail``
     verdict — for Hom-vanishing violations a tuple
-    ``(source index, target index, degree, dimension)``.
+    ``(source index, target index, degree, dimension)``.  ``table`` is
+    the Hom table of a simple-minded check (degrees m <= 0), from which
+    ``check_pattern`` reads the endomorphism dimensions.
     """
 
     subject: str
     verdict: str
     items: list[CheckItem] = field(default_factory=list)
     witness: object = None
+    table: PatternTable | None = None
 
     @property
     def passed(self) -> bool:
@@ -103,6 +115,7 @@ class _Reporter:
         self.subject = subject
         self.items: list[CheckItem] = []
         self.witness: object = None
+        self.table: PatternTable | None = None
         self._failed = False
         self._uncertain = False
 
@@ -135,7 +148,7 @@ class _Reporter:
         verdict = (
             "fail" if self._failed else "not-certified" if self._uncertain else "pass"
         )
-        return CheckReport(self.subject, verdict, self.items, self.witness)
+        return CheckReport(self.subject, verdict, self.items, self.witness, self.table)
 
 
 def support_window(x: ProjComplex, y: ProjComplex) -> range:
@@ -149,8 +162,77 @@ def support_window(x: ProjComplex, y: ProjComplex) -> range:
     return range(y.min_degree - x.max_degree, y.max_degree - x.min_degree + 1)
 
 
-def _hom_dim(x: ProjComplex, y: ProjComplex, m: int) -> int:
-    return hom_space(x, y, m).dimension
+def _row(x: ProjComplex, y: ProjComplex, wanted: Callable[[int], bool]) -> dict[int, int]:
+    return hom_dims(x, y, [m for m in support_window(x, y) if wanted(m)])
+
+
+def pattern_table(
+    xs: Sequence[ProjComplex],
+    ys: Sequence[ProjComplex],
+    wanted: Callable[[int], bool] = lambda m: True,
+) -> PatternTable:
+    """The table dim Hom(X_i, Y_j[m]) over the support windows, for the
+    degrees m that ``wanted`` accepts.
+
+    Every check reads its Hom dimensions from such a table.  Each pair is
+    one Hom complex; pairs are taken row-major and degrees ascending, so
+    a truncated resolution raises TruncationUnsound at the first untrusted
+    entry in that order.
+    """
+    return {
+        (i, j): _row(x, y, wanted)
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+    }
+
+
+def _require_vanishing(
+    rep: _Reporter,
+    table: PatternTable,
+    summary: str,
+    read: Callable[[int, int, int], bool] = lambda i, j, m: True,
+) -> None:
+    """A hard item for every nonzero entry that ``read`` accepts, or the
+    one ``summary`` item when there is none."""
+    clean = True
+    for (i, j), row in table.items():
+        for m, d in row.items():
+            if d and read(i, j, m):
+                clean = False
+                target = f"member {j + 1}[{m}]" if m else f"member {j + 1}"
+                rep.hard(
+                    f"Hom(member {i + 1}, {target}) vanishes",
+                    False,
+                    f"dimension {d}",
+                    witness=(i, j, m, d),
+                )
+    if clean:
+        rep.hard(summary, True)
+
+
+def _generation(rep: _Reporter, collection: Sequence[ProjComplex], depth: int) -> None:
+    """Generation in two halves: the members' classes must form an
+    unimodular square matrix against the projectives, and the thick
+    closure must reach every stalk projective, by a :class:`Generated`
+    collection's route or by the bounded search."""
+    nverts = len(collection[0].algebra.quiver.vertices)
+    mat = k0_matrix(collection)
+    if len(mat) != nverts:
+        rep.hard(
+            "class matrix is square",
+            False,
+            f"{len(mat)} members over {nverts} vertices",
+        )
+        return
+    det = _determinant(mat)
+    rep.hard("class matrix is unimodular", abs(det) == 1, f"determinant {det}")
+    if rep.failed:
+        return
+    if isinstance(collection, Generated):
+        ok, detail = True, f"by provenance: {collection.route}"
+    else:
+        ok, detail = _closure_search(collection, depth=depth)
+    rep.soft("thick closure reaches all projectives", ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +277,8 @@ def check_presilting(collection: Sequence[ProjComplex]) -> CheckReport:
                     str(exc),
                 )
 
-    clean = True
-    for i, x in enumerate(collection):
-        for j, y in enumerate(collection):
-            for m in support_window(x, y):
-                if m <= 0:
-                    continue
-                d = _hom_dim(x, y, m)
-                if d:
-                    clean = False
-                    rep.hard(
-                        f"Hom(member {i + 1}, member {j + 1}[{m}]) vanishes",
-                        False,
-                        f"dimension {d}",
-                        witness=(i, j, m, d),
-                    )
-    if clean:
-        rep.hard("positive-degree Homs vanish", True)
+    table = pattern_table(collection, collection, lambda m: m > 0)
+    _require_vanishing(rep, table, "positive-degree Homs vanish")
     return rep.report()
 
 
@@ -340,30 +407,8 @@ def check_silting(collection: Sequence[ProjComplex], depth: int = 3) -> CheckRep
     """
     rep = _Reporter("silting")
     rep.absorb(check_presilting(collection))
-    if rep.failed:
-        return rep.report()
-
-    algebra = collection[0].algebra
-    nverts = len(algebra.quiver.vertices)
-    mat = k0_matrix(collection)
-    if len(mat) != nverts:
-        rep.hard(
-            "class matrix is square",
-            False,
-            f"{len(mat)} members over {nverts} vertices",
-        )
-        return rep.report()
-    det = _determinant(mat)
-    rep.hard(
-        "class matrix is unimodular",
-        abs(det) == 1,
-        f"determinant {det}",
-    )
-    if rep.failed:
-        return rep.report()
-
-    ok, detail = _closure_search(collection, depth=depth)
-    rep.soft("thick closure reaches all projectives", ok, detail)
+    if not rep.failed:
+        _generation(rep, collection, depth)
     return rep.report()
 
 
@@ -396,43 +441,13 @@ def check_smc(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
     if rep.failed:
         return rep.report()
 
-    clean = True
-    for i, x in enumerate(collection):
-        for j, y in enumerate(collection):
-            for m in support_window(x, y):
-                if m >= 0:
-                    continue
-                d = _hom_dim(x, y, m)
-                if d:
-                    clean = False
-                    rep.hard(
-                        f"Hom(member {i + 1}, member {j + 1}[{m}]) vanishes",
-                        False,
-                        f"dimension {d}",
-                        witness=(i, j, m, d),
-                    )
-    if clean:
-        rep.hard("negative-degree Homs vanish", True)
-
-    clean = True
-    for i, x in enumerate(collection):
-        for j, y in enumerate(collection):
-            if i == j or 0 not in support_window(x, y):
-                continue
-            d = _hom_dim(x, y, 0)
-            if d:
-                clean = False
-                rep.hard(
-                    f"Hom(member {i + 1}, member {j + 1}) vanishes",
-                    False,
-                    f"dimension {d}",
-                    witness=(i, j, 0, d),
-                )
-    if clean:
-        rep.hard("distinct members are orthogonal", True)
-
-    for i, x in enumerate(collection):
-        d = _hom_dim(x, x, 0)
+    rep.table = table = pattern_table(collection, collection, lambda m: m <= 0)
+    _require_vanishing(rep, table, "negative-degree Homs vanish", lambda i, j, m: m < 0)
+    _require_vanishing(
+        rep, table, "distinct members are orthogonal", lambda i, j, m: m == 0 and i != j
+    )
+    for i in range(len(collection)):
+        d = table[(i, i)][0]
         if d == 1:
             rep.hard(f"member {i + 1} has scalar endomorphisms", True)
         elif d > 1:
@@ -448,29 +463,8 @@ def check_smc(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
                 False,
                 "endomorphism ring is zero",
             )
-    if rep.failed:
-        return rep.report()
-
-    algebra = collection[0].algebra
-    nverts = len(algebra.quiver.vertices)
-    mat = k0_matrix(collection)
-    if len(mat) != nverts:
-        rep.hard(
-            "class matrix is square",
-            False,
-            f"{len(mat)} members over {nverts} vertices",
-        )
-        return rep.report()
-    det = _determinant(mat)
-    rep.hard("class matrix is unimodular", abs(det) == 1, f"determinant {det}")
-    if rep.failed:
-        return rep.report()
-
-    if isinstance(collection, Generated):
-        ok, detail = True, f"by provenance: {collection.route}"
-    else:
-        ok, detail = _closure_search(collection, depth=depth)
-    rep.soft("thick closure reaches all projectives", ok, detail)
+    if not rep.failed:
+        _generation(rep, collection, depth)
     return rep.report()
 
 
@@ -488,11 +482,8 @@ def derived_projective_test(
         rep.hard("object is nonzero", False, "minimizes to zero")
         return rep.report()
     clean = True
-    for j, l in enumerate(collection):
-        for m in support_window(p, l):
-            if m == 0:
-                continue
-            d = _hom_dim(p, l, m)
+    for (_, j), row in pattern_table([p], collection, lambda m: m != 0).items():
+        for m, d in row.items():
             if d:
                 clean = False
                 rep.hard(
@@ -556,34 +547,18 @@ def membership(
             "weight-structure membership needs a certified correspondence "
             "for the ambient weight structure"
         )
-    if which in {"t<=0", "w<=0"}:
-        return all(
-            _hom_dim(x, l, m) == 0
-            for l in collection
-            for m in support_window(x, l)
-            if m < 0
-        )
-    if which == "w>=0":
-        return all(
-            _hom_dim(x, l, m) == 0
-            for l in collection
-            for m in support_window(x, l)
-            if m > 0
-        )
-    probes = list(certificate.silting) if certificate is not None else list(collection)
-    return all(
-        _hom_dim(p, x, n) == 0
-        for p in probes
-        for n in support_window(p, x)
-        if n < 0
-    )
+    if which == "t>=0":
+        probes = certificate.silting if certificate is not None else collection
+        pairs = [(p, x) for p in probes]
+    else:
+        pairs = [(x, l) for l in collection]
+    wanted = (lambda m: m > 0) if which == "w>=0" else (lambda m: m < 0)
+    return not any(any(_row(a, b, wanted).values()) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
 # the orthogonality pattern
 # ---------------------------------------------------------------------------
-
-PatternTable = dict[tuple[int, int], dict[int, int]]
 
 
 class CorrespondenceCertificate:
@@ -646,17 +621,6 @@ class CorrespondenceCertificate:
         return f"CorrespondenceCertificate({pairs}, char {self.characteristic})"
 
 
-def pattern_table(
-    silting: Sequence[ProjComplex], smc: Sequence[ProjComplex]
-) -> PatternTable:
-    """The full table dim Hom(P_i, L_j[m]) over the support windows."""
-    table: PatternTable = {}
-    for i, p in enumerate(silting):
-        for j, l in enumerate(smc):
-            table[(i, j)] = {m: _hom_dim(p, l, m) for m in support_window(p, l)}
-    return table
-
-
 def check_pattern(
     silting: Sequence[ProjComplex],
     smc: Sequence[ProjComplex],
@@ -703,7 +667,7 @@ def check_pattern(
             f"collections have different sizes ({len(silting)} versus {len(smc)})",
             table=table,
         )
-    end_dims = [_hom_dim(l, l, 0) for l in smc]
+    end_dims = [smc_report.table[(j, j)][0] for j in range(len(smc))]
     bijection: list[int] = []
     used: set[int] = set()
     for i in range(len(silting)):

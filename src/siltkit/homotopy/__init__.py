@@ -16,6 +16,7 @@ from .homs import (
     HomComplex,
     HomSpace,
     cartan_pairing,
+    hom_dims,
     hom_space,
     trusted_window,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "cone",
     "direct_sum",
     "find_isomorphism",
+    "hom_dims",
     "hom_space",
     "identity_map",
     "is_indecomposable",

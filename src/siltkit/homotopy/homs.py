@@ -6,7 +6,8 @@ source summand, and an algebra basis path supported on the matching
 idempotent block.  The differential is D(f) = d_Y f - (-1)^n f d_X, so
 degree-n cocycles are exactly degree-n chain maps and coboundaries are the
 null-homotopic ones.  H^n comes from ``linalg.Cohomology`` on the
-differentials into and out of degree n.
+differentials into and out of degree n; ``hom_dims`` reads several
+dimensions off one Hom complex from differential ranks alone.
 
 When either complex is an incomplete (truncated) resolution, cohomology is
 served only in the degree range where the missing part provably cannot
@@ -16,8 +17,11 @@ wrong number.
 
 from __future__ import annotations
 
+import functools
+from typing import Iterable
+
 from ..errors import TruncationUnsound
-from ..linalg import Cohomology, zero_vector
+from ..linalg import Cohomology, rank, zero_vector
 from .complexes import ChainMap, ProjComplex, alg_zero_matrix
 
 BasisElt = tuple[int, int, int, int]
@@ -77,8 +81,6 @@ class HomComplex:
         return self._diff.get(n, [])
 
     def differential_rank(self, n: int) -> int:
-        from ..linalg import rank
-
         return rank(self.field, self._diff.get(n, []))
 
     def cohomology(self, n: int) -> Cohomology:
@@ -162,12 +164,7 @@ class HomSpace:
         return not vec or self.cohomology.boundaries.contains(vec)
 
 
-def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
-    """H^n Hom(x, y): degree-n chain maps up to homotopy.
-
-    Raises TruncationUnsound if either complex is an incomplete resolution
-    and n lies outside the range its truncation leaves intact.
-    """
+def _require_trusted(x: ProjComplex, y: ProjComplex, n: int) -> None:
     lo, hi = trusted_window(x, y)
     if not (lo <= n <= hi):
         raise TruncationUnsound(
@@ -176,7 +173,35 @@ def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
             degree=n,
             window=(lo, hi),
         )
+
+
+def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
+    """H^n Hom(x, y): degree-n chain maps up to homotopy.
+
+    Raises TruncationUnsound if either complex is an incomplete resolution
+    and n lies outside the range its truncation leaves intact.
+    """
+    _require_trusted(x, y, n)
     return HomSpace(HomComplex(x, y), n)
+
+
+def hom_dims(x: ProjComplex, y: ProjComplex, degrees: Iterable[int]) -> dict[int, int]:
+    """{n: dim H^n Hom(x, y)} for the given degrees, in order, from one
+    Hom complex.
+
+    dim H^n = dim Hom^n - rank d^n - rank d^(n-1), with each differential's
+    rank taken once.  Every degree is checked against the truncation window
+    before anything is built, so TruncationUnsound names the first
+    untrusted degree, as ``hom_space`` would.
+    """
+    degrees = list(degrees)
+    for n in degrees:
+        _require_trusted(x, y, n)
+    if not degrees:
+        return {}
+    hom = HomComplex(x, y)
+    ranks = functools.cache(hom.differential_rank)
+    return {n: hom.dimension(n) - ranks(n) - ranks(n - 1) for n in degrees}
 
 
 def cartan_pairing(algebra, class_x: dict[str, int], class_y: dict[str, int]) -> int:

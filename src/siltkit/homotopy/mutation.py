@@ -113,9 +113,10 @@ def _hom_0(x: ProjComplex, g: ProjComplex, side: str):
 def _approximation(x: ProjComplex, generators: list[ProjComplex], side: str) -> Approximation:
     """The minimal left (X -> E) or right (E -> X) approximation of X with
     E in the additive closure of the generators."""
+    spaces = [_hom_0(x, g, side) for g in generators]
     copies: list[tuple[int, ChainMap]] = []
-    for u, g in enumerate(generators):
-        for rep in _hom_0(x, g, side).representatives:
+    for u, space in enumerate(spaces):
+        for rep in space.representatives:
             copies.append((u, rep))
 
     def stacked(kept: list[tuple[int, ChainMap]]) -> ChainMap:
@@ -124,8 +125,7 @@ def _approximation(x: ProjComplex, generators: list[ProjComplex], side: str) -> 
     def is_approximation(kept: list[tuple[int, ChainMap]]) -> bool:
         f = stacked(kept)
         total = f.target if side == "left" else f.source
-        for g in generators:
-            target_space = _hom_0(x, g, side)
+        for g, target_space in zip(generators, spaces):
             if target_space.dimension == 0:
                 continue
             reps = _hom_0(total, g, side).representatives

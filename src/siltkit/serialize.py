@@ -5,10 +5,11 @@ Everything downstream that persists state — correspondence certificates,
 module, so two runs with the same inputs produce byte-identical text.
 The conventions are deliberately boring:
 
-* scalars print exactly (``p/q`` for rationals, the least nonnegative
-  residue for prime fields);
-* algebra elements print over the residue-path basis in basis order,
-  with signs folded into the ``+``/``-`` separators;
+* scalars print exactly through ``str`` (``p/q`` for rationals, the
+  least nonnegative residue for prime fields);
+* algebra elements print through ``str`` over the residue-path basis in
+  basis order, with signs folded into the ``+``/``-`` separators and
+  paths as arrow names target-to-source joined by ``;``;
 * complexes print in the same literal syntax the input-file parser
   accepts, so a serialized collection can be re-read without a separate
   code path.
@@ -26,25 +27,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .core.algebras import AlgebraElement, PathAlgebra
     from .homotopy.complexes import ProjComplex
-
-
-def scalar_text(value: object) -> str:
-    """Exact decimal-free rendering of a field scalar.
-
-    ``Fraction`` prints as ``p/q`` (or a bare integer when q = 1);
-    :class:`~siltkit.fields.FpElement` prints its canonical residue.
-    """
-    return str(value)
-
-
-def element_text(element: "AlgebraElement") -> str:
-    """Canonical linear-combination text of an algebra element.
-
-    Terms appear in basis order.  Paths print their arrow names
-    target-to-source joined by ``;``; trivial paths print as ``e_v``.
-    The zero element prints as ``0``.
-    """
-    return str(element)
 
 
 def summand_line(vertices: Sequence[str]) -> str:
@@ -68,7 +50,7 @@ def summand_line(vertices: Sequence[str]) -> str:
 def matrix_text(mat: Sequence[Sequence["AlgebraElement"]]) -> str:
     """Render a matrix of algebra elements: rows joined by `` | ``,
     entries within a row by ``, ``."""
-    return " | ".join(", ".join(element_text(e) for e in row) for row in mat)
+    return " | ".join(", ".join(str(e) for e in row) for row in mat)
 
 
 def complex_text(name: str, x: "ProjComplex") -> str:
@@ -105,7 +87,7 @@ def relation_text(terms: Sequence[tuple[object, object]]) -> str:
     parts: list[str] = []
     for coeff, path in terms:
         word = str(path)
-        text = word if coeff == 1 else f"{scalar_text(coeff)} {word}"
+        text = word if coeff == 1 else f"{coeff} {word}"
         parts.append(text)
     return (" + ".join(parts)).replace("+ -", "- ")
 
@@ -142,9 +124,7 @@ def algebra_hash(algebra: "PathAlgebra") -> str:
         chunks.append(f"{p} : {p.target} <- {p.source}\n")
     chunks.append("[products]\n")
     for (i, j), prod in sorted(algebra.products.items()):
-        body = " + ".join(
-            f"{scalar_text(prod[k])}*{k}" for k in sorted(prod)
-        )
+        body = " + ".join(f"{prod[k]}*{k}" for k in sorted(prod))
         chunks.append(f"{i}.{j} = {body}\n")
     digest = hashlib.sha256("".join(chunks).encode("utf-8"))
     return digest.hexdigest()

@@ -21,7 +21,7 @@ from siltkit.correspond.checks import (
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.errors import NotInAmbient, PatternFailed
 from siltkit.homotopy.complexes import Generated, direct_sum, shift, single_projective
-from siltkit.homotopy.homs import hom_space
+from siltkit.homotopy.homs import HomComplex, hom_space
 
 
 @pytest.fixture
@@ -216,6 +216,22 @@ def test_pattern_requires_a_presilting_first_argument(a2_cast):
 def test_pattern_table_matches_the_certificate(a2_cast):
     cert = check_pattern(a2_cast["silting"], a2_cast["smc"])
     assert pattern_table(a2_cast["silting"], a2_cast["smc"]) == cert.table
+
+
+def test_a_pattern_check_builds_each_hom_complex_once(a3, monkeypatch):
+    """Every check reads one Hom table and the End dimensions come from
+    the simple-minded check's table, so no ordered pair of objects gets a
+    second Hom complex (the check used to make 36 builds over 21 pairs)."""
+    builds = []
+    real = HomComplex.__init__
+
+    def counting(self, source, target):
+        builds.append((source, target))
+        real(self, source, target)
+
+    monkeypatch.setattr(HomComplex, "__init__", counting)
+    check_pattern(*standard_pair(a3))
+    assert len({(id(x), id(y)) for x, y in builds}) == len(builds) == 21
 
 
 def test_projective_stalk_is_derived_projective(a2_cast):

@@ -89,6 +89,20 @@ def test_replay_of_a_mutation_certificate_is_pinned(tmp_path):
     assert got == (0, *golden("replay-step-1"))
 
 
+def test_replay_rejects_a_malformed_seed_header(tmp_path, capsys):
+    run_case(MUTATE, tmp_path / "mutate")
+    cert = tmp_path / "mutate" / "step-1.cert"
+    text = cert.read_text(encoding="utf-8")
+    assert "\nseed 0\n" in text
+    cert.write_text(text.replace("\nseed 0\n", "\nseed zero\n"), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["replay", str(INPUTS / "a2.alg"), str(cert)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("input error: line 4, column 1:")
+    assert "'zero'" in err
+
+
 def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(siltkit.cli, "GRAPH_NODE_CAP", 3)
     code, stdout, _ = run_case(["graph", "{in}/a2.alg"], tmp_path / "graph")

@@ -5,14 +5,18 @@ import pytest
 from conftest import FORBIDDEN
 from oracles import euler_pairing, hom_cohomology_dims
 from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.correspond.checks import support_window
+from siltkit.correspond.pipeline import standard_pair
 from siltkit.errors import TruncationUnsound
 from siltkit.homotopy.complexes import cone, shift, single_projective
 from siltkit.homotopy.homs import (
     HomComplex,
     cartan_pairing,
+    hom_dims,
     hom_space,
     trusted_window,
 )
+from siltkit.homotopy.mutation import silting_mutate, smc_mutate
 
 
 def res(algebra, v):
@@ -142,3 +146,51 @@ def test_trusted_degrees_still_answer_on_truncations(loop2):
     r = minimal_projective_resolution(simple_module(loop2, "1"), 5)
     p = single_projective(loop2, "1", 0)
     assert hom_space(r, p, 0).dimension == 1
+
+
+PAIRS = [("a2", False), ("a3rel", False), ("kronecker", False), ("a3rel", True)]
+
+
+@pytest.mark.parametrize("name, mutated", PAIRS, ids=[f"{n}-{m}" for n, m in PAIRS])
+def test_hom_dims_agree_with_hom_space(name, mutated, request):
+    """Over every ordered pair of members of a standard pair (or of a3rel's
+    pair after one left mutation), each degree of the support window
+    widened by one reads the same dimension from hom_dims as from
+    hom_space's representatives."""
+    algebra = request.getfixturevalue(name)
+    silting, smc = standard_pair(algebra)
+    if mutated:
+        silting, smc = silting_mutate(silting, 0, "left"), smc_mutate(smc, 0, "left")
+    members = list(silting) + list(smc)
+    for x in members:
+        for y in members:
+            window = support_window(x, y)
+            for n in range(window.start - 1, window.stop + 1):
+                assert hom_dims(x, y, [n])[n] == hom_space(x, y, n).dimension
+            degrees = list(range(window.start - 1, window.stop + 1))
+            assert hom_dims(x, y, degrees) == {
+                n: hom_space(x, y, n).dimension for n in degrees
+            }
+
+
+def first_refusal(x, y, degrees):
+    for n in degrees:
+        try:
+            hom_space(x, y, n)
+        except TruncationUnsound as exc:
+            return exc
+    return None
+
+
+def test_hom_dims_refuses_truncations_where_hom_space_does(loop2):
+    r = minimal_projective_resolution(simple_module(loop2, "1"), 5)
+    p = single_projective(loop2, "1", 0)
+    degrees = list(range(-8, 9))
+    for x, y in ((r, p), (p, r), (r, r)):
+        for order in (degrees, degrees[::-1]):
+            expected = first_refusal(x, y, order)
+            assert expected is not None
+            with pytest.raises(TruncationUnsound) as info:
+                hom_dims(x, y, order)
+            assert str(info.value) == str(expected)
+            assert info.value.degree == expected.degree
