@@ -19,7 +19,6 @@ from .errors import (
     NotInAmbient,
     ParseError,
     PatternFailed,
-    PositiveCohomology,
     SiltkitError,
     SimpleNotOneDimensional,
     StepFailed,
@@ -40,7 +39,6 @@ __all__ = [
     "NotInAmbient",
     "ParseError",
     "PatternFailed",
-    "PositiveCohomology",
     "SiltkitError",
     "SimpleNotOneDimensional",
     "StepFailed",

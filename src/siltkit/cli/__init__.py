@@ -331,7 +331,7 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
     silting, smc = parsed.pair()
     inputs = _inputs_hash([algebra_path, pair_path])
     try:
-        check_pattern(silting, smc, seed=config.seed, depth=config.depth)
+        cert = check_pattern(silting, smc, seed=config.seed, depth=config.depth)
     except PatternFailed as exc:
         body = [f"input pair is not certified: {exc}"]
         return _finish(
@@ -339,7 +339,7 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
         )
     E = dg_end(list(silting), provenance="dg end of the silting collection")
     F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
-    report = koszul_pair_check(E, F, window=config.window)
+    report = koszul_pair_check(E, F, cert.bijection, window=config.window)
     body = dg_table_lines(E, "dg endomorphism algebra of the silting side")
     body += [""]
     body += dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")

@@ -11,14 +11,15 @@ read from a file.
 ``koszul_pair_check`` compares the two sides' dg endomorphism algebras
 through Koszul duality: each side's dual (computed directly from its
 simple dg modules when they exist, otherwise through a formality
-witness) must have the cohomology of the opposite side, up to a bounded
-isomorphism search on the cohomology algebras.
+witness) must have the cohomology of the opposite side.  The cohomology
+algebras are compared through the pattern's bijection: silting member i
+and simple member σ(i) name matching idempotents, so no matching is
+searched for, and only one-dimensional blocks are matched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
 from ..core.algebras import PathAlgebra
@@ -42,11 +43,6 @@ from ..errors import (
 from ..homotopy.complexes import Generated, ProjComplex, single_projective
 from ..homotopy.mutation import silting_mutate, smc_mutate
 from .checks import CheckReport, CorrespondenceCertificate, _Reporter, check_pattern
-
-#: Largest vertex count the graded isomorphism search will enumerate
-#: bijections for (factorial growth beyond this is pointless).
-ISO_SEARCH_MAX_VERTICES = 6
-
 
 def standard_pair(
     algebra: PathAlgebra, resolution_bound: int = RESOLUTION_BOUND
@@ -162,7 +158,7 @@ def wt_pipeline(
 
 
 def _koszul_dual_route(
-    E: DGAlgebra, window: tuple[int, int], budget: int
+    E: DGAlgebra, window: tuple[int, int]
 ) -> tuple[DGAlgebra | None, str]:
     """Compute a Koszul dual of E, directly when its simple dg modules
     exist, else through a formality witness; (None, reason) if neither
@@ -173,9 +169,10 @@ def _koszul_dual_route(
         pass
     except TruncationUnsound as exc:
         return None, f"resolutions do not close within the window ({exc})"
-    witness = find_formality_witness(E, budget=budget)
-    if witness is None:
-        return None, "no formality witness found within the search budget"
+    try:
+        witness = find_formality_witness(E)
+    except Inconclusive as exc:
+        return None, f"no formality witness: {exc}"
     try:
         return koszul_dual(witness.source, window=window), "formality"
     except (SimpleNotOneDimensional, IdempotentLiftMissing) as exc:
@@ -243,21 +240,26 @@ def _propagate_scalars(
 
 
 def graded_algebra_isomorphism(
-    h1: DGAlgebra, h2: DGAlgebra
+    h1: DGAlgebra, h2: DGAlgebra, sigma: dict[str, str]
 ) -> GradedAlgebraMap | None:
-    """Bounded isomorphism search between two graded algebras.
+    """An isomorphism of graded algebras that sends idempotent ``n`` of h1
+    to idempotent ``sigma[n]`` of h2, or None.
 
-    Enumerates bijections of the idempotents, matches one-dimensional
-    blocks degreewise, and solves for the connecting scalars by
-    propagation; every candidate is fully verified before being
-    returned.  None means no isomorphism was found within the bounds,
-    not that none exists.
+    The idempotent matching is given, not searched for; ``koszul_pair_check``
+    takes it from the pattern's bijection.  Only one-dimensional blocks are
+    matched: every (degree, left idempotent, right idempotent) block of
+    both algebras must have dimension at most one.  The blocks are paired
+    through ``sigma``, the connecting scalars are solved by propagation,
+    and the candidate is fully verified before it is returned.  None means
+    that this matching gives no isomorphism of that shape, not that none
+    exists.
     """
     if h1.graded_dims() != h2.graded_dims():
         return None
     names1 = sorted(h1.idempotents)
-    names2 = sorted(h2.idempotents)
-    if len(names1) != len(names2) or len(names1) > ISO_SEARCH_MAX_VERTICES:
+    if any(n not in sigma for n in names1) or sorted(
+        sigma[n] for n in names1
+    ) != sorted(h2.idempotents):
         return None
     buckets1 = _blockwise_buckets(h1)
     buckets2 = _blockwise_buckets(h2)
@@ -267,69 +269,64 @@ def graded_algebra_isomorphism(
         len(b) > 1 for b in buckets2.values()
     ):
         return None
+    if any(
+        len(buckets2.get((n, sigma[u], sigma[w]), [])) != len(members)
+        for (n, u, w), members in buckets1.items()
+    ):
+        return None
+    img: dict[int, int] = {}
+    for (n, u, w), members in buckets1.items():
+        img[members[0]] = buckets2[(n, sigma[u], sigma[w])][0]
+    if len(set(img.values())) != len(img) or len(img) != h1.dimension:
+        return None
 
-    one = h1.field.one
-    for perm in permutations(names2):
-        sigma = dict(zip(names1, perm))
-        if any(
-            len(buckets2.get((n, sigma[u], sigma[w]), [])) != len(members)
-            for (n, u, w), members in buckets1.items()
-        ):
-            continue
-        img: dict[int, int] = {}
-        for (n, u, w), members in buckets1.items():
-            img[members[0]] = buckets2[(n, sigma[u], sigma[w])][0]
-        if len(set(img.values())) != len(img) or len(img) != h1.dimension:
-            continue
-
-        lam: dict[int, object] = {}
-        consistent = True
-        for name in names1:
-            (i, c), = h1.idempotents[name].items()
-            (i2, c2), = h2.idempotents[sigma[name]].items()
-            if img[i] != i2:
-                consistent = False
-                break
-            lam[i] = c2 / c
-        if not consistent:
-            continue
-        # A stalled propagation fixes the first open scalar to 1 and goes on.
-        settled = _propagate_scalars(h1, h2, img, lam)
-        for i in range(h1.dimension):
-            if settled and i not in lam:
-                lam[i] = one
-                settled = _propagate_scalars(h1, h2, img, lam)
-        if not settled:
-            continue
-        images = [{img[i]: lam[i]} for i in range(h1.dimension)]
-        candidate = GradedAlgebraMap(h1, h2, images)
-        if verify_dg_quasi_iso(candidate):
-            return candidate
-    return None
+    lam: dict[int, object] = {}
+    for name in names1:
+        (i, c), = h1.idempotents[name].items()
+        (i2, c2), = h2.idempotents[sigma[name]].items()
+        if img[i] != i2:
+            return None
+        lam[i] = c2 / c
+    # A stalled propagation fixes the first open scalar to 1 and goes on.
+    settled = _propagate_scalars(h1, h2, img, lam)
+    for i in range(h1.dimension):
+        if settled and i not in lam:
+            lam[i] = h1.field.one
+            settled = _propagate_scalars(h1, h2, img, lam)
+    if not settled:
+        return None
+    images = [{img[i]: lam[i]} for i in range(h1.dimension)]
+    candidate = GradedAlgebraMap(h1, h2, images)
+    return candidate if verify_dg_quasi_iso(candidate) else None
 
 
 def koszul_pair_check(
     E: DGAlgebra,
     F: DGAlgebra,
+    bijection: Sequence[int],
     window: tuple[int, int] = (-5, 5),
-    budget: int = 64,
 ) -> CheckReport:
     """Check that the two sides of a pair are Koszul dual to each other,
     given the dg endomorphism algebras E of the silting side and F of the
-    simple-minded side.
+    simple-minded side, and the pattern's bijection: silting member i
+    pairs with simple member ``bijection[i]`` (0-based), as in
+    ``CorrespondenceCertificate.bijection``.
 
     For each side, the dg endomorphism algebra's Koszul dual must have
     the cohomology of the opposite side's dg endomorphism algebra: equal
     cohomology dimensions (a hard condition) and an isomorphism of
-    cohomology algebras found by the bounded search (pass when found,
-    not-certified when the search comes back empty).
+    cohomology algebras that matches the idempotents through the
+    bijection (pass when ``graded_algebra_isomorphism`` finds one,
+    not-certified otherwise: it matches one-dimensional blocks only).
     """
+    forward = {str(i + 1): str(j + 1) for i, j in enumerate(bijection)}
+    backward = {j: i for i, j in forward.items()}
     rep = _Reporter("koszul duality")
-    for label, source, opposite in (
-        ("dual of the silting side", E, F),
-        ("dual of the simple side", F, E),
+    for label, source, opposite, sigma in (
+        ("dual of the silting side", E, F, forward),
+        ("dual of the simple side", F, E, backward),
     ):
-        dual, route = _koszul_dual_route(source, window, budget)
+        dual, route = _koszul_dual_route(source, window)
         if dual is None:
             rep.soft(f"{label} computed", False, route)
             continue
@@ -344,7 +341,7 @@ def koszul_pair_check(
         if dual_h != opp_h:
             continue
         iso = graded_algebra_isomorphism(
-            cohomology_algebra(dual), cohomology_algebra(opposite)
+            cohomology_algebra(dual), cohomology_algebra(opposite), sigma
         )
         rep.soft(
             f"{label} cohomology algebra matches the opposite side",

@@ -6,9 +6,7 @@ from .dga import (
     cohomology_algebra,
     dg_end,
     find_formality_witness,
-    identity_dg_map,
     path_algebra_to_dg,
-    smart_truncation,
     verify_dg_quasi_iso,
 )
 from .dgmod import (
@@ -27,11 +25,9 @@ __all__ = [
     "cohomology_algebra",
     "dg_end",
     "find_formality_witness",
-    "identity_dg_map",
     "koszul_dual",
     "path_algebra_to_dg",
     "semifree_resolution",
     "simple_dg_modules",
-    "smart_truncation",
     "verify_dg_quasi_iso",
 ]

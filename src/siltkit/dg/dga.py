@@ -20,13 +20,19 @@ associativity, unitality, and the idempotent axioms are checked exactly.
 Cohomology (dimensions, representatives, class coordinates) comes from
 ``linalg.Cohomology`` on the differential matrices into and out of each
 degree.
+
+Maps between dg algebras are ``GradedAlgebraMap``s, audited exactly by
+``verify_dg_quasi_iso``.  ``find_formality_witness`` looks for a
+quasi-isomorphism H^*(E) -> E, which the Koszul check uses when E has no
+simple dg modules of its own; it solves for at most ``FORMALITY_BUDGET``
+coboundary corrections and says where it stopped when it finds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ChainConditionViolated, PositiveCohomology, TruncationUnsound
+from ..errors import ChainConditionViolated, Inconclusive, TruncationUnsound
 from ..linalg import (
     Coords,
     Cohomology,
@@ -37,6 +43,9 @@ from ..linalg import (
     sparse_product,
     zero_vector,
 )
+
+#: Most coboundary correction coefficients ``find_formality_witness`` solves for.
+FORMALITY_BUDGET = 64
 
 
 def differential_block(field, differential: dict[int, Coords], src: list, dst: list) -> list:
@@ -573,7 +582,7 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
     the algebra itself with identical structure constants.
 
     The result carries ``section_reps`` (E-coordinates of the chosen
-    representatives) and ``parent`` for downstream witnesses.
+    representatives) for ``find_formality_witness``.
     """
     field = E.field
     cohomology = {n: E.cohomology(n) for n in sorted(set(E.degrees))}
@@ -634,7 +643,6 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
         complete=E.complete,
     )
     H.section_reps = [coords for _, coords in reps]
-    H.parent = E
     return H
 
 
@@ -665,31 +673,16 @@ class GradedAlgebraMap:
         return f"GradedAlgebraMap({self.source!r} -> {self.target!r})"
 
 
-def identity_dg_map(E: DGAlgebra) -> GradedAlgebraMap:
-    return GradedAlgebraMap(
-        E, E, [{i: E.field.one} for i in range(E.dimension)]
-    )
-
-
-def verify_dg_quasi_iso(
-    f: GradedAlgebraMap,
-    E: DGAlgebra | None = None,
-    F: DGAlgebra | None = None,
-    diagnostics: list | None = None,
-) -> bool:
+def verify_dg_quasi_iso(f: GradedAlgebraMap, diagnostics: list | None = None) -> bool:
     """Whether f is a unital multiplicative chain map that induces
     isomorphisms on cohomology in every degree.
 
     Violations are appended to ``diagnostics`` when a list is supplied; the
     return value alone never raises.
     """
-    E = E if E is not None else f.source
-    F = F if F is not None else f.target
+    E, F = f.source, f.target
     notes = diagnostics if diagnostics is not None else []
     ok = True
-    if f.source is not E or f.target is not F:
-        notes.append("map endpoints disagree with the supplied algebras")
-        ok = False
     field = F.field
     for i, img in f.images.items():
         if any(F.degrees[j] != E.degrees[i] for j in img):
@@ -739,29 +732,22 @@ def verify_dg_quasi_iso(
     return True
 
 
-def find_formality_witness(
-    E: DGAlgebra, budget: int = 64
-) -> GradedAlgebraMap | None:
-    """A verified multiplicative chain section H^*(E) -> E, or None.
+def find_formality_witness(E: DGAlgebra) -> GradedAlgebraMap:
+    """A verified multiplicative chain section H^*(E) -> E.
 
     The plain cocycle representatives are tried first; failing that, each
     representative is corrected by an unknown coboundary and the unit and
     multiplicativity constraints are solved in their linearisation, then the
-    candidate is verified exactly.  ``budget`` caps the number of free
-    correction coefficients; exhaustion returns None, which proves nothing.
+    candidate is verified exactly.  At most ``FORMALITY_BUDGET`` correction
+    coefficients are tried.  Raises Inconclusive naming where the attempt
+    stopped; that proves nothing about the formality of E.
     """
     H = cohomology_algebra(E)
     field = E.field
     reps: list[Coords] = list(H.section_reps)
 
-    def build(images: list[Coords]) -> GradedAlgebraMap | None:
-        cand = GradedAlgebraMap(H, E, images)
-        if verify_dg_quasi_iso(cand, H, E):
-            return cand
-        return None
-
-    direct = build(reps)
-    if direct is not None:
+    direct = GradedAlgebraMap(H, E, reps)
+    if verify_dg_quasi_iso(direct):
         return direct
 
     # Coboundary corrections: rep_i + sum_t x_{i,t} * (boundary basis of the
@@ -782,8 +768,16 @@ def find_formality_witness(
                     vecs.append({idx[r]: v[r] for r in range(len(idx)) if v[r]})
         boundary_vecs.append(vecs)
         unknown_count += len(vecs)
-    if unknown_count == 0 or unknown_count > budget:
-        return None
+    if unknown_count == 0:
+        raise Inconclusive(
+            "the cocycle section is not multiplicative and there is no "
+            "coboundary to correct it with"
+        )
+    if unknown_count > FORMALITY_BUDGET:
+        raise Inconclusive(
+            f"{unknown_count} correction unknowns exceed "
+            f"FORMALITY_BUDGET = {FORMALITY_BUDGET}"
+        )
 
     offsets = []
     total = 0
@@ -860,7 +854,10 @@ def find_formality_witness(
 
     sol = solve(field, rows, rhs) if rows else zero_vector(field, total)
     if sol is None:
-        return None
+        raise Inconclusive(
+            "the linearised correction of the cocycle section has no "
+            f"solution (correction unknowns: {unknown_count})"
+        )
     images = []
     for i, rep in enumerate(reps):
         img = dict(rep)
@@ -870,80 +867,7 @@ def find_formality_witness(
                 for g, s in vec.items():
                     img[g] = img.get(g, field.zero) + c * s
         images.append({g: c for g, c in img.items() if c})
-    return build(images)
-
-
-def smart_truncation(E: DGAlgebra) -> tuple[DGAlgebra, GradedAlgebraMap]:
-    """The sub-dg-algebra of negative-degree elements and degree-0 cocycles,
-    with its inclusion.  Requires H^n(E) = 0 for all n > 0, which makes the
-    inclusion a quasi-isomorphism."""
-    field = E.field
-    for n, dim in E.cohomology_dims().items():
-        if n > 0 and dim:
-            raise PositiveCohomology(
-                f"cohomology survives in degree {n}", degree=n
-            )
-    neg = [i for i, d in enumerate(E.degrees) if d < 0]
-    idx0 = E.indices_at(0)
-    z0 = E.cohomology(0).cocycles
-    # New basis vectors in E-coordinates.
-    new_vectors: list[Coords] = [{g: field.one} for g in neg]
-    for z in z0:
-        new_vectors.append({idx0[i]: c for i, c in enumerate(z) if c})
-    labels = tuple(
-        [E.labels[g] for g in neg] + [f"z0:{k}" for k in range(len(z0))]
-    )
-    degrees = tuple([E.degrees[g] for g in neg] + [0] * len(z0))
-
-    def to_sub(coords: Coords) -> Coords:
-        """Express an element of the subalgebra in the new basis."""
-        if not coords:
-            return {}
-        remaining = dict(coords)
-        out: Coords = {}
-        for t, g in enumerate(neg):
-            c = remaining.pop(g, field.zero)
-            if c:
-                out[t] = c
-        if not remaining:
-            return out
-        # Degree-0 leftover must be a combination of the chosen cocycles.
-        vec = E.local_vector(0, remaining)
-        matrix = [[z0[j][i] for j in range(len(z0))] for i in range(len(idx0))]
-        sol = solve(field, matrix, vec)
-        if sol is None:
-            raise ChainConditionViolated(
-                "truncation is not closed (degree-0 non-cocycle appeared)"
-            )
-        for j, c in enumerate(sol):
-            if c:
-                out[len(neg) + j] = c
-        return out
-
-    products: dict[tuple[int, int], Coords] = {}
-    for i, vi in enumerate(new_vectors):
-        for j, vj in enumerate(new_vectors):
-            prod = E.multiply(vi, vj)
-            if prod:
-                products[(i, j)] = to_sub(prod)
-    differential: dict[int, Coords] = {}
-    for i, vi in enumerate(new_vectors):
-        dv = E.differentiate(vi)
-        if dv:
-            differential[i] = to_sub(dv)
-    unit = to_sub(E.unit)
-    idempotents = {name: to_sub(e) for name, e in E.idempotents.items()}
-    sub = DGAlgebra(
-        field,
-        labels,
-        degrees,
-        products,
-        differential,
-        unit,
-        idempotents,
-        provenance=f"truncation of {E.provenance}" if E.provenance else "truncation",
-        window=E.window,
-        complete=E.complete,
-    )
-    inclusion = GradedAlgebraMap(sub, E, new_vectors)
-    return sub, inclusion
+    corrected = GradedAlgebraMap(H, E, images)
+    if not verify_dg_quasi_iso(corrected):
+        raise Inconclusive("the corrected cocycle section fails verification")
+    return corrected

@@ -7,9 +7,13 @@ dg module built by repeatedly killing cone cohomology classes
 (``semifree_resolution``); and the endomorphism dg algebra of the direct sum
 of those resolutions is the dual algebra (``koszul_dual``).
 
-A ``SemifreeResolution`` is a ``dga.FreeModule`` with a comparison map to
-the module it resolves, and the dual is ``dga.end_algebra`` of the
-resolutions: the same End construction as ``dg_end``.
+A ``DGModule`` is structure-constant data only: the simples are correct by
+construction once their character passes the checks in
+``simple_dg_modules``.  A ``SemifreeResolution`` is a ``dga.FreeModule``
+with a comparison map to the module it resolves; ``verify`` checks d^2 = 0
+and the chain condition of that map on every generator.  The dual is
+``dga.end_algebra`` of the resolutions: the same End construction as
+``dg_end``.
 """
 
 from __future__ import annotations
@@ -82,55 +86,6 @@ class DGModule:
 
     def differentiate(self, coords: Coords) -> Coords:
         return sparse_apply(self.field, self.differential, coords)
-
-    def verify(self) -> None:
-        E = self.algebra
-        one = self.field.one
-        for (i, a), row in self.action.items():
-            for j in row:
-                if self.degrees[j] != self.degrees[i] + E.degrees[a]:
-                    raise ChainConditionViolated(
-                        f"action of {E.labels[a]} does not shift degree "
-                        f"by {E.degrees[a]}"
-                    )
-        for i, val in self.differential.items():
-            for j in val:
-                if self.degrees[j] != self.degrees[i] + 1:
-                    raise ChainConditionViolated(
-                        "module differential is not of degree +1"
-                    )
-            if self.differentiate(val):
-                raise ChainConditionViolated("module differential does not square to zero")
-        for i in range(self.dimension):
-            if self.act({i: one}, E.unit) != {i: one}:
-                raise ChainConditionViolated(f"unit does not fix {self.labels[i]}")
-        for a in range(E.dimension):
-            for b in range(E.dimension):
-                prod = E.products.get((a, b), {})
-                for i in range(self.dimension):
-                    left = self.act(self.act({i: one}, {a: one}), {b: one})
-                    right = self.act({i: one}, prod)
-                    if left != right:
-                        raise ChainConditionViolated(
-                            f"associativity of the action fails on "
-                            f"({self.labels[i]}, {E.labels[a]}, {E.labels[b]})"
-                        )
-        for a in range(E.dimension):
-            for i in range(self.dimension):
-                # d(m a) = d(m) a + (-1)^{|m|} m d(a)
-                msign = -1 if self.degrees[i] % 2 else 1
-                left = self.differentiate(self.act({i: one}, {a: one}))
-                right = self.act(self.differential.get(i, {}), {a: one})
-                tail = self.act({i: one}, E.differential.get(a, {}))
-                for j, c in tail.items():
-                    right[j] = right.get(j, self.field.zero) + (
-                        c if msign == 1 else -c
-                    )
-                right = {j: c for j, c in right.items() if c}
-                if left != right:
-                    raise ChainConditionViolated(
-                        f"Leibniz fails on {self.labels[i]} * {E.labels[a]}"
-                    )
 
     def __repr__(self):
         dims = self.graded_dims()
@@ -284,17 +239,9 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, DGModule]:
             a: ({0: {0: chi[a]}} if E.degrees[a] == 0 and chi[a] else {})
             for a in range(E.dimension)
         }
-        module = DGModule(
-            E,
-            (f"S({name})",),
-            (0,),
-            {},
-            action,
-            provenance=f"simple at {name}",
+        out[name] = DGModule(
+            E, (f"S({name})",), (0,), {}, action, provenance=f"simple at {name}"
         )
-        module.character = list(chi)
-        module.idempotent_name = name
-        out[name] = module
     return out
 
 
@@ -381,40 +328,6 @@ class SemifreeResolution(FreeModule):
             if h.reps:
                 out[n] = [{src[i]: c for i, c in enumerate(z) if c} for z in h.reps]
         return out
-
-    # -- materialization ----------------------------------------------
-
-    def as_dgmodule(self) -> DGModule:
-        field = self.field
-        labels = tuple(
-            f"{self.generators[t].label}*{self.algebra.labels[b]}"
-            for t, b in self.basis_pairs
-        )
-        differential: dict[int, Coords] = {}
-        for p, (t, b) in enumerate(self.basis_pairs):
-            col = {
-                self.pair_index[key]: c for key, c in self.d_pair(t, b).items()
-            }
-            if col:
-                differential[p] = col
-        action: dict[int, dict[int, Coords]] = {}
-        for a in range(self.algebra.dimension):
-            rows: dict[int, Coords] = {}
-            for p, (t, b) in enumerate(self.basis_pairs):
-                img = self.act({(t, b): field.one}, a)
-                row = {self.pair_index[key]: c for key, c in img.items()}
-                if row:
-                    rows[p] = row
-            if rows:
-                action[a] = rows
-        return DGModule(
-            self.algebra,
-            labels,
-            tuple(self.basis_degrees),
-            differential,
-            action,
-            provenance=f"resolution of {self.target.provenance}",
-        )
 
     def __repr__(self):
         dims = self.graded_dims()
@@ -512,15 +425,9 @@ def koszul_dual(
     trustworthy inside ``window``, and the window is recorded on the output.
     """
     simples = simple_dg_modules(E)
-    names = list(simples)
-    resolutions = {
-        name: semifree_resolution(simples[name], E, window) for name in names
-    }
-    out = end_algebra(
-        [resolutions[name] for name in names],
-        names,
+    return end_algebra(
+        [semifree_resolution(M, E, window) for M in simples.values()],
+        list(simples),
         f"dual of {E.provenance}" if E.provenance else "dual",
         window,
     )
-    out.resolutions = resolutions
-    return out

@@ -3,6 +3,7 @@
 Every failure mode that callers are expected to branch on gets its own class
 here; plain ``ValueError`` is reserved for programming errors (bad shapes,
 unknown names in internal APIs) that no caller should catch selectively.
+``Inconclusive`` means undecided, never a negative answer.
 """
 
 from __future__ import annotations
@@ -60,25 +61,19 @@ class TruncationUnsound(SiltkitError):
 
 
 class Inconclusive(SiltkitError):
-    """An isomorphism or indecomposability test could not decide: the
-    endomorphism ring is not known to be local and the coefficient search
-    would exceed ``SEARCH_BUDGET``.  Deliberately distinct from a ``False``
-    answer: callers must not treat this as "not isomorphic".
+    """A bounded procedure could not decide.  An isomorphism or
+    indecomposability test raises it when the endomorphism ring is not
+    known to be local and the coefficient search would exceed
+    ``SEARCH_BUDGET``; ``dg.find_formality_witness`` raises it when its
+    coboundary correction finds no witness, naming where it stopped.
+    Deliberately distinct from a ``False`` answer: callers must not treat
+    this as "not isomorphic" or "not formal".
     """
 
 
 class CharacteristicUnsupported(SiltkitError):
     """Indecomposability testing has no sound procedure for this coefficient
     field within the configured budget."""
-
-
-class PositiveCohomology(SiltkitError):
-    """The truncation to non-positive degrees requires the cohomology to
-    vanish in positive degrees, and it does not."""
-
-    def __init__(self, message: str, degree: int | None = None):
-        super().__init__(message)
-        self.degree = degree
 
 
 class SimpleNotOneDimensional(SiltkitError):

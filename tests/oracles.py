@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import sympy
 
+from siltkit.errors import ChainConditionViolated
+
 
 def sym(value) -> sympy.Rational:
     """Exact conversion of a Fraction (or int) into a sympy Rational."""
@@ -233,7 +235,7 @@ def module_hom_dimension(m, n) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense dg algebra axioms
+# dense dg algebra and dg module axioms
 # ---------------------------------------------------------------------------
 
 
@@ -329,3 +331,65 @@ def dense_dg_verify(A) -> str | None:
         if de != _dg_multiply(A, ea, _dg_multiply(A, de, ea)):
             return "block"
     return None
+
+
+def _module_act(M, x: dict, y: dict) -> dict:
+    """x * y for module coordinates x and algebra coordinates y, read from
+    ``M.action`` keyed ``(module index, algebra index)``."""
+    out: dict = {}
+    for i, c in x.items():
+        for a, d in y.items():
+            for k, s in M.action.get((i, a), {}).items():
+                out[k] = out.get(k, 0) + c * d * s
+    return {k: v for k, v in out.items() if v}
+
+
+def dense_dg_module_verify(M) -> None:
+    """Raise ChainConditionViolated at the first dg module axiom M breaks.
+
+    Reads only M's structure data (``degrees``, ``differential``,
+    ``action``, ``labels``) and its algebra's (``degrees``, ``products``,
+    ``differential``, ``unit``, ``labels``), and checks densely: the
+    degree of the action and of the differential, d^2 = 0, the unit, then
+    associativity of the action on every (module, algebra, algebra) basis
+    triple and the Leibniz rule on every (module, algebra) basis pair.
+    """
+    E = M.algebra
+    one = E.field.one
+    dim, edim = len(M.degrees), len(E.degrees)
+    for (i, a), row in M.action.items():
+        if any(M.degrees[j] != M.degrees[i] + E.degrees[a] for j in row):
+            raise ChainConditionViolated(
+                f"action of {E.labels[a]} does not shift degree by {E.degrees[a]}"
+            )
+    for i, val in M.differential.items():
+        if any(M.degrees[j] != M.degrees[i] + 1 for j in val):
+            raise ChainConditionViolated("module differential is not of degree +1")
+        if _dg_differentiate(M, val):
+            raise ChainConditionViolated("module differential does not square to zero")
+    for i in range(dim):
+        if _module_act(M, {i: one}, E.unit) != {i: one}:
+            raise ChainConditionViolated(f"unit does not fix {M.labels[i]}")
+    for a in range(edim):
+        for b in range(edim):
+            for i in range(dim):
+                left = _module_act(M, _module_act(M, {i: one}, {a: one}), {b: one})
+                right = _module_act(M, {i: one}, E.products.get((a, b), {}))
+                if left != right:
+                    raise ChainConditionViolated(
+                        f"associativity of the action fails on "
+                        f"({M.labels[i]}, {E.labels[a]}, {E.labels[b]})"
+                    )
+    for a in range(edim):
+        for i in range(dim):
+            # d(m a) = d(m) a + (-1)^{|m|} m d(a)
+            left = _dg_differentiate(M, _module_act(M, {i: one}, {a: one}))
+            right = _dg_add(
+                _module_act(M, M.differential.get(i, {}), {a: one}),
+                _module_act(M, {i: one}, E.differential.get(a, {})),
+                -1 if M.degrees[i] % 2 else 1,
+            )
+            if left != right:
+                raise ChainConditionViolated(
+                    f"Leibniz fails on {M.labels[i]} * {E.labels[a]}"
+                )

@@ -53,6 +53,7 @@ CASES = [
     ("koszul-ex47", ["koszul", "{in}/a2.alg", "{in}/ex47.pair"], 0),
     ("koszul-kron", ["koszul", "{in}/kron.alg", "{in}/std.pair"], 3),
     ("koszul-a3rel-std3", ["koszul", "{in}/a3rel.alg", "{in}/std3.pair"], 0),
+    ("koszul-a3rel-cycle3", ["koszul", "{in}/a3rel.alg", "{in}/cycle3.pair"], 0),
     ("dgend-smc-std", ["dgend", "{in}/a2.alg", "{in}/smc-std"], 0),
     ("graph-a2", ["graph", "{in}/a2.alg"], 0),
 ]
@@ -101,6 +102,37 @@ def test_replay_rejects_a_malformed_seed_header(tmp_path, capsys):
     assert code == 4
     assert err.startswith("input error: line 4, column 1:")
     assert "'zero'" in err
+
+
+def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a7(tmp_path, capsys):
+    """Over seven vertices the idempotents of the two sides are matched
+    through the pattern's bijection, with no cap on the vertex count."""
+    n = 7
+    algebra = tmp_path / "a7.alg"
+    algebra.write_text(
+        "\n".join(
+            ["[field]", "characteristic = 0", "", "[vertices]"]
+            + [str(v) for v in range(1, n + 1)]
+            + ["", "[arrows]"]
+            + [f"a{k}: {k + 1} -> {k}" for k in range(1, n)]
+            + ["", "[relations]"]
+            + [f"a{k};a{k + 1}" for k in range(1, n - 1)]
+            + ["", "[bound]", "2", ""]
+        ),
+        encoding="utf-8",
+    )
+    pair = tmp_path / "std7.pair"
+    vertices = range(1, n + 1)
+    pair.write_text(
+        f"silting std = [{', '.join(f'proj({v})' for v in vertices)}]\n"
+        f"smc std = [{', '.join(f'res(simple {v})' for v in vertices)}]\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    code = main(["koszul", str(algebra), str(pair), "--format", "structured"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "verdict koszul pass" in lines
 
 
 def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):

@@ -1,5 +1,5 @@
 """Dg endomorphism algebras, cohomology algebras, formality witnesses,
-truncation, simple dg modules, semifree resolutions, and Koszul duals."""
+simple dg modules, semifree resolutions, and Koszul duals."""
 
 import functools
 import re
@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_dg_verify
+from oracles import dense_dg_module_verify, dense_dg_verify
 from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution, simple_module
 from siltkit.core.quivers import Arrow, Quiver
@@ -18,18 +18,15 @@ from siltkit.dg import (
     cohomology_algebra,
     dg_end,
     find_formality_witness,
-    identity_dg_map,
     koszul_dual,
     path_algebra_to_dg,
     semifree_resolution,
     simple_dg_modules,
-    smart_truncation,
     verify_dg_quasi_iso,
 )
 from siltkit.errors import (
     ChainConditionViolated,
     IdempotentLiftMissing,
-    PositiveCohomology,
     SimpleNotOneDimensional,
     TruncationUnsound,
 )
@@ -43,6 +40,10 @@ def res(algebra, v):
 
 def stalks(algebra):
     return [single_projective(algebra, v, 0) for v in algebra.quiver.vertices]
+
+
+#: The idempotent matching of two algebras over the vertices 1 and 2.
+IDENTITY = {"1": "1", "2": "2"}
 
 
 @pytest.fixture
@@ -73,7 +74,7 @@ def test_end_of_the_projectives_recovers_the_algebra(a2):
     assert E.dimension == 3
     assert E.graded_dims() == {0: 3}
     assert all(E.differential_rank(n) == 0 for n in range(-2, 3))
-    assert graded_algebra_isomorphism(E, path_algebra_to_dg(a2)) is not None
+    assert graded_algebra_isomorphism(E, path_algebra_to_dg(a2), IDENTITY) is not None
 
 
 def test_end_of_the_shifted_projectives(shifted_end):
@@ -144,7 +145,8 @@ def test_cohomology_of_the_doubly_dual_end(shifted_end):
 
 
 def test_identity_is_a_quasi_isomorphism(smc_end):
-    assert verify_dg_quasi_iso(identity_dg_map(smc_end))
+    identity = [{i: QQ.one} for i in range(smc_end.dimension)]
+    assert verify_dg_quasi_iso(GradedAlgebraMap(smc_end, smc_end, identity))
 
 
 def test_zero_map_is_rejected_with_diagnostics(smc_end):
@@ -170,61 +172,13 @@ def test_zero_differential_algebras_are_formal(a2, kronecker):
         assert w is not None and verify_dg_quasi_iso(w)
 
 
-def test_truncation_is_trivial_in_degree_zero(a2):
-    D = path_algebra_to_dg(a2)
-    T, incl = smart_truncation(D)
-    assert T.graded_dims() == D.graded_dims()
-    assert verify_dg_quasi_iso(incl)
-
-
-def test_truncation_keeps_a_nonpositive_algebra(shifted_end):
-    T, incl = smart_truncation(shifted_end)
-    assert T.graded_dims() == shifted_end.graded_dims()
-    assert verify_dg_quasi_iso(incl)
-
-
-def desk_algebra():
-    """Seven basis elements over two idempotents: s, v in degree 0, w in
-    degree 1, t, m in degree -1, with d(v) = w and every product of
-    non-idempotent elements zero.  H^1 vanishes, so the top is removable."""
-    one = QQ.one
-    labels = ("p", "q", "s", "v", "w", "t", "m")
-    degrees = (0, 0, 0, 0, 1, -1, -1)
-    products = {(0, 0): {0: one}, (1, 1): {1: one}}
-    for i in (2, 3, 4, 5, 6):
-        products[(0, i)] = {i: one}
-        products[(i, 1)] = {i: one}
-    differential = {3: {4: one}}
-    unit = {0: one, 1: one}
-    idempotents = {"p": {0: one}, "q": {1: one}}
-    return DGAlgebra(QQ, labels, degrees, products, differential, unit, idempotents)
-
-
-def test_truncation_removes_an_acyclic_top():
-    E = desk_algebra()
-    E.verify()
-    assert E.graded_dims() == {-1: 2, 0: 4, 1: 1}
-    assert E.cohomology_dims() == {-1: 2, 0: 3}
-    T, incl = smart_truncation(E)
-    assert T.dimension == 5
-    assert T.graded_dims() == {-1: 2, 0: 3}
-    assert max(T.degree_range()) <= 0
-    assert verify_dg_quasi_iso(incl)
-
-
-def test_truncation_refuses_positive_cohomology(smc_end):
-    with pytest.raises(PositiveCohomology) as info:
-        smart_truncation(smc_end)
-    assert info.value.degree == 1
-
-
 def test_simples_of_a_path_algebra(a2):
     D = path_algebra_to_dg(a2)
     simples = simple_dg_modules(D)
     assert set(simples) == {"1", "2"}
     for name, M in simples.items():
         assert M.graded_dims() == {0: 1}
-        M.verify()
+        dense_dg_module_verify(M)
         gen = {0: D.field.one}
         other = next(v for v in D.idempotents if v != name)
         assert M.act(gen, D.idempotents[name]) == gen
@@ -329,7 +283,7 @@ def test_dual_cohomology_in_degree_zero_recovers_the_algebra(a2, smc_end):
     K = koszul_dual(H)
     HK = cohomology_algebra(K)
     assert HK.graded_dims() == {0: 3}
-    assert graded_algebra_isomorphism(HK, path_algebra_to_dg(a2)) is not None
+    assert graded_algebra_isomorphism(HK, path_algebra_to_dg(a2), IDENTITY) is not None
 
 
 # -- verify rejects each broken axiom ---------------------------------------

@@ -4,6 +4,8 @@ check on whole pairs."""
 import pytest
 
 import siltkit.correspond.pipeline as pipeline_module
+import siltkit.dg.dga as dga_module
+from siltkit.correspond.checks import check_pattern
 from siltkit.correspond.pipeline import (
     PipelineResult,
     graded_algebra_isomorphism,
@@ -102,34 +104,40 @@ def test_pipeline_over_the_bigger_quivers(a3, a3rel, kronecker):
         assert all(c.verdicts["pattern"] == "pass" for c in result.certificates)
 
 
+def koszul_of_walk(algebra, script):
+    """The Koszul check of the pair a walk from the standard pair ends on,
+    matched through that pair's pattern bijection."""
+    result = wt_pipeline(algebra, script)
+    E, F = dg_end(result.silting), dg_end(result.smc)
+    return koszul_pair_check(E, F, result.certificates[-1].bijection)
+
+
 def test_koszul_check_on_the_standard_pair(a2):
-    report = koszul_pair_check(*map(dg_end, standard_pair(a2)))
+    report = koszul_pair_check(*map(dg_end, standard_pair(a2)), (0, 1))
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: direct", "route: formality"]
 
 
 def test_koszul_check_on_the_left_mutated_pair(a2):
-    result = wt_pipeline(a2, [(2, "left")])
-    report = koszul_pair_check(dg_end(result.silting), dg_end(result.smc))
+    report = koszul_of_walk(a2, [(2, "left")])
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: formality", "route: direct"]
 
 
 def test_koszul_check_on_the_right_mutated_pair(a2):
-    result = wt_pipeline(a2, [(2, "right")])
-    report = koszul_pair_check(dg_end(result.silting), dg_end(result.smc))
+    report = koszul_of_walk(a2, [(2, "right")])
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
     assert routes == ["route: direct", "route: formality"]
 
 
 def test_koszul_check_never_overclaims_on_wide_arrow_spaces(kronecker):
-    """Two independent dual routes agree on dimensions, but the bounded
-    isomorphism search may honestly come back empty; the verdict then
-    stays short of a pass."""
-    report = koszul_pair_check(*map(dg_end, standard_pair(kronecker)))
+    """Two independent dual routes agree on dimensions, but the cohomology
+    algebras have two-dimensional arrow blocks, which the comparison does
+    not match; the verdict then stays short of a pass."""
+    report = koszul_pair_check(*map(dg_end, standard_pair(kronecker)), (0, 1))
     assert report.verdict == "not-certified"
     dims_items = [item for item in report.items if "dimensions" in item.name]
     assert dims_items and all(item.ok for item in dims_items)
@@ -137,9 +145,52 @@ def test_koszul_check_never_overclaims_on_wide_arrow_spaces(kronecker):
     assert iso_items and not any(item.ok for item in iso_items)
 
 
+def test_koszul_check_matches_idempotents_through_the_bijection(a3rel):
+    """With the simple side listed as res(2), res(3), res(1), silting
+    member i pairs with simple member (i + 2) mod 3.  That matching
+    certifies both sides; the identity and the inverse matching do not."""
+    silting, smc = standard_pair(a3rel)
+    smc = [smc[1], smc[2], smc[0]]
+    bijection = check_pattern(silting, smc).bijection
+    assert bijection == (2, 0, 1)
+    E, F = dg_end(silting), dg_end(smc)
+    assert koszul_pair_check(E, F, bijection).verdict == "pass"
+    for wrong in ((0, 1, 2), (1, 2, 0)):
+        assert koszul_pair_check(E, F, wrong).verdict == "not-certified"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_formality_miss_names_where_it_stopped(a3, side):
+    """After one mutation at 2 over linear A3 the silting side has no
+    simple dg modules, and the linearised correction of its cocycle
+    section (5 unknowns) has no solution: the budget played no part."""
+    report = koszul_of_walk(a3, [(2, side)])
+    (miss,) = [item for item in report.items if not item.ok]
+    assert miss.name == "dual of the silting side computed"
+    assert miss.detail == (
+        "no formality witness: the linearised correction of the cocycle "
+        "section has no solution (correction unknowns: 5)"
+    )
+    assert "budget" not in miss.detail.lower()
+    assert report.verdict == "not-certified"
+
+
+def test_a_formality_miss_over_the_budget_names_the_budget(monkeypatch, a3):
+    monkeypatch.setattr(dga_module, "FORMALITY_BUDGET", 4)
+    report = koszul_of_walk(a3, [(2, "left")])
+    (miss,) = [item for item in report.items if not item.ok]
+    assert miss.detail == (
+        "no formality witness: 5 correction unknowns exceed FORMALITY_BUDGET = 4"
+    )
+
+
+#: The idempotent matching of two algebras over the vertices 1 and 2.
+IDENTITY = {"1": "1", "2": "2"}
+
+
 def test_graded_isomorphism_finds_the_identity(a2):
     D = path_algebra_to_dg(a2)
-    found = graded_algebra_isomorphism(D, D)
+    found = graded_algebra_isomorphism(D, D, IDENTITY)
     assert found is not None
     assert verify_dg_quasi_iso(found)
 
@@ -148,5 +199,5 @@ def test_graded_isomorphism_rejects_different_shapes(a2):
     D = path_algebra_to_dg(a2)
     _, smc = standard_pair(a2)
     E = dg_end(smc)
-    assert graded_algebra_isomorphism(D, E) is None
-    assert graded_algebra_isomorphism(D, cohomology_algebra(E)) is None
+    assert graded_algebra_isomorphism(D, E, IDENTITY) is None
+    assert graded_algebra_isomorphism(D, cohomology_algebra(E), IDENTITY) is None
