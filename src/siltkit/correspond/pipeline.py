@@ -347,7 +347,7 @@ def koszul_pair_check(
             f"{label} cohomology algebra matches the opposite side",
             iso is not None,
             "isomorphism verified" if iso is not None else
-            "no isomorphism found within the bounded search",
+            "no isomorphism through the pattern's matching on one-dimensional blocks",
         )
     return rep.report()
 

@@ -13,9 +13,11 @@ representatives).  Free modules are kept in generator form
 its generator images, which makes the End finite and exact.  ``dg_end``
 reads each complex of projectives as a free dg module over the path
 algebra, one generator per summand, and ``dgmod.koszul_dual`` takes the
-End of semifree resolutions; both are ``end_algebra``.  Everything a
-constructor emits passes ``verify``: d^2 = 0, the graded Leibniz rule,
-associativity, unitality, and the idempotent axioms are checked exactly.
+End of the semifree resolutions of the simple dg modules, which adopt a
+generator only for a cone class the earlier ones have not killed; both
+are ``end_algebra``.  Everything a constructor emits passes ``verify``:
+d^2 = 0, the graded Leibniz rule, associativity, unitality, and the
+idempotent axioms are checked exactly.
 
 Cohomology (dimensions, representatives, class coordinates) comes from
 ``linalg.Cohomology`` on the differential matrices into and out of each
@@ -40,6 +42,7 @@ from ..linalg import (
     rank,
     solve,
     sparse_apply,
+    sparse_combination,
     sparse_product,
     zero_vector,
 )
@@ -229,26 +232,27 @@ class DGAlgebra:
             dd = self.differentiate(self.differential.get(i, {}))
             if dd:
                 raise ChainConditionViolated(f"d(d({self.labels[i]})) != 0")
-        by_left = _index(self.products)
-        by_right = _index((j, i) for i, j in self.products)
+        products = self.products
+        by_left = _index(products)
+        by_right = _index((j, i) for i, j in products)
         for i, j in self._leibniz_pairs(by_left):
-            prod = self.products.get((i, j), {})
-            left = self.differentiate(prod)
-            sign = -1 if self.degrees[i] % 2 else 1
-            right = self.multiply(self.differential.get(i, {}), {j: f.one})
-            second = self.multiply({i: f.one}, self.differential.get(j, {}))
-            for k, c in second.items():
-                right[k] = right.get(k, f.zero) + (c if sign == 1 else -c)
-            right = {k: c for k, c in right.items() if c}
+            left = self.differentiate(products.get((i, j), {}))
+            odd = self.degrees[i] % 2
+            d_i = self.differential.get(i, {})
+            d_j = self.differential.get(j, {})
+            right = sparse_combination(f, [
+                *((c, products.get((m, j))) for m, c in d_i.items()),
+                *((-c if odd else c, products.get((i, m))) for m, c in d_j.items()),
+            ])
             if left != right:
                 raise ChainConditionViolated(
                     f"Leibniz fails on {self.labels[i]} * {self.labels[j]}"
                 )
         for i, j, k in self._associativity_triples(by_left, by_right):
-            ab = self.products.get((i, j), {})
-            bc = self.products.get((j, k), {})
-            left = self.multiply(ab, {k: f.one})
-            right = self.multiply({i: f.one}, bc)
+            ab = products.get((i, j), {})
+            bc = products.get((j, k), {})
+            left = sparse_combination(f, ((c, products.get((m, k))) for m, c in ab.items()))
+            right = sparse_combination(f, ((c, products.get((i, m))) for m, c in bc.items()))
             if left != right:
                 raise ChainConditionViolated(
                     f"associativity fails on "

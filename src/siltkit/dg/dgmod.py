@@ -7,6 +7,13 @@ dg module built by repeatedly killing cone cohomology classes
 (``semifree_resolution``); and the endomorphism dg algebra of the direct sum
 of those resolutions is the dual algebra (``koszul_dual``).
 
+A resolution adopts a block-pure piece of a cone class as a generator only
+when the class is not already in the span of the cone boundaries and of
+the earlier adopted pieces times degree-0 cocycles of the algebra: a
+generator kills its piece times every such cocycle, so one stage per kill
+degree still kills every class there, and each generator stands for a
+class no earlier one accounts for.
+
 A ``DGModule`` is structure-constant data only: the simples are correct by
 construction once their character passes the checks in
 ``simple_dg_modules``.  A ``SemifreeResolution`` is a ``dga.FreeModule``
@@ -310,13 +317,14 @@ class SemifreeResolution(FreeModule):
         return degrees, diff
 
     def _cone_cohomology(self):
-        """dict degree -> list of representative cone coordinate dicts."""
+        """dict degree -> (cone basis indices of that degree, their
+        ``Cohomology``), for the degrees where the cone has cohomology."""
         field = self.field
         degrees, diff = self._cone_data()
         by_degree: dict[int, list[int]] = {}
         for i, n in enumerate(degrees):
             by_degree.setdefault(n, []).append(i)
-        out: dict[int, list[Coords]] = {}
+        out: dict[int, tuple[list[int], Cohomology]] = {}
         for n in sorted(by_degree):
             src = by_degree[n]
             h = Cohomology(
@@ -326,8 +334,26 @@ class SemifreeResolution(FreeModule):
                 differential_block(field, diff, src, by_degree.get(n + 1, [])),
             )
             if h.reps:
-                out[n] = [{src[i]: c for i, c in enumerate(z) if c} for z in h.reps]
+                out[n] = (src, h)
         return out
+
+    def _cone_times(self, x: Coords, b: Coords) -> Coords:
+        """x * b for cone coordinates x and a degree-0 algebra element b."""
+        field = self.field
+        m_dim = self.target.dimension
+        out: Coords = {}
+        for i, c in x.items():
+            if i < m_dim:
+                terms = self.target.act({i: c}, b)
+            else:
+                t, a = self.basis_pairs[i - m_dim]
+                terms = {
+                    m_dim + self.pair_index[(t, k)]: s
+                    for k, s in self.algebra.multiply({a: c}, b).items()
+                }
+            for j, s in terms.items():
+                out[j] = out.get(j, field.zero) + s
+        return {j: c for j, c in out.items() if c}
 
     def __repr__(self):
         dims = self.graded_dims()
@@ -341,13 +367,20 @@ def semifree_resolution(
 ) -> SemifreeResolution:
     """Resolve a dg module by a free dg module, killing cone classes.
 
-    Each stage picks the extremal degree where the cone of the comparison
+    Each stage picks the extremal degree n where the cone of the comparison
     map still has cohomology (smallest degree when the algebra sits in
-    non-negative degrees, largest otherwise) and adjoins one generator per
-    surviving class component.  The result is complete when the cone is
-    globally acyclic; otherwise generation stops once the kill degree can no
-    longer influence Hom degrees inside ``window`` and the resolution is
-    flagged truncated.
+    non-negative degrees, largest otherwise) and splits each class
+    representative into block-pure pieces x = rep * e.  Walking the pieces
+    in order, a piece becomes a generator only when its class lies outside
+    the span of the degree-n cone boundaries and of x' * b for the pieces x'
+    already adopted and b in a basis of the degree-0 cocycles Z^0(E).
+
+    One stage still kills every class of degree n: the generator g adopted
+    for x has d(g * b) = -(x * b) in the cone whenever d(b) = 0, so the
+    whole span becomes boundaries, and every piece lies in it.  The result
+    is complete when the cone is globally acyclic; otherwise generation
+    stops once the kill degree can no longer influence Hom degrees inside
+    ``window`` and the resolution is flagged truncated.
     """
     if module.algebra is not E:
         raise ValueError("module is not over the given algebra")
@@ -375,6 +408,11 @@ def semifree_resolution(
     spread = rng[1] - rng[0]
     lo, hi = window
     depth_cap = max(abs(lo), abs(hi)) + spread + 2
+    idx0 = E.indices_at(0)
+    cocycles0 = [
+        {idx0[i]: c for i, c in enumerate(z) if c} for z in E.cohomology(0).cocycles
+    ]
+    m_dim = module.dimension
     counter = 0
     for _ in range(256):
         classes = res._cone_cohomology()
@@ -384,30 +422,30 @@ def semifree_resolution(
         n = min(classes) if ascending else max(classes)
         if abs(n) > depth_cap:
             break
-        m_dim = module.dimension
-        for rep in classes[n]:
-            # Split the representative into block-pure pieces.
+        src, h = classes[n]
+        position = {i: p for p, i in enumerate(src)}
+
+        def local(x: Coords) -> list:
+            vec = [field.zero] * len(src)
+            for i, c in x.items():
+                vec[position[i]] = c
+            return vec
+
+        killed = h.boundaries.copy()
+        for z in h.reps:
+            rep = {src[i]: c for i, c in enumerate(z) if c}
             for vertex, e in E.idempotents.items():
-                m_part: Coords = {}
-                f_part: dict[tuple[int, int], object] = {}
-                for i, c in rep.items():
-                    if i < m_dim:
-                        img = module.act({i: c}, e)
-                        for j, s in img.items():
-                            m_part[j] = m_part.get(j, field.zero) + s
-                    else:
-                        t, b = res.basis_pairs[i - m_dim]
-                        for k, s in E.multiply({b: c}, e).items():
-                            key = (t, k)
-                            f_part[key] = f_part.get(key, field.zero) + s
-                m_part = {j: c for j, c in m_part.items() if c}
-                f_part = {k: c for k, c in f_part.items() if c}
-                if not m_part and not f_part:
+                piece = res._cone_times(rep, e)
+                if not piece or killed.contains(local(piece)):
                     continue
+                for b in cocycles0:
+                    killed.add(local(res._cone_times(piece, b)))
                 counter += 1
                 res.generators.append(Generator(f"g{counter}", n, vertex))
-                res.d_gens.append(f_part)
-                res.phi_gens.append({j: -c for j, c in m_part.items()})
+                res.d_gens.append({
+                    res.basis_pairs[i - m_dim]: c for i, c in piece.items() if i >= m_dim
+                })
+                res.phi_gens.append({i: -c for i, c in piece.items() if i < m_dim})
         res._rebuild()
     res.verify()
     return res

@@ -10,10 +10,11 @@ boundaries, class representatives and class coordinates of a cochain
 complex at one degree.  Hom complexes, dg algebras, dg module cones and
 vertex blocks of complexes all hand it their differentials.
 
-``sparse_product`` and ``sparse_apply`` are the one place sparse structure
-constants are applied: path algebras, dg algebras and dg modules multiply
-through the first; dg differentials and algebra maps act through the
-second.
+``sparse_product`` and ``sparse_combination`` are the one place sparse
+structure constants are applied: path algebras, dg algebras and dg modules
+multiply through the first; dg differentials and algebra maps act through
+the second (as ``sparse_apply``), and ``DGAlgebra.verify`` multiplies by a
+basis element through it.
 """
 
 from __future__ import annotations
@@ -98,25 +99,30 @@ def sparse_product(
     return out
 
 
-def sparse_apply(field: Field, table: dict[int, Coords], x: Coords) -> Coords:
-    """The linear image sum x_i * table[i] of sparse coordinates, for a map
-    given by its sparse columns ``table`` (missing columns are 0).
+def sparse_combination(field: Field, terms) -> Coords:
+    """The sum of c * v over the pairs (c, v) of ``terms``, for sparse
+    coordinates v (None counts as 0).
 
     Terms cancel as they are added, so the result holds no zero entry.
     """
     out: Coords = {}
     zero = field.zero
-    for i, xi in x.items():
-        column = table.get(i)
+    for c, column in terms:
         if not column:
             continue
         for k, ck in column.items():
-            acc = out.get(k, zero) + xi * ck
+            acc = out.get(k, zero) + c * ck
             if acc:
                 out[k] = acc
             elif k in out:
                 del out[k]
     return out
+
+
+def sparse_apply(field: Field, table: dict[int, Coords], x: Coords) -> Coords:
+    """The linear image sum x_i * table[i] of sparse coordinates, for a map
+    given by its sparse columns ``table`` (missing columns are 0)."""
+    return sparse_combination(field, ((xi, table.get(i)) for i, xi in x.items()))
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -14,6 +14,18 @@ from siltkit.fields import QQ
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 
+def linear_algebra_text(n: int, radical_square_zero: bool) -> str:
+    """Algebra file of the linear quiver n -> ... -> 1, hereditary or with
+    every path of length two a relation."""
+    lines = ["[field]", "characteristic = 0", "", "[vertices]"]
+    lines += [str(v) for v in range(1, n + 1)]
+    lines += ["", "[arrows]"] + [f"a{k}: {k + 1} -> {k}" for k in range(1, n)]
+    if radical_square_zero:
+        lines += ["", "[relations]"] + [f"a{k};a{k + 1}" for k in range(1, n - 1)]
+    lines += ["", "[bound]", str(2 if radical_square_zero else n)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def a2():
     """Two vertices, one arrow 2 -> 1; dimension 3."""

@@ -21,6 +21,7 @@ import pytest
 
 import siltkit.cli
 import siltkit.correspond.checks as checks
+from conftest import linear_algebra_text
 from siltkit.cli import main
 from siltkit.correspond.checks import _closure_search
 from siltkit.homotopy.compare import is_isomorphic
@@ -104,24 +105,12 @@ def test_replay_rejects_a_malformed_seed_header(tmp_path, capsys):
     assert "'zero'" in err
 
 
-def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a7(tmp_path, capsys):
-    """Over seven vertices the idempotents of the two sides are matched
-    through the pattern's bijection, with no cap on the vertex count."""
-    n = 7
-    algebra = tmp_path / "a7.alg"
-    algebra.write_text(
-        "\n".join(
-            ["[field]", "characteristic = 0", "", "[vertices]"]
-            + [str(v) for v in range(1, n + 1)]
-            + ["", "[arrows]"]
-            + [f"a{k}: {k + 1} -> {k}" for k in range(1, n)]
-            + ["", "[relations]"]
-            + [f"a{k};a{k + 1}" for k in range(1, n - 1)]
-            + ["", "[bound]", "2", ""]
-        ),
-        encoding="utf-8",
-    )
-    pair = tmp_path / "std7.pair"
+def koszul_on_a_linear_standard_pair(tmp_path, capsys, n, radical_square_zero):
+    """Exit code and stdout lines of ``koszul`` on the standard pair of the
+    linear quiver n -> ... -> 1, hereditary or with radical square zero."""
+    algebra = tmp_path / f"a{n}.alg"
+    algebra.write_text(linear_algebra_text(n, radical_square_zero), encoding="utf-8")
+    pair = tmp_path / f"std{n}.pair"
     vertices = range(1, n + 1)
     pair.write_text(
         f"silting std = [{', '.join(f'proj({v})' for v in vertices)}]\n"
@@ -130,7 +119,21 @@ def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a7(tmp_path, 
     )
     capsys.readouterr()
     code = main(["koszul", str(algebra), str(pair), "--format", "structured"])
-    lines = capsys.readouterr().out.splitlines()
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a7(tmp_path, capsys):
+    """Over seven vertices the idempotents of the two sides are matched
+    through the pattern's bijection, with no cap on the vertex count."""
+    code, lines = koszul_on_a_linear_standard_pair(tmp_path, capsys, 7, True)
+    assert code == 0
+    assert "verdict koszul pass" in lines
+
+
+def test_koszul_certifies_the_standard_pair_of_linear_a6(tmp_path, capsys):
+    """The duals are built from minimal resolutions of the simples, which
+    keeps the hereditary A6 pair small enough for the test suite."""
+    code, lines = koszul_on_a_linear_standard_pair(tmp_path, capsys, 6, False)
     assert code == 0
     assert "verdict koszul pass" in lines
 

@@ -3,12 +3,16 @@ resolutions in generator form."""
 
 import pytest
 
+from conftest import INPUTS, linear_algebra_text
 from oracles import dense_dg_module_verify
+from siltkit.cli.parsing import parse_algebra
+from siltkit.core.modules import minimal_projective_resolution, simple_module
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.dg import (
     DGModule,
     cohomology_algebra,
     dg_end,
+    koszul_dual,
     path_algebra_to_dg,
     semifree_resolution,
     simple_dg_modules,
@@ -141,3 +145,33 @@ def test_right_action_respects_the_idempotent_columns(arrow_algebra):
         start = {(0, b): QQ.one for (t, b) in R.basis_pairs if t == 0}
         moved = R.act(start, e_other)
         assert all(pair[0] == 0 for pair in moved)
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "a3", "a3rel", "kron", "k", "linear-a5", "radical-square-zero-a5"]
+)
+def test_resolutions_of_the_simples_are_minimal(name):
+    """Over the dg end of the projective stalks, the resolution of each
+    simple dg module has one generator per summand of the minimal
+    projective resolution of the simple module, in the same degree and at
+    the same vertex."""
+    if name.endswith("a5"):
+        text = linear_algebra_text(5, name.startswith("radical"))
+    else:
+        text = (INPUTS / f"{name}.alg").read_text(encoding="utf-8")
+    A = parse_algebra(text)
+    silting, _ = standard_pair(A)
+    vertex = {str(s + 1): x.summands[0][0] for s, x in enumerate(silting)}
+    E = dg_end(silting)
+    for s, M in simple_dg_modules(E).items():
+        R = semifree_resolution(M, E)
+        assert R.complete
+        got = sorted((g.degree, vertex[g.vertex]) for g in R.generators)
+        res = minimal_projective_resolution(simple_module(A, vertex[s]), 12)
+        want = sorted((k, v) for k, vs in res.summands.items() for v in vs)
+        assert got == want, f"simple {s}"
+
+
+def test_the_silting_dual_of_linear_a4_has_dimension_31():
+    silting, _ = standard_pair(parse_algebra(linear_algebra_text(4, False)))
+    assert koszul_dual(dg_end(silting)).dimension == 31
