@@ -16,12 +16,10 @@ from .errors import (
     Inconclusive,
     MalformedRelation,
     NonAdmissible,
-    NotInAmbient,
     ParseError,
     PatternFailed,
     SiltkitError,
     SimpleNotOneDimensional,
-    StepFailed,
     TruncationUnsound,
     UnknownVertex,
     ZeroModule,
@@ -36,12 +34,10 @@ __all__ = [
     "Inconclusive",
     "MalformedRelation",
     "NonAdmissible",
-    "NotInAmbient",
     "ParseError",
     "PatternFailed",
     "SiltkitError",
     "SimpleNotOneDimensional",
-    "StepFailed",
     "TruncationUnsound",
     "UnknownVertex",
     "ZeroModule",

@@ -20,12 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from ..correspond.checks import (
-    CheckReport,
-    check_pattern,
-    check_silting,
-    check_smc,
-)
+from ..correspond.checks import check_pattern, check_silting, check_smc
 from ..correspond.pipeline import koszul_pair_check, lockstep_walk, standard_pair
 from ..dg.dga import dg_end
 from ..errors import (
@@ -42,7 +37,7 @@ from ..errors import (
 from ..homotopy.compare import isomorphic_collections
 from ..homotopy.mutation import silting_mutate, smc_mutate
 from ..serialize import algebra_hash, collection_text
-from .parsing import CollectionFile, parse_algebra, parse_collection_file
+from .parsing import parse_algebra, parse_collection_file
 from .render import (
     certificate_lines,
     collection_summary,

@@ -11,7 +11,7 @@ in one sweep against the raw table, so it is deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..correspond.checks import CheckReport, CorrespondenceCertificate, PatternTable
 from ..dg.dga import Coords, DGAlgebra

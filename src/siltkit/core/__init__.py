@@ -8,9 +8,7 @@ from .modules import (
     entries_to_map,
     map_to_entries,
     minimal_projective_resolution,
-    module_hom_basis,
     projective_cover,
-    projective_module,
     simple_module,
     top_data,
 )
@@ -31,10 +29,8 @@ __all__ = [
     "enumerate_paths",
     "map_to_entries",
     "minimal_projective_resolution",
-    "module_hom_basis",
     "path_from_arrows",
     "projective_cover",
-    "projective_module",
     "simple_module",
     "top_data",
 ]

@@ -12,7 +12,7 @@ For a path ``p = a1;a2;...;ak`` (target-to-source) the right action applies
 
 from __future__ import annotations
 
-from ..errors import UnknownVertex, ZeroModule
+from ..errors import ZeroModule
 from ..linalg import (
     GaussianSpan,
     identity_matrix,
@@ -232,12 +232,6 @@ class ProjectiveSumModule(RightModule):
         return w, self.position_index[w][(copy, self.algebra.idempotent_index[w])]
 
 
-def projective_module(algebra: PathAlgebra, v: str) -> ProjectiveSumModule:
-    """The indecomposable projective e_v A as a representation."""
-    algebra.check_vertex(v)
-    return ProjectiveSumModule(algebra, (v,))
-
-
 def entries_to_map(
     source: ProjectiveSumModule, target: ProjectiveSumModule, entries: list
 ) -> ModuleMap:
@@ -292,52 +286,6 @@ def map_to_entries(phi: ModuleMap) -> list:
             r, q = target.positions[w][i]
             entries[r][c] = entries[r][c] + algebra.basis_element(q).scale(coeff)
     return entries
-
-
-def module_hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
-    """A basis of Hom(M, N), found by solving the commuting-square equations."""
-    algebra = m.algebra
-    field = algebra.field
-    verts = algebra.quiver.vertices
-    offsets = {}
-    total = 0
-    for v in verts:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
-
-    def unknown(v: str, i: int, j: int) -> int:
-        return offsets[v] + i * m.dims[v] + j
-
-    rows = []
-    for a in algebra.quiver.arrows:
-        u, v = a.source, a.target
-        # phi_u . act_M - act_N . phi_v = 0, one equation per (i, j).
-        for i in range(n.dims[u]):
-            for j in range(m.dims[v]):
-                row = zero_vector(field, total)
-                for k in range(m.dims[u]):
-                    if m.action[a.name][k][j]:
-                        row[unknown(u, i, k)] = row[unknown(u, i, k)] + m.action[a.name][k][j]
-                for k in range(n.dims[v]):
-                    if n.action[a.name][i][k]:
-                        row[unknown(v, k, j)] = row[unknown(v, k, j)] - n.action[a.name][i][k]
-                if any(row):
-                    rows.append(row)
-
-    solutions = kernel_basis(field, rows, ncols=total)
-    maps = []
-    for sol in solutions:
-        blocks = {}
-        for v in verts:
-            mat = zero_matrix(field, n.dims[v], m.dims[v])
-            for i in range(n.dims[v]):
-                for j in range(m.dims[v]):
-                    mat[i][j] = sol[unknown(v, i, j)]
-            blocks[v] = mat
-        maps.append(ModuleMap(m, n, blocks, check=False))
-    return maps
 
 
 def top_data(m: RightModule) -> tuple[dict[str, int], dict[str, list]]:

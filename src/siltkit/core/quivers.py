@@ -82,10 +82,6 @@ def trivial_path(v: str) -> Path:
     return Path((), v, v)
 
 
-def arrow_path(a: Arrow) -> Path:
-    return Path((a.name,), a.source, a.target)
-
-
 def compose(p: Path, q: Path) -> Path | None:
     """The product p·q (traverse q first), or None if not composable."""
     if p.source != q.target:

@@ -11,14 +11,15 @@ Every check returns a :class:`CheckReport` with a three-valued verdict:
 
 Every condition on a pair of collections is a statement about one
 table, dim Hom(X_i, Y_j[m]): presilting wants zeros for m > 0,
-simple-minded zeros for m < 0 and orthogonality at m = 0, a derived
-projective zeros for m ≠ 0.  Each check reads its Hom dimensions from a
-:func:`pattern_table`, built from one Hom complex per pair of members.
+simple-minded zeros for m < 0 and orthogonality at m = 0, and the
+pattern zeros for m ≠ 0 with one matched entry per row at m = 0.  Each
+check reads its Hom dimensions from a :func:`pattern_table`, built from
+one Hom complex per pair of members.
 
-``check_pattern`` is the entry point for pairs: it verifies the Hom
-orthogonality table between a (pre)silting collection and a
-simple-minded collection and packages the result, with the full table
-and the index bijection, into a replayable
+``check_pattern`` is the entry point for pairs: it certifies each
+member of a (pre)silting collection as the derived projective cover of
+its partner in a simple-minded collection, and packages the result,
+with the full table and the index bijection, into a replayable
 :class:`CorrespondenceCertificate`.
 """
 
@@ -29,15 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ..errors import (
-    CharacteristicUnsupported,
-    Inconclusive,
-    NotInAmbient,
-    PatternFailed,
-)
+from ..errors import CharacteristicUnsupported, Inconclusive, PatternFailed
 from ..homotopy.compare import is_indecomposable, is_isomorphic
 from ..homotopy.complexes import (
-    ChainMap,
     Generated,
     ProjComplex,
     component_split,
@@ -86,10 +81,6 @@ class CheckReport:
     items: list[CheckItem] = field(default_factory=list)
     witness: object = None
     table: PatternTable | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def summary(self) -> str:
         bad = [i for i in self.items if not i.ok]
@@ -162,10 +153,6 @@ def support_window(x: ProjComplex, y: ProjComplex) -> range:
     return range(y.min_degree - x.max_degree, y.max_degree - x.min_degree + 1)
 
 
-def _row(x: ProjComplex, y: ProjComplex, wanted: Callable[[int], bool]) -> dict[int, int]:
-    return hom_dims(x, y, [m for m in support_window(x, y) if wanted(m)])
-
-
 def pattern_table(
     xs: Sequence[ProjComplex],
     ys: Sequence[ProjComplex],
@@ -180,7 +167,7 @@ def pattern_table(
     entry in that order.
     """
     return {
-        (i, j): _row(x, y, wanted)
+        (i, j): hom_dims(x, y, [m for m in support_window(x, y) if wanted(m)])
         for i, x in enumerate(xs)
         for j, y in enumerate(ys)
     }
@@ -469,94 +456,6 @@ def check_smc(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# derived projectives and membership
-# ---------------------------------------------------------------------------
-
-
-def derived_projective_test(
-    p: ProjComplex, collection: Sequence[ProjComplex]
-) -> CheckReport:
-    """Whether Hom(p, L[m]) vanishes for every member L and every m ≠ 0."""
-    rep = _Reporter("derived projective")
-    if minimize(p).is_zero():
-        rep.hard("object is nonzero", False, "minimizes to zero")
-        return rep.report()
-    clean = True
-    for (_, j), row in pattern_table([p], collection, lambda m: m != 0).items():
-        for m, d in row.items():
-            if d:
-                clean = False
-                rep.hard(
-                    f"Hom(object, member {j + 1}[{m}]) vanishes",
-                    False,
-                    f"dimension {d}",
-                    witness=(j, m, d),
-                )
-    if clean:
-        rep.hard("nonzero-degree Homs into the collection vanish", True)
-    return rep.report()
-
-
-def derived_projective_cover_check(
-    pi: ChainMap, collection: Sequence[ProjComplex]
-) -> CheckReport:
-    """Certify a candidate derived projective cover map.
-
-    The source must pass the derived projective test and be
-    indecomposable, and the map's homotopy class must be nonzero.
-    """
-    rep = _Reporter("derived projective cover")
-    if pi.degree != 0:
-        rep.hard("map has degree 0", False, f"degree {pi.degree}")
-        return rep.report()
-    rep.absorb(derived_projective_test(pi.source, collection))
-    if rep.failed:
-        return rep.report()
-    try:
-        rep.hard("source is indecomposable", is_indecomposable(pi.source))
-    except (Inconclusive, CharacteristicUnsupported) as exc:
-        rep.soft("source is indecomposable", False, str(exc))
-    space = hom_space(pi.source, pi.target, 0)
-    rep.hard(
-        "homotopy class of the map is nonzero",
-        not space.is_boundary(pi),
-        "",
-    )
-    return rep.report()
-
-
-def membership(
-    x: ProjComplex,
-    collection: Sequence[ProjComplex],
-    which: str,
-    certificate: "CorrespondenceCertificate | None" = None,
-) -> bool:
-    """Aisle/coaisle membership tests against a simple-minded collection.
-
-    ``which`` is one of ``t<=0``, ``t>=0``, ``w<=0``, ``w>=0``.  The
-    t-tests use the collection (or, for ``t>=0``, the silting side of a
-    certificate when one is supplied) as orthogonality probes.  The
-    w-tests additionally require a certificate: without a certified
-    correspondence there is no ambient weight structure to be a member
-    of, and NotInAmbient is raised.
-    """
-    if which not in {"t<=0", "t>=0", "w<=0", "w>=0"}:
-        raise ValueError(f"unknown membership test {which!r}")
-    if which.startswith("w") and certificate is None:
-        raise NotInAmbient(
-            "weight-structure membership needs a certified correspondence "
-            "for the ambient weight structure"
-        )
-    if which == "t>=0":
-        probes = certificate.silting if certificate is not None else collection
-        pairs = [(p, x) for p in probes]
-    else:
-        pairs = [(x, l) for l in collection]
-    wanted = (lambda m: m > 0) if which == "w>=0" else (lambda m: m < 0)
-    return not any(any(_row(a, b, wanted).values()) for a, b in pairs)
-
-
-# ---------------------------------------------------------------------------
 # the orthogonality pattern
 # ---------------------------------------------------------------------------
 
@@ -627,15 +526,16 @@ def check_pattern(
     seed: int = 0,
     depth: int = 3,
 ) -> CorrespondenceCertificate:
-    """Verify the orthogonality pattern of a candidate pair.
+    """Certify each silting member P_i as the derived projective cover of
+    the simple member L_σ(i), in the paper's sense, for a bijection σ.
 
     Requires the first collection to pass its presilting check and the
     second its simple-minded check; then demands Hom(P_i, L_j[m]) = 0
     for every m ≠ 0 and a degree-0 table that matches members up
-    bijectively, each matched entry of the dimension of the simple
-    side's endomorphism ring.  Violations raise PatternFailed with the
-    offending (i, j, m, dim) and the full table; success returns a
-    certificate.
+    bijectively, each matched entry of dimension dim End(L_σ(i)).
+    Violations raise PatternFailed with the offending (i, j, m, dim) and
+    the full table; success returns a certificate carrying σ as its
+    ``bijection``.
     """
     pres = check_presilting(silting)
     if pres.verdict == "fail":

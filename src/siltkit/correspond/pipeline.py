@@ -4,9 +4,9 @@ A certified pair — silting collection on one side, simple-minded
 collection on the other — can be walked through mutations in lockstep:
 mutating both sides at the same index and re-verifying the
 orthogonality pattern after every step keeps the certificate trail
-intact.  ``lockstep_walk`` is that walk; ``wt_pipeline`` drives it from
-the standard pair of an algebra, and the ``mutate`` command from a pair
-read from a file.
+intact.  ``lockstep_walk`` is that walk; the ``mutate`` command drives
+it from a pair read from a file, and ``standard_pair`` gives the pair
+an algebra starts from.
 
 ``koszul_pair_check`` compares the two sides' dg endomorphism algebras
 through Koszul duality: each side's dual (computed directly from its
@@ -19,7 +19,6 @@ searched for, and only one-dimensional blocks are matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..core.algebras import PathAlgebra
@@ -35,14 +34,13 @@ from ..dg import (
 from ..errors import (
     IdempotentLiftMissing,
     Inconclusive,
-    PatternFailed,
     SimpleNotOneDimensional,
-    StepFailed,
     TruncationUnsound,
 )
 from ..homotopy.complexes import Generated, ProjComplex, single_projective
 from ..homotopy.mutation import silting_mutate, smc_mutate
 from .checks import CheckReport, CorrespondenceCertificate, _Reporter, check_pattern
+
 
 def standard_pair(
     algebra: PathAlgebra, resolution_bound: int = RESOLUTION_BOUND
@@ -94,62 +92,6 @@ def lockstep_walk(
         silting = silting_mutate(silting, index - 1, side)
         smc = smc_mutate(smc, index - 1, side)
         yield silting, smc, check_pattern(silting, smc, seed=seed, depth=depth)
-
-
-@dataclass
-class PipelineResult:
-    """Final pair plus the certificate trail, one certificate per
-    pattern check (the starting pair included)."""
-
-    silting: list[ProjComplex]
-    smc: list[ProjComplex]
-    pairs: list[tuple[list[ProjComplex], list[ProjComplex]]]
-    certificates: list[CorrespondenceCertificate]
-
-
-def wt_pipeline(
-    algebra: PathAlgebra,
-    script: Sequence[tuple[int, str]],
-    seed: int = 0,
-    depth: int = 3,
-) -> PipelineResult:
-    """Walk the standard pair of an algebra through a mutation script.
-
-    The orthogonality pattern is re-verified after every step, the
-    starting pair included; any verification failure aborts with
-    StepFailed naming the step (0 = the standard pair itself).
-    """
-    silting, smc = standard_pair(algebra)
-    pairs = [(list(silting), list(smc))]
-    certificates = []
-    try:
-        certificates.append(check_pattern(silting, smc, seed=seed, depth=depth))
-    except PatternFailed as exc:
-        raise StepFailed(
-            f"standard pair fails its pattern check: {exc}", step=0
-        ) from exc
-
-    walk = lockstep_walk(silting, smc, script, seed=seed, depth=depth)
-    for step, (index, side) in enumerate(script, start=1):
-        try:
-            silting, smc, certificate = next(walk)
-        except PatternFailed as exc:
-            raise StepFailed(
-                f"step {step} ({side} mutation at index {index}): pattern "
-                f"check failed: {exc}",
-                step=step,
-            ) from exc
-        except Inconclusive as exc:
-            raise StepFailed(
-                f"step {step} ({side} mutation at index {index}): "
-                f"verification inconclusive: {exc}",
-                step=step,
-            ) from exc
-        certificates.append(certificate)
-        pairs.append((list(silting), list(smc)))
-    return PipelineResult(
-        silting=list(silting), smc=list(smc), pairs=pairs, certificates=certificates
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -97,21 +97,6 @@ class PatternFailed(SiltkitError):
         self.table = table
 
 
-class NotInAmbient(SiltkitError):
-    """A weight-side membership test was requested without a certified
-    generating partner collection, so the ambient category is not pinned
-    down."""
-
-
-class StepFailed(SiltkitError):
-    """A pipeline step failed verification.  ``step`` is 0 for the starting
-    pair and k for the k-th script entry."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
-
-
 class ParseError(SiltkitError):
     """An input file could not be parsed.  Always carries ``line`` and
     ``column`` (1-based) for diagnostics."""

@@ -159,10 +159,6 @@ class HomSpace:
             raise ValueError("map is not a cocycle modulo boundaries")
         return coords
 
-    def is_boundary(self, f: ChainMap) -> bool:
-        vec = self.complex.map_to_vector(f)
-        return not vec or self.cohomology.boundaries.contains(vec)
-
 
 def _require_trusted(x: ProjComplex, y: ProjComplex, n: int) -> None:
     lo, hi = trusted_window(x, y)

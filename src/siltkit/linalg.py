@@ -303,14 +303,27 @@ class Cohomology:
         return self.width - rank(self.field, self.d_out) - rank(self.field, self.d_in)
 
     @cached_property
-    def _reduced_reps(self) -> Matrix:
-        """Representatives reduced modulo the boundaries, as columns."""
-        return transpose([self.boundaries.reduce(z) for z in self.reps])
+    def _elimination(self) -> tuple[Matrix, list[int]]:
+        """Representatives reduced modulo the boundaries, each followed by
+        its own unit coordinate vector, in reduced row echelon form: one
+        elimination shared by every ``coordinates`` call."""
+        units = identity_matrix(self.field, len(self.reps))
+        rows = [self.boundaries.reduce(z) + e for z, e in zip(self.reps, units)]
+        return rref(self.field, rows)
 
     def coordinates(self, vector: Vector) -> Vector | None:
         """Coordinates of the class of a cocycle in the representative
-        basis, or None if ``vector`` is not a cocycle modulo boundaries."""
+        basis, or None if ``vector`` is not a cocycle modulo boundaries.
+
+        The reduced representatives are independent, so every row of the
+        elimination has its pivot among the first ``width`` columns, and
+        clearing those pivots leaves the coordinates in the last ones.
+        """
         residual = self.boundaries.reduce(vector)
-        if not self.reps:
-            return None if any(residual) else []
-        return solve(self.field, self._reduced_reps, residual)
+        coords = zero_vector(self.field, len(self.reps))
+        for row, pivot in zip(*self._elimination):
+            factor = residual[pivot]
+            if factor:
+                residual = [x - factor * y for x, y in zip(residual, row)]
+                coords = [x + factor * y for x, y in zip(coords, row[self.width:])]
+        return None if any(residual) else coords

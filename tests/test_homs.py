@@ -102,7 +102,7 @@ def test_representatives_are_chain_maps_spanning_the_space(a2):
     assert space.dimension == len(space.representatives) == 1
     f = space.representatives[0]
     assert f.degree == 0
-    assert not space.is_boundary(f)
+    assert space.class_coordinates(f) == [1]
 
 
 def test_boundary_detection(a2):
@@ -113,6 +113,11 @@ def test_boundary_detection(a2):
     contractible = cone(identity_map(p2))
     space = hom_space(p2, contractible, 0)
     assert space.dimension == 0
+    cocycles = space.cohomology.cocycles
+    assert cocycles
+    for z in cocycles:
+        # A boundary has zero coordinates; a non-boundary would raise.
+        assert not any(space.class_coordinates(space.complex.vector_to_map(0, z)))
 
 
 def test_euler_pairing_equals_cartan_pairing(a2, a3rel):

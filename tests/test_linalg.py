@@ -5,6 +5,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import siltkit.linalg as linalg
 from oracles import sym_matrix, sym_nullity, sym_rank
 from siltkit.fields import QQ, PrimeField
 from siltkit.linalg import (
@@ -146,6 +147,29 @@ def cochain_pieces(draw):
     ]
     vector = draw(st.lists(small_entries, min_size=width, max_size=width))
     return width, d_in, d_out, vector
+
+
+def test_class_coordinates_share_one_elimination(monkeypatch):
+    """Boundaries span e1 and d^n kills e4, so H has basis e2, e3; every
+    lookup reduces against one elimination of the representatives."""
+    one, zero = Fraction(1), Fraction(0)
+    d_in = [[one], [zero], [zero], [zero]]
+    d_out = [[zero, zero, zero, one]]
+    h = Cohomology(QQ, 4, d_in, d_out)
+    assert h.dimension == len(h.reps) == 2
+    calls = []
+    real = linalg.rref
+
+    def counting(field, rows):
+        calls.append(len(rows))
+        return real(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    lookups = [[one, one, zero, zero], [zero, zero, 3 * one, zero], [5 * one, 2 * one, -one, zero]]
+    coords = [h.coordinates(v) for v in lookups]
+    assert coords == [[one, zero], [zero, 3 * one], [2 * one, -one]]
+    assert h.coordinates([zero, zero, zero, one]) is None
+    assert len(calls) == 1
 
 
 @settings(max_examples=80)

@@ -1,16 +1,17 @@
-"""Right modules: simples, projectives, covers, and minimal resolutions."""
+"""Right modules: simples, projectives, covers, minimal resolutions, and
+their Homs."""
 
 import pytest
 
 from oracles import module_hom_dimension
 from siltkit.core.modules import (
+    ProjectiveSumModule,
     minimal_projective_resolution,
-    module_hom_basis,
     projective_cover,
-    projective_module,
     simple_module,
 )
 from siltkit.errors import ZeroModule
+from siltkit.homotopy.homs import hom_space
 
 
 def test_simple_module_shape(a2):
@@ -21,15 +22,15 @@ def test_simple_module_shape(a2):
 
 def test_projective_module_dimension_vector(a2, a3):
     """e_v A is spanned by the paths into v, graded by their sources."""
-    assert projective_module(a2, "1").dims == {"1": 1, "2": 1}
-    assert projective_module(a2, "2").dims == {"1": 0, "2": 1}
-    assert projective_module(a3, "1").dims == {"1": 1, "2": 1, "3": 1}
-    assert projective_module(a3, "3").dims == {"1": 0, "2": 0, "3": 1}
+    assert ProjectiveSumModule(a2, ("1",)).dims == {"1": 1, "2": 1}
+    assert ProjectiveSumModule(a2, ("2",)).dims == {"1": 0, "2": 1}
+    assert ProjectiveSumModule(a3, ("1",)).dims == {"1": 1, "2": 1, "3": 1}
+    assert ProjectiveSumModule(a3, ("3",)).dims == {"1": 0, "2": 0, "3": 1}
 
 
 def test_projective_dimension_vector_respects_relations(a3rel):
     # with ab = 0 the projective at 1 no longer reaches vertex 3
-    assert projective_module(a3rel, "1").dims == {"1": 1, "2": 1, "3": 0}
+    assert ProjectiveSumModule(a3rel, ("1",)).dims == {"1": 1, "2": 1, "3": 0}
 
 
 @pytest.mark.parametrize(
@@ -37,38 +38,19 @@ def test_projective_dimension_vector_respects_relations(a3rel):
     [("1", "1", 1), ("1", "2", 0), ("2", "1", 0), ("2", "2", 1)],
 )
 def test_simple_homs_are_diagonal(a2, v, w, expected):
-    assert len(module_hom_basis(simple_module(a2, v), simple_module(a2, w))) == expected
+    res_v, res_w = (minimal_projective_resolution(simple_module(a2, u), 12) for u in (v, w))
+    assert hom_space(res_v, res_w, 0).dimension == expected
 
 
 def test_module_homs_match_the_sympy_oracle(a3, a3rel, kronecker):
+    """Hom of modules is H^0 of the Hom complex between their resolutions."""
     for algebra in (a3, a3rel, kronecker):
         objects = [simple_module(algebra, v) for v in algebra.quiver.vertices]
-        objects += [projective_module(algebra, v) for v in algebra.quiver.vertices]
-        for m in objects:
-            for n in objects:
-                assert len(module_hom_basis(m, n)) == module_hom_dimension(m, n)
-
-
-def test_hom_maps_commute_with_the_action(a3):
-    m = projective_module(a3, "3")
-    n = projective_module(a3, "1")
-    for f in module_hom_basis(m, n):
-        for arrow in a3.quiver.arrows:
-            lhs = [
-                [sum(
-                    f.blocks[arrow.source][i][t] * m.action[arrow.name][t][j]
-                    for t in range(m.dims[arrow.source])
-                ) for j in range(m.dims[arrow.target])]
-                for i in range(n.dims[arrow.source])
-            ]
-            rhs = [
-                [sum(
-                    n.action[arrow.name][i][t] * f.blocks[arrow.target][t][j]
-                    for t in range(n.dims[arrow.target])
-                ) for j in range(m.dims[arrow.target])]
-                for i in range(n.dims[arrow.source])
-            ]
-            assert lhs == rhs
+        objects += [ProjectiveSumModule(algebra, (v,)) for v in algebra.quiver.vertices]
+        resolved = [minimal_projective_resolution(m, 12) for m in objects]
+        for m, x in zip(objects, resolved):
+            for n, y in zip(objects, resolved):
+                assert hom_space(x, y, 0).dimension == module_hom_dimension(m, n)
 
 
 def test_projective_cover_of_a_simple(a2):
@@ -101,7 +83,7 @@ def test_resolution_depth_three_with_relation(a3rel):
 
 
 def test_resolution_of_projective_is_a_stalk(a3):
-    r = minimal_projective_resolution(projective_module(a3, "2"), 12)
+    r = minimal_projective_resolution(ProjectiveSumModule(a3, ("2",)), 12)
     assert r.summands == {0: ("2",)}
 
 

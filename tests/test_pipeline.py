@@ -5,16 +5,17 @@ import pytest
 
 import siltkit.correspond.pipeline as pipeline_module
 import siltkit.dg.dga as dga_module
+from conftest import INPUTS
+from siltkit.cli import main
 from siltkit.correspond.checks import check_pattern
 from siltkit.correspond.pipeline import (
-    PipelineResult,
     graded_algebra_isomorphism,
     koszul_pair_check,
+    lockstep_walk,
     standard_pair,
-    wt_pipeline,
 )
 from siltkit.dg import cohomology_algebra, dg_end, path_algebra_to_dg, verify_dg_quasi_iso
-from siltkit.errors import PatternFailed, StepFailed
+from siltkit.errors import PatternFailed
 from siltkit.homotopy.compare import is_isomorphic
 from siltkit.homotopy.complexes import shift, single_projective
 
@@ -33,83 +34,86 @@ def test_standard_pair_respects_the_resolution_bound(a3):
     assert all(r.complete for r in smc)
 
 
+def walk(algebra, script):
+    """The standard pair of an algebra walked through a mutation script,
+    as (silting, smc, certificate) for every pair, the start included."""
+    silting, smc = standard_pair(algebra)
+    return [(silting, smc, check_pattern(silting, smc))] + list(
+        lockstep_walk(silting, smc, script)
+    )
+
+
 def test_empty_script_certifies_the_standard_pair(a2):
-    result = wt_pipeline(a2, [])
-    assert isinstance(result, PipelineResult)
-    assert len(result.pairs) == 1
-    assert len(result.certificates) == 1
-    assert result.certificates[0].bijection == (0, 1)
+    trail = walk(a2, [])
+    assert len(trail) == 1
+    assert trail[0][2].bijection == (0, 1)
 
 
 def test_left_mutation_lands_on_the_mixed_pair(a2):
-    result = wt_pipeline(a2, [(2, "left")])
+    trail = walk(a2, [(2, "left")])
+    silting, smc, _ = trail[-1]
     p1 = single_projective(a2, "1", 0)
     p2 = single_projective(a2, "2", 0)
     _, smc0 = standard_pair(a2)
-    assert is_isomorphic(result.silting[0], p1)
-    assert is_isomorphic(result.silting[1], smc0[0])
-    assert is_isomorphic(result.smc[0], p1)
-    assert is_isomorphic(result.smc[1], shift(p2, 1))
-    assert [c.verdicts["pattern"] for c in result.certificates] == ["pass", "pass"]
+    assert is_isomorphic(silting[0], p1)
+    assert is_isomorphic(silting[1], smc0[0])
+    assert is_isomorphic(smc[0], p1)
+    assert is_isomorphic(smc[1], shift(p2, 1))
+    assert [c.verdicts["pattern"] for _, _, c in trail] == ["pass", "pass"]
 
 
 def test_right_mutation_lands_on_the_shifted_pair(a2):
-    result = wt_pipeline(a2, [(2, "right")])
+    silting, smc, _ = walk(a2, [(2, "right")])[-1]
     p2 = single_projective(a2, "2", 0)
     _, smc0 = standard_pair(a2)
-    assert is_isomorphic(result.silting[1], shift(p2, -1))
-    assert is_isomorphic(result.smc[0], smc0[0])
-    assert is_isomorphic(result.smc[1], shift(p2, -1))
+    assert is_isomorphic(silting[1], shift(p2, -1))
+    assert is_isomorphic(smc[0], smc0[0])
+    assert is_isomorphic(smc[1], shift(p2, -1))
 
 
 def test_mutating_back_and_forth_returns_home(a2):
-    result = wt_pipeline(a2, [(2, "left"), (2, "right")])
+    trail = walk(a2, [(2, "left"), (2, "right")])
+    silting, smc, _ = trail[-1]
     silting0, smc0 = standard_pair(a2)
-    for ours, original in zip(result.silting, silting0):
+    for ours, original in zip(silting, silting0):
         assert is_isomorphic(ours, original)
-    for ours, original in zip(result.smc, smc0):
+    for ours, original in zip(smc, smc0):
         assert is_isomorphic(ours, original)
-    assert len(result.certificates) == 3
+    assert len(trail) == 3
 
 
 def test_script_validation(a2):
     with pytest.raises(ValueError, match="out of range"):
-        wt_pipeline(a2, [(3, "left")])
+        walk(a2, [(3, "left")])
     with pytest.raises(ValueError, match="side"):
-        wt_pipeline(a2, [(1, "sideways")])
+        walk(a2, [(1, "sideways")])
 
 
-def test_failed_step_is_wrapped_and_numbered(a2, monkeypatch):
-    """A pattern failure mid-walk must surface as a numbered step
-    failure rather than a bare exception."""
-    calls = {"n": 0}
-    real = pipeline_module.check_pattern
+def test_failed_step_is_wrapped_and_numbered(monkeypatch, capsys):
+    """A pattern failure mid-walk must surface from ``mutate`` as a
+    numbered step failure rather than a bare exception."""
 
-    def wobbly(silting, smc, seed=0, depth=3):
-        calls["n"] += 1
-        if calls["n"] > 1:
-            raise PatternFailed((0, 0, 0, 9), table=None)
-        return real(silting, smc, seed=seed, depth=depth)
+    def failing(silting, smc, seed=0, depth=3):
+        raise PatternFailed("made to fail", witness=(0, 0, 0, 9))
 
-    monkeypatch.setattr(pipeline_module, "check_pattern", wobbly)
-    with pytest.raises(StepFailed) as info:
-        wt_pipeline(a2, [(2, "left")])
-    assert info.value.step == 1
-    assert "step 1" in str(info.value)
+    monkeypatch.setattr(pipeline_module, "check_pattern", failing)
+    argv = ["mutate", str(INPUTS / "a2.alg"), str(INPUTS / "std.pair"), "--at", "2", "--left"]
+    code = main(argv)
+    assert code == 2
+    assert "step 1 (left at index 2) failed: made to fail" in capsys.readouterr().out
 
 
 def test_pipeline_over_the_bigger_quivers(a3, a3rel, kronecker):
     for algebra in (a3, a3rel, kronecker):
-        result = wt_pipeline(algebra, [(1, "left"), (1, "right")])
-        assert all(c.verdicts["pattern"] == "pass" for c in result.certificates)
+        trail = walk(algebra, [(1, "left"), (1, "right")])
+        assert all(c.verdicts["pattern"] == "pass" for _, _, c in trail)
 
 
 def koszul_of_walk(algebra, script):
     """The Koszul check of the pair a walk from the standard pair ends on,
     matched through that pair's pattern bijection."""
-    result = wt_pipeline(algebra, script)
-    E, F = dg_end(result.silting), dg_end(result.smc)
-    return koszul_pair_check(E, F, result.certificates[-1].bijection)
+    silting, smc, certificate = walk(algebra, script)[-1]
+    return koszul_pair_check(dg_end(silting), dg_end(smc), certificate.bijection)
 
 
 def test_koszul_check_on_the_standard_pair(a2):

@@ -6,7 +6,6 @@ from siltkit.core.quivers import (
     Arrow,
     Path,
     Quiver,
-    arrow_path,
     compose,
     enumerate_paths,
     trivial_path,
@@ -24,16 +23,10 @@ def test_trivial_path_endpoints():
     assert str(e) == "e_1"
 
 
-def test_arrow_path_endpoints():
-    p = arrow_path(Arrow("a", "2", "1"))
-    assert p.source == "2" and p.target == "1"
-    assert str(p) == "a"
-
-
 def test_compose_is_function_order():
     """(a, b) means apply b first, then a: the composite runs 3 -> 1."""
-    a = arrow_path(Arrow("a", "2", "1"))
-    b = arrow_path(Arrow("b", "3", "2"))
+    a = Path(("a",), "2", "1")
+    b = Path(("b",), "3", "2")
     ab = compose(a, b)
     assert ab is not None
     assert ab.arrows == ("a", "b")
@@ -42,7 +35,7 @@ def test_compose_is_function_order():
 
 
 def test_compose_with_trivial_paths():
-    a = arrow_path(Arrow("a", "2", "1"))
+    a = Path(("a",), "2", "1")
     assert compose(trivial_path("1"), a) == a
     assert compose(a, trivial_path("2")) == a
     assert compose(trivial_path("2"), a) is None
