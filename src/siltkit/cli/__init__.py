@@ -6,7 +6,8 @@ Subcommands: ``verify`` (collection and pattern checks), ``mutate``
 mutation graph), and ``replay`` (byte-exact certificate re-runs).
 
 Exit codes: 0 all verdicts pass, 2 some verdict fails, 3 nothing fails
-but something is not certified, 4 unusable input.  With ``--format
+but something is not certified, 4 unusable input (an input file, or
+a command-line option reported by name).  With ``--format
 structured`` the output is line-oriented with a stable key order, so a
 re-run with the same configuration is byte-identical.
 """
@@ -34,6 +35,7 @@ from ..errors import (
     UnknownVertex,
     ZeroModule,
 )
+from ..fields import field_of_characteristic
 from ..homotopy.compare import isomorphic_collections
 from ..homotopy.mutation import silting_mutate, smc_mutate
 from ..serialize import algebra_hash, collection_text
@@ -51,6 +53,11 @@ from .render import (
 
 #: Safety ceiling on mutation-graph size.
 GRAPH_NODE_CAP = 64
+
+
+class _OptionError(Exception):
+    """A command-line option has a value the command cannot use.  The
+    message names the option; there is no file position to report."""
 
 
 @dataclass
@@ -261,7 +268,8 @@ def cmd_mutate(
         try:
             silting, smc, cert = next(walk)
         except ValueError as exc:
-            raise ParseError(str(exc), 1, 1) from exc
+            option = "--at" if step == 1 else "--then"
+            raise _OptionError(f"{option} {index} --{side}: {exc}") from exc
         except (PatternFailed, Inconclusive) as exc:
             body.append(f"step {step} ({side} at index {index}) failed: {exc}")
             structured.append(f"{tag} failed {exc}")
@@ -554,19 +562,15 @@ def _extract_steps(argv: list[str]) -> tuple[list[tuple[int, str]], list[str]]:
         token = argv[i]
         if token in ("--at", "--then"):
             if i + 1 >= len(argv) or not re.fullmatch(r"\d+", argv[i + 1]):
-                raise ParseError(f"{token} needs a positive index", 1, 1)
+                raise _OptionError(f"{token} needs a positive index")
             index = int(argv[i + 1])
             if i + 2 >= len(argv) or argv[i + 2] not in ("--left", "--right"):
-                raise ParseError(
-                    f"expected --left or --right after {token} {index}", 1, 1
-                )
+                raise _OptionError(f"expected --left or --right after {token} {index}")
             steps.append((index, argv[i + 2][2:]))
             i += 3
         else:
             rest.append(token)
             i += 1
-    if not steps:
-        raise ParseError("mutate needs at least one --at N --left/--right step", 1, 1)
     return steps, rest
 
 
@@ -637,12 +641,17 @@ def _build_parser() -> _ArgumentParser:
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", ns.window)
     if not m:
-        raise ParseError(f"--window expects A..B, got {ns.window!r}", 1, 1)
+        raise _OptionError(f"--window expects A..B, got {ns.window!r}")
     window = (int(m.group(1)), int(m.group(2)))
     if window[0] > window[1]:
-        raise ParseError(f"--window bounds are reversed: {ns.window}", 1, 1)
+        raise _OptionError(f"--window bounds are reversed: {ns.window}")
     if ns.depth < 0:
-        raise ParseError("--depth must be nonnegative", 1, 1)
+        raise _OptionError("--depth must be nonnegative")
+    if ns.char is not None:
+        try:
+            field_of_characteristic(ns.char)
+        except ValueError as exc:
+            raise _OptionError(f"--char: {exc}") from exc
     return RunConfig(
         characteristic=ns.char,
         seed=ns.seed,
@@ -673,6 +682,8 @@ def main(argv: list[str] | None = None) -> int:
             steps, rest = _extract_steps(argv[1:])
             argv = ["mutate"] + rest
         ns = _build_parser().parse_args(argv)
+        if ns.command == "mutate" and not steps:
+            raise _OptionError("mutate needs at least one --at N --left/--right step")
         config = _config_from(ns)
         if ns.command == "verify":
             kind = "silting" if ns.silting else "smc" if ns.smc else "pattern"
@@ -689,6 +700,9 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_replay(config, ns.algebra, ns.certificate)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 4
+    except _OptionError as exc:
+        print(f"option error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from ..errors import CharacteristicUnsupported, Inconclusive, PatternFailed
@@ -282,25 +281,26 @@ def k0_matrix(collection: Sequence[ProjComplex]) -> list[list[int]]:
     return rows
 
 
-def _determinant(rows: list[list[int]]) -> Fraction:
+def _determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each step divides exactly by the previous pivot."""
     n = len(rows)
-    mat = [[Fraction(e) for e in row] for row in rows]
-    det = Fraction(1)
+    mat = [list(row) for row in rows]
+    sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if mat[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
+            sign = -sign
+        top = mat[col]
         for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] * inv
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
+            row = mat[r]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * top[col] - row[col] * top[c]) // prev
+        prev = top[col]
+    return sign * prev
 
 
 def _closure_search(

@@ -148,6 +148,7 @@ def _propagate_scalars(
     most one term.  Returns False on a constraint that already cannot
     hold; leftover scalars stay undetermined for the caller to fix.
     """
+    field = h1.field
     changed = True
     while changed:
         changed = False
@@ -166,17 +167,17 @@ def _propagate_scalars(
                 return False
             li, lj, lk = lam.get(i), lam.get(j), lam.get(k)
             if li is not None and lj is not None:
-                value = li * lj * c2 / c
+                value = field.div(li * lj * c2, c)
                 if lk is None:
                     lam[k] = value
                     changed = True
                 elif lk != value:
                     return False
             elif lk is not None and li is not None and lj is None:
-                lam[j] = c * lk / (li * c2)
+                lam[j] = field.div(c * lk, li * c2)
                 changed = True
             elif lk is not None and lj is not None and li is None:
-                lam[i] = c * lk / (lj * c2)
+                lam[i] = field.div(c * lk, lj * c2)
                 changed = True
     return True
 
@@ -228,7 +229,7 @@ def graded_algebra_isomorphism(
         (i2, c2), = h2.idempotents[sigma[name]].items()
         if img[i] != i2:
             return None
-        lam[i] = c2 / c
+        lam[i] = h1.field.div(c2, c)
     # A stalled propagation fixes the first open scalar to 1 and goes on.
     settled = _propagate_scalars(h1, h2, img, lam)
     for i in range(h1.dimension):

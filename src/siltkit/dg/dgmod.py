@@ -158,7 +158,7 @@ def _character(E: DGAlgebra, name: str) -> list:
         char = field.characteristic
         if char == 0 or m % char:
             trace = sum((L[i][i] for i in range(m)), field.zero)
-            c = trace / field.coerce(m)
+            c = field.div(trace, field.coerce(m))
             shifted = [
                 [L[i][j] - (c if i == j else field.zero) for j in range(m)]
                 for i in range(m)

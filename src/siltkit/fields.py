@@ -1,9 +1,11 @@
 """Exact coefficient fields.
 
 Two fields are supported: the rationals (the default) and prime fields F_p.
-Rational scalars are plain :class:`fractions.Fraction` values; prime-field
-scalars are :class:`FpElement` wrappers.  Both support ``+ - * /``, equality,
-hashing, and are falsy exactly at zero, which is all the linear algebra layer
+A rational scalar is a plain ``int`` when it is integral and a
+:class:`fractions.Fraction` otherwise; prime-field scalars are
+:class:`FpElement` wrappers.  Both support ``+ - *``, equality, hashing, and
+are falsy exactly at zero.  Scalars are divided only through ``field.div``,
+since ``/`` on two ints gives a float; that is all the linear algebra layer
 relies on.
 """
 
@@ -96,7 +98,8 @@ class FpElement:
         return f"{self.value}"
 
 
-FieldScalar = Union[Fraction, FpElement]
+Rational = Union[int, Fraction]
+FieldScalar = Union[Rational, FpElement]
 
 
 def _is_prime(n: int) -> bool:
@@ -110,22 +113,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(value: Fraction) -> Rational:
+    """``value`` as an int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
 class RationalField:
-    """The field of exact rationals."""
+    """The field of exact rationals.
+
+    Integral scalars are plain ints, so the 0 and +-1 that make up almost
+    every structure constant cost int arithmetic; only a true fraction is a
+    :class:`Fraction`.  ``coerce`` and ``div`` are the only places that
+    normalise: a ``Fraction(n, 1)`` that arithmetic leaves behind is still
+    exact, and compares, hashes and prints like ``n``.
+    """
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value) -> Rational:
         """Turn an int, Fraction, or literal string like ``-3/4`` into a scalar."""
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+            return value
+        if isinstance(value, (Fraction, str)):
+            return _rational(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into the rational field")
+
+    def div(self, a: Rational, b: Rational) -> Rational:
+        """The exact quotient a / b: an int when it is integral."""
+        if isinstance(a, int) and isinstance(b, int):
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _rational(a / b)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -168,6 +188,10 @@ class PrimeField:
             den = FpElement(frac.denominator, self.p)
             return num / den
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+
+    def div(self, a: FpElement, b: FpElement) -> FpElement:
+        """The quotient a / b in F_p."""
+        return a / b
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

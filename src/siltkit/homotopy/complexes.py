@@ -411,7 +411,7 @@ def _local_inverse(x: AlgebraElement, v: str) -> AlgebraElement:
     lam = x.vertex_scalar(v)
     if not lam:
         raise ValueError("element is not invertible")
-    inv_lam = algebra.field.one / lam
+    inv_lam = algebra.field.div(algebra.field.one, lam)
     e = algebra.idempotent(v)
     n = x.scale(inv_lam) - e
     acc = e

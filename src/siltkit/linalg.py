@@ -144,7 +144,7 @@ def rref(field: Field, rows: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.one / work[r][c]
+        inv = field.div(field.one, work[r][c])
         work[r] = [x * inv for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
@@ -237,7 +237,7 @@ class GaussianSpan:
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = self.field.one / v[pivot]
+        inv = self.field.div(self.field.one, v[pivot])
         v = [x * inv for x in v]
         # Back-substitute into existing rows to stay fully reduced.
         for p, row in self.rows.items():

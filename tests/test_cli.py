@@ -105,6 +105,40 @@ def test_replay_rejects_a_malformed_seed_header(tmp_path, capsys):
     assert "'zero'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mutate", "{in}/a2.alg", "{in}/std.pair", "--at", "3", "--left"],
+         "--at 3 --left: step 1: index 3 out of range 1..2"),
+        (["mutate", "{in}/a2.alg", "{in}/std.pair", "--at", "1", "--left",
+          "--then", "5", "--right"],
+         "--then 5 --right: step 2: index 5 out of range 1..2"),
+        (["mutate", "{in}/a2.alg", "{in}/std.pair", "--at", "x"],
+         "--at needs a positive index"),
+        (["mutate", "{in}/a2.alg", "{in}/std.pair", "--at", "1"],
+         "expected --left or --right after --at 1"),
+        (["mutate", "{in}/a2.alg", "{in}/std.pair"],
+         "mutate needs at least one --at N --left/--right step"),
+        (["koszul", "{in}/a2.alg", "{in}/std.pair", "--window", "x"],
+         "--window expects A..B, got 'x'"),
+        (["koszul", "{in}/a2.alg", "{in}/std.pair", "--window", "3..1"],
+         "--window bounds are reversed: 3..1"),
+        (["koszul", "{in}/a2.alg", "{in}/std.pair", "--depth", "-1"],
+         "--depth must be nonnegative"),
+        (["koszul", "{in}/a2.alg", "{in}/std.pair", "--char", "4"],
+         "--char: characteristic must be prime, got 4"),
+    ],
+    ids=["at-range", "then-range", "at-index", "at-side", "no-step",
+         "window-form", "window-order", "depth", "char"],
+)
+def test_a_bad_option_is_named_without_a_file_position(argv, message, capsys):
+    code = main([a.format(**{"in": INPUTS}) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"option error: {message}\n"
+
+
 def koszul_on_a_linear_standard_pair(tmp_path, capsys, n, radical_square_zero):
     """Exit code and stdout lines of ``koszul`` on the standard pair of the
     linear quiver n -> ... -> 1, hereditary or with radical square zero."""

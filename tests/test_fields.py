@@ -1,10 +1,13 @@
 """Field arithmetic: rationals, prime fields, and characteristic dispatch."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import siltkit
 from siltkit.fields import QQ, FpElement, PrimeField, field_of_characteristic
 
 F5 = PrimeField(5)
@@ -32,9 +35,10 @@ def test_characteristic_rejects_composites():
 
 
 def test_rational_basics():
-    assert QQ.zero == Fraction(0)
-    assert QQ.one == Fraction(1)
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is type(QQ.one) is int
     assert QQ.coerce("2/3") == Fraction(2, 3)
+    assert type(QQ.coerce("4/2")) is type(QQ.coerce(Fraction(3))) is int
     assert QQ.characteristic == 0
 
 
@@ -57,6 +61,22 @@ def test_prime_field_coerces_fractions():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         F5.one / F5.zero
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(QQ.one, QQ.zero)
+
+
+def test_scalars_are_divided_only_through_the_field():
+    """``/`` on two ints gives a float, and an integral rational scalar is
+    an int, so no module but ``fields.py`` may divide with ``/``."""
+    root = pathlib.Path(siltkit.__file__).resolve().parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
 
 
 def test_fp_element_repr_is_the_value():
@@ -89,3 +109,16 @@ def test_prime_field_inverses(a):
 
 def test_distinct_primes_do_not_mix():
     assert F5.coerce(3) != F2.coerce(1)
+
+
+@given(rationals, rationals.filter(bool))
+def test_rational_division_is_an_int_exactly_when_integral(a, b):
+    for x, y in [(a, b), (QQ.coerce(a), QQ.coerce(b))]:
+        q = QQ.div(x, y)
+        assert q == a / b
+        assert type(q) is (int if (a / b).denominator == 1 else Fraction)
+
+
+@given(f5_elements, f5_elements.filter(bool))
+def test_prime_field_division(a, b):
+    assert F5.div(a, b) * b == a

@@ -24,15 +24,32 @@ from siltkit.linalg import (
 F7 = PrimeField(7)
 
 small_entries = st.integers(min_value=-6, max_value=6).map(Fraction)
-small_matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda r: st.integers(min_value=1, max_value=4).flatmap(
-        lambda c: st.lists(
-            st.lists(small_entries, min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+#: Plain ints beside Fractions, integral ones among them, as callers may
+#: mix them.
+mixed_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+
+
+def _matrices(entries):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda r: st.integers(min_value=1, max_value=4).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+small_matrices = _matrices(small_entries)
+
+
+def exact(values) -> bool:
+    """Every value is an exact rational scalar: an int or a Fraction."""
+    return all(type(x) in (int, Fraction) for x in values)
 
 
 def test_rank_of_identity():
@@ -103,9 +120,9 @@ def test_rref_is_a_row_equivalent_echelon_form(m):
                 assert reduced[other][col] == Fraction(0)
 
 
-def _matrix(rows: int, cols: int):
+def _matrix(rows: int, cols: int, entries=small_entries):
     return st.lists(
-        st.lists(small_entries, min_size=cols, max_size=cols),
+        st.lists(entries, min_size=cols, max_size=cols),
         min_size=rows,
         max_size=rows,
     )
@@ -130,22 +147,22 @@ def test_matrix_product_agrees_with_sympy(pair):
 
 
 @st.composite
-def cochain_pieces(draw):
+def cochain_pieces(draw, entries=small_entries):
     """Matrices of d^{n-1} (width x a) and d^n (b x width) with d^n d^{n-1} = 0,
     plus a test vector.  The columns of d^{n-1} are random combinations of
     sympy's null space of d^n."""
     width = draw(st.integers(min_value=1, max_value=4))
     a = draw(st.integers(min_value=0, max_value=3))
     b = draw(st.integers(min_value=0, max_value=3))
-    d_out = draw(_matrix(b, width))
+    d_out = draw(_matrix(b, width, entries))
     kernel = sym_matrix(d_out).nullspace() if b else sympy.eye(width).columnspace()
     kernel = [[Fraction(int(x.p), int(x.q)) for x in k] for k in kernel]
-    mix = draw(_matrix(len(kernel), a))
+    mix = draw(_matrix(len(kernel), a, entries))
     d_in = [
         [sum((k[r] * m[j] for k, m in zip(kernel, mix)), Fraction(0)) for j in range(a)]
         for r in range(width)
     ]
-    vector = draw(st.lists(small_entries, min_size=width, max_size=width))
+    vector = draw(st.lists(entries, min_size=width, max_size=width))
     return width, d_in, d_out, vector
 
 
@@ -194,3 +211,57 @@ def test_cohomology_agrees_with_the_sympy_rank_formula(pieces):
         ]
         augmented = [row + [x] for row, x in zip(d_in, rest)]
         assert sym_rank(augmented) == sym_rank(d_in)
+
+
+@settings(max_examples=80)
+@given(_matrices(mixed_entries), st.data())
+def test_eliminations_of_int_and_fraction_entries_are_exact(m, data):
+    """rref, kernel_basis and solve return ints and Fractions, never a
+    float, and agree with sympy entry for entry."""
+    theirs, their_pivots = sym_matrix(m).rref()
+    reduced, pivots = rref(QQ, m)
+    assert all(exact(row) for row in reduced)
+    assert tuple(pivots) == their_pivots
+    assert sym_matrix(reduced).tolist() == theirs[: len(pivots), :].tolist()
+
+    kernel = kernel_basis(QQ, m)
+    assert all(exact(v) for v in kernel)
+    assert sym_matrix(kernel).tolist() == [list(v) for v in sym_matrix(m).nullspace()]
+
+    b = data.draw(st.lists(mixed_entries, min_size=len(m), max_size=len(m)))
+    x = solve(QQ, m, b)
+    augmented = [row + [c] for row, c in zip(m, b)]
+    if sym_rank(augmented) > sym_rank(m):
+        assert x is None
+    else:
+        assert exact(x)
+        assert sym_matrix(m) * sym_matrix([x]).T == sym_matrix([b]).T
+
+
+@settings(max_examples=80)
+@given(cochain_pieces(mixed_entries), st.data())
+def test_cohomology_of_int_and_fraction_entries_is_exact(pieces, data):
+    """Representatives and class coordinates are ints and Fractions, never
+    floats, and sympy confirms them: the representatives are cocycles
+    independent modulo the boundaries, and a cocycle minus its combination
+    of representatives is a boundary."""
+    width, d_in, d_out, vector = pieces
+    # Present each integral boundary entry as an int or as a Fraction.
+    d_in = [[data.draw(st.sampled_from([x, QQ.coerce(x)])) for x in row] for row in d_in]
+    h = Cohomology(QQ, width, d_in, d_out)
+    assert all(exact(rep) for rep in h.reps)
+    assert len(h.reps) == width - sym_rank(d_out) - sym_rank(d_in)
+    if d_out:
+        assert all(not any(sym_matrix(d_out) * sym_matrix([rep]).T) for rep in h.reps)
+    columns = [list(c) for c in zip(*d_in)]
+    assert sym_rank(columns + h.reps) == sym_rank(d_in) + len(h.reps)
+    coords = h.coordinates(vector)
+    if coords is not None:
+        assert exact(coords)
+        rest = [
+            x - sum((c * rep[r] for c, rep in zip(coords, h.reps)), 0)
+            for r, x in enumerate(vector)
+        ]
+        assert sym_rank(columns + [rest]) == sym_rank(d_in)
+    else:
+        assert d_out and any(sym_matrix(d_out) * sym_matrix([vector]).T)
