@@ -1,10 +1,11 @@
 """siltkit: exact computations with silting and simple-minded collections
 over bound path algebra quotients.
 
-The package is organised in layers: ``core`` builds algebras and modules,
-``homotopy`` handles complexes of projectives up to homotopy, ``dg`` works
-with differential graded endomorphism algebras and their dual descriptions,
-and ``correspond`` ties the two kinds of collections together with checks,
+The package is organised in layers: ``core`` builds algebras and the
+minimal projective resolutions of their simples, ``homotopy`` handles
+complexes of projectives up to homotopy, ``dg`` works with differential
+graded endomorphism algebras and their dual descriptions, and
+``correspond`` ties the two kinds of collections together with checks,
 mutation walks, and replayable certificates.
 """
 
@@ -22,7 +23,6 @@ from .errors import (
     SimpleNotOneDimensional,
     TruncationUnsound,
     UnknownVertex,
-    ZeroModule,
 )
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "SimpleNotOneDimensional",
     "TruncationUnsound",
     "UnknownVertex",
-    "ZeroModule",
     "build_algebra",
     "__version__",
 ]

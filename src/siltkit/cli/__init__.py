@@ -33,7 +33,6 @@ from ..errors import (
     PatternFailed,
     TruncationUnsound,
     UnknownVertex,
-    ZeroModule,
 )
 from ..fields import field_of_characteristic
 from ..homotopy.compare import isomorphic_collections
@@ -463,6 +462,7 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
 
     recorded_hash = None
     recorded: dict[str, int] = {}
+    header_line: dict[str, int] = {}
     kept: list[str] = []
     inside = 0
     for number, line in enumerate(original.splitlines(), start=1):
@@ -474,6 +474,7 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
             continue
         if stripped.startswith("algebra-hash "):
             recorded_hash = stripped.split(None, 1)[1]
+            header_line["algebra-hash"] = number
         elif stripped.startswith(("seed ", "characteristic ")):
             key, value = stripped.split(None, 1)
             try:
@@ -482,6 +483,7 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
                 raise ParseError(
                     f"certificate {key} {value!r} is not an integer", number, 1
                 ) from None
+            header_line[key] = number
         elif stripped.startswith("complex ") and stripped.endswith("{"):
             kept.append(line)
             inside += 1
@@ -489,19 +491,19 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
             kept.append(line)
     recorded_seed, recorded_char = recorded.get("seed"), recorded.get("characteristic")
     if recorded_hash is None or recorded_seed is None:
-        raise ParseError("certificate is missing its hash or seed header", 1, 1)
+        raise ParseError("certificate is missing its hash or seed header")
     if recorded_char is not None and recorded_char != algebra.field.characteristic:
         raise ParseError(
             f"certificate characteristic {recorded_char} does not match the "
             f"algebra's {algebra.field.characteristic}",
-            1,
+            header_line["characteristic"],
             1,
         )
     if algebra_hash(algebra) != recorded_hash:
         raise ParseError(
             "certificate was computed over a different algebra "
             "(hash mismatch)",
-            1,
+            header_line["algebra-hash"],
             1,
         )
 
@@ -713,7 +715,6 @@ def main(argv: list[str] | None = None) -> int:
         NonAdmissible,
         TruncationUnsound,
         UnknownVertex,
-        ZeroModule,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from ..core.algebras import AlgebraElement, PathAlgebra, build_algebra
-from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution, simple_module
+from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution
 from ..core.quivers import Arrow, Path, Quiver
 from ..errors import ChainConditionViolated, ParseError, UnknownVertex
 from ..fields import field_of_characteristic
@@ -292,33 +292,38 @@ class CollectionFile:
     silting: dict[str, list[ProjComplex]] = dataclass_field(default_factory=dict)
     #: A declaration of the resolved simples is kept as :class:`Generated`.
     smc: dict[str, Sequence[ProjComplex]] = dataclass_field(default_factory=dict)
+    #: (keyword, line) of every collection declaration, in file order.
+    declarations: list[tuple[str, int]] = dataclass_field(default_factory=list)
 
     def sole(self, keyword: str) -> Sequence[ProjComplex]:
         """The unique collection declared under ``keyword``."""
+        lines = [no for kind, no in self.declarations if kind == keyword]
+        _exactly_one(keyword, lines)
         table = self.silting if keyword == "silting" else self.smc
-        if len(table) != 1:
-            raise ParseError(
-                f"expected exactly one {keyword} declaration, found {len(table)}",
-                1,
-                1,
-            )
         return next(iter(table.values()))
 
     def any_collection(self) -> tuple[str, str, Sequence[ProjComplex]]:
         """The unique collection of either kind, as (kind, name, members)."""
+        _exactly_one("collection", [no for _, no in self.declarations])
         found = [("silting", n, c) for n, c in self.silting.items()]
         found += [("smc", n, c) for n, c in self.smc.items()]
-        if len(found) != 1:
-            raise ParseError(
-                f"expected exactly one collection declaration, found {len(found)}",
-                1,
-                1,
-            )
         return found[0]
 
     def pair(self) -> tuple[Sequence[ProjComplex], Sequence[ProjComplex]]:
         """The (silting, smc) pair of a pair file."""
         return self.sole("silting"), self.sole("smc")
+
+
+def _exactly_one(what: str, lines: list[int]) -> None:
+    """Refuse anything but a single declaration: none is a whole-file
+    condition; of several, point at the second and name every line."""
+    if len(lines) == 1:
+        return
+    message = f"expected exactly one {what} declaration, found {len(lines)}"
+    if not lines:
+        raise ParseError(message)
+    listed = ", ".join(map(str, lines[:-1])) + f" and {lines[-1]}"
+    raise ParseError(f"{message}, on lines {listed}", lines[1], 1)
 
 
 def parse_collection_file(text: str, algebra: PathAlgebra) -> CollectionFile:
@@ -353,6 +358,7 @@ def parse_collection_file(text: str, algebra: PathAlgebra) -> CollectionFile:
             if name in table:
                 _fail(f"duplicate {keyword} name {name!r}", no)
             table[name] = members
+            out.declarations.append((keyword, no))
             continue
         _fail(f"cannot parse {line!r}", no)
     return out
@@ -460,9 +466,7 @@ def _resolve_entry(
         v = rm.group(1)
         if v not in algebra.quiver.vertices:
             _fail(f"unknown vertex {v!r} in res(simple ...)", no)
-        x = minimal_projective_resolution(
-            simple_module(algebra, v), RESOLUTION_BOUND
-        ).copy(label=f"res({v})")
+        x = minimal_projective_resolution(algebra, v, RESOLUTION_BOUND)
     else:
         if base not in out.complexes:
             _fail(f"unknown complex {base!r}", no)

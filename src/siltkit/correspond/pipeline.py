@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ..core.algebras import PathAlgebra
-from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution, simple_module
+from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution
 from ..dg import (
     DGAlgebra,
     GradedAlgebraMap,
@@ -42,9 +42,7 @@ from ..homotopy.mutation import silting_mutate, smc_mutate
 from .checks import CheckReport, CorrespondenceCertificate, _Reporter, check_pattern
 
 
-def standard_pair(
-    algebra: PathAlgebra, resolution_bound: int = RESOLUTION_BOUND
-) -> tuple[list[ProjComplex], Sequence[ProjComplex]]:
+def standard_pair(algebra: PathAlgebra) -> tuple[list[ProjComplex], Sequence[ProjComplex]]:
     """The standard certified pair of an algebra: projective stalks on
     the silting side, resolved simples on the simple-minded side.
 
@@ -56,12 +54,10 @@ def standard_pair(
         single_projective(algebra, v, 0, label=f"P({v})")
         for v in algebra.quiver.vertices
     ]
-    smc = []
-    for v in algebra.quiver.vertices:
-        res = minimal_projective_resolution(
-            simple_module(algebra, v), resolution_bound
-        )
-        smc.append(res.copy(label=f"res({v})"))
+    smc = [
+        minimal_projective_resolution(algebra, v, RESOLUTION_BOUND)
+        for v in algebra.quiver.vertices
+    ]
     if all(x.complete for x in smc):
         return silting, Generated(smc, "standard collection")
     return silting, smc

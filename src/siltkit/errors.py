@@ -41,13 +41,9 @@ class UnknownVertex(SiltkitError):
     """A vertex id that is not declared in the quiver."""
 
 
-class ZeroModule(SiltkitError):
-    """An operation that needs a nonzero module received the zero module."""
-
-
 class ChainConditionViolated(SiltkitError):
-    """A would-be chain map does not commute with the differentials (up to
-    the sign required by its degree)."""
+    """A would-be complex is not one: a differential has the wrong shape,
+    an entry outside its e_v A e_w block, or a nonzero square."""
 
 
 class TruncationUnsound(SiltkitError):
@@ -98,10 +94,12 @@ class PatternFailed(SiltkitError):
 
 
 class ParseError(SiltkitError):
-    """An input file could not be parsed.  Always carries ``line`` and
-    ``column`` (1-based) for diagnostics."""
+    """An input file could not be parsed.  Carries the 1-based ``line`` and
+    ``column`` it points at, or None for both when the condition concerns
+    the whole file."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = "" if line is None else f"line {line}, column {column}: "
+        super().__init__(where + message)
         self.line = line
         self.column = column

@@ -103,7 +103,7 @@ class HomComplex:
                     len(self.source.summands[k]),
                 )
             components[k][r][c] = components[k][r][c] + self.algebra.basis_element(q).scale(coeff)
-        return ChainMap(self.source, self.target, components, degree=n, check=False)
+        return ChainMap(self.source, self.target, components, degree=n)
 
     def map_to_vector(self, f: ChainMap) -> list:
         if f.degree not in self.basis:

@@ -66,7 +66,7 @@ def _stack_to_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap]
                 rows_blocks.append([mat[r][c] for c in range(cols)])
         if rows_blocks:
             components[k] = rows_blocks
-    return ChainMap(x, total, components, degree=0, check=False)
+    return ChainMap(x, total, components, degree=0)
 
 
 def _stack_from_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap]) -> ChainMap:
@@ -86,7 +86,7 @@ def _stack_from_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMa
                 for c in range(block_cols):
                     mat[r].append(sub[r][c])
         components[k] = mat
-    return ChainMap(total, x, components, degree=0, check=False)
+    return ChainMap(total, x, components, degree=0)
 
 
 def _covers_target(space, compositions) -> bool:

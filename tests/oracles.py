@@ -7,8 +7,10 @@ algebras are consumed as plain data (basis paths, summand tuples, sparse
 coefficient dictionaries), so a bug in the library's elimination or Hom
 machinery cannot leak into the expected values.
 
-All oracles assume characteristic zero and complete complexes; products of
-basis paths are recomputed by concatenation against an explicit list of
+All oracles assume complete complexes.  The Hom oracles read residues of
+F_p as integers and take their ranks over GF(p), so they work in any
+characteristic; the rest assume characteristic zero.  Products of basis
+paths are recomputed by concatenation against an explicit list of
 forbidden subwords, which covers every monomial algebra in the test suite.
 """
 
@@ -17,8 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from siltkit.errors import ChainConditionViolated
+from siltkit.fields import FpElement
 
 
 def sym(value) -> sympy.Rational:
@@ -32,9 +36,14 @@ def sym_matrix(rows) -> sympy.Matrix:
     return sympy.Matrix([[sym(c) for c in row] for row in rows])
 
 
-def sym_rank(rows) -> int:
+def sym_rank(rows, characteristic: int = 0) -> int:
+    """Rank over QQ, or over GF(p) for a prime ``characteristic``."""
     if not rows or not rows[0]:
         return 0
+    if characteristic:
+        field = sympy.GF(characteristic)
+        entries = [[field(int(c)) for c in row] for row in rows]
+        return DomainMatrix(entries, (len(rows), len(rows[0])), field).rank()
     return sym_matrix(rows).rank()
 
 
@@ -110,7 +119,10 @@ def hom_path_indices(algebra, source_vertex: str, target_vertex: str) -> list[in
 
 
 def _entry_coeffs(entry) -> dict:
-    return dict(entry.coeffs)
+    """The entry's coefficients, residues of F_p read as integers."""
+    return {
+        i: c.value if isinstance(c, FpElement) else c for i, c in entry.coeffs.items()
+    }
 
 
 def hom_cochain_coordinates(algebra, x, y, n: int):
@@ -161,10 +173,11 @@ def hom_differential_matrix(algebra, x, y, n: int, forbidden=()):
 
 def hom_cohomology_dimension(algebra, x, y, n: int, forbidden=()) -> int:
     """dim H^n of the Hom complex, via two sympy ranks."""
+    p = algebra.field.characteristic
     d_n, rows_n, cols_n = hom_differential_matrix(algebra, x, y, n, forbidden)
     d_prev, _, _ = hom_differential_matrix(algebra, x, y, n - 1, forbidden)
-    rank_n = sym_rank(d_n) if rows_n and cols_n else 0
-    rank_prev = sym_rank(d_prev) if d_prev and d_prev[0] else 0
+    rank_n = sym_rank(d_n, p) if rows_n and cols_n else 0
+    rank_prev = sym_rank(d_prev, p) if d_prev and d_prev[0] else 0
     return cols_n - rank_n - rank_prev
 
 
@@ -188,50 +201,6 @@ def euler_pairing(algebra, x, y, forbidden=()) -> int:
     for n, d in hom_cohomology_dims(algebra, x, y, forbidden).items():
         total += d if n % 2 == 0 else -d
     return total
-
-
-# ---------------------------------------------------------------------------
-# module homomorphisms from the commuting squares
-# ---------------------------------------------------------------------------
-
-
-def module_hom_dimension(m, n) -> int:
-    """dim Hom of right modules, solved with sympy symbols.
-
-    One unknown matrix per vertex; one commuting square per arrow.  The
-    arrow action carries the component at the arrow's target vertex to the
-    component at its source vertex.
-    """
-    algebra = m.algebra
-    unknowns = {}
-    symbols = []
-    for v in algebra.quiver.vertices:
-        rows, cols = n.dims[v], m.dims[v]
-        block = sympy.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                s = sympy.Symbol(f"f_{v}_{i}_{j}")
-                block[i, j] = s
-                symbols.append(s)
-        unknowns[v] = block
-    if not symbols:
-        return 0
-    equations = []
-    for a in algebra.quiver.arrows:
-        act_m = sym_matrix(m.action[a.name]) if m.dims[a.target] and m.dims[a.source] \
-            else sympy.zeros(m.dims[a.source], m.dims[a.target])
-        act_n = sym_matrix(n.action[a.name]) if n.dims[a.target] and n.dims[a.source] \
-            else sympy.zeros(n.dims[a.source], n.dims[a.target])
-        lhs = unknowns[a.source] * act_m
-        rhs = act_n * unknowns[a.target]
-        for entry in (lhs - rhs):
-            equations.append(entry)
-    if not equations:
-        return len(symbols)
-    system = sympy.Matrix(
-        [[eq.coeff(s) for s in symbols] for eq in equations]
-    )
-    return len(symbols) - system.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,44 @@ def test_a_bad_option_is_named_without_a_file_position(argv, message, capsys):
     assert captured.err == f"option error: {message}\n"
 
 
+def _without_hash(cert):
+    text = cert.read_text(encoding="utf-8")
+    cert.write_text(text.replace("algebra-hash ", "hash "), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, edit, message",
+    [
+        (["dgend", "{in}/a2.alg", "{golden}/mutate-std/result.pair"], None,
+         "line 16, column 1: expected exactly one collection declaration, "
+         "found 2, on lines 7 and 16"),
+        (["verify", "--pattern", "{in}/a2.alg", "{in}/smc-std"], None,
+         "expected exactly one silting declaration, found 0"),
+        (["replay", "{in}/kron.alg", "{cert}"], None,
+         "line 2, column 1: certificate was computed over a different algebra "
+         "(hash mismatch)"),
+        (["replay", "{in}/a2.alg", "{cert}", "--char", "3"], None,
+         "line 3, column 1: certificate characteristic 0 does not match the "
+         "algebra's 3"),
+        (["replay", "{in}/a2.alg", "{cert}"], _without_hash,
+         "certificate is missing its hash or seed header"),
+    ],
+    ids=["declarations", "no-declaration", "hash", "characteristic", "no-header"],
+)
+def test_a_whole_file_error_points_only_at_real_lines(tmp_path, capsys, argv, edit, message):
+    """A declaration count or a certificate header is located at the lines
+    that hold it, and a missing one carries no position at all."""
+    cert = tmp_path / "step-1.cert"
+    cert.write_bytes((GOLDEN / "mutate-std" / "step-1.cert").read_bytes())
+    if edit:
+        edit(cert)
+    code = main([a.format(**{"in": INPUTS, "golden": GOLDEN, "cert": cert}) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def koszul_on_a_linear_standard_pair(tmp_path, capsys, n, radical_square_zero):
     """Exit code and stdout lines of ``koszul`` on the standard pair of the
     linear quiver n -> ... -> 1, hereditary or with radical square zero."""

@@ -2,9 +2,10 @@
 
 import pytest
 
-from siltkit.core.modules import RightModule, minimal_projective_resolution, simple_module
+from siltkit.cli.parsing import parse_matrix
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.errors import CharacteristicUnsupported, Inconclusive
-from siltkit.fields import QQ, PrimeField
+from siltkit.fields import PrimeField
 from siltkit.homotopy.compare import (
     find_isomorphism,
     is_indecomposable,
@@ -23,7 +24,16 @@ from siltkit.homotopy.homs import hom_space
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(simple_module(algebra, v), 12)
+    return minimal_projective_resolution(algebra, v, 12)
+
+
+def kronecker_presentation(kronecker, d):
+    """P2^2 -> P1^2 in degrees -1, 0, with the differential ``d`` written as
+    a complex literal: the minimal resolution of a Kronecker module of
+    dimension vector (2, 2) on which a acts by the identity."""
+    return ProjComplex(
+        kronecker, {-1: ("2", "2"), 0: ("1", "1")}, {-1: parse_matrix(d, kronecker, 1)}
+    )
 
 
 def test_isomorphic_to_itself_and_shifts_differ(a2):
@@ -90,13 +100,7 @@ def test_endomorphism_field_of_degree_two_is_not_called_decomposable(kronecker):
     """With a = I and b = [[0, -1], [1, 0]] the Kronecker module has End = Q(i),
     a field.  Its semisimple quotient is two-dimensional, yet it has no
     nontrivial idempotent, so the answer must not be a definitive False."""
-    one, zero = QQ.one, QQ.zero
-    module = RightModule(
-        kronecker,
-        {"1": 2, "2": 2},
-        {"a": [[one, zero], [zero, one]], "b": [[zero, -one], [one, zero]]},
-    )
-    x = minimal_projective_resolution(module, 12)
+    x = kronecker_presentation(kronecker, "-b, a | a, b")
     with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
         is_indecomposable(x)
 
@@ -147,15 +151,8 @@ def test_a_local_side_with_no_invertible_representative_decides(kronecker):
     top shares every invariant and has nonzero Homs both ways.  No Hom
     representative is invertible, so they are not isomorphic, in either
     order."""
-    one, zero = QQ.one, QQ.zero
-
-    def resolved(b):
-        ident = [[one, zero], [zero, one]]
-        module = RightModule(kronecker, {"1": 2, "2": 2}, {"a": ident, "b": b})
-        return minimal_projective_resolution(module, 12)
-
-    x = resolved([[zero, one], [zero, zero]])
-    y = resolved([[zero, zero], [zero, zero]])
+    x = kronecker_presentation(kronecker, "b, -a | 0, b")
+    y = kronecker_presentation(kronecker, "b, 0 | 0, b")
     assert hom_space(x, y, 0).dimension and hom_space(y, x, 0).dimension
     assert is_indecomposable(x)
     assert not is_isomorphic(x, y)

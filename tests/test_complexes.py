@@ -2,7 +2,7 @@
 
 import pytest
 
-from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Path
 from siltkit.errors import ChainConditionViolated
 from siltkit.homotopy.complexes import (
@@ -19,7 +19,7 @@ from siltkit.homotopy.homs import hom_space
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(simple_module(algebra, v), 12)
+    return minimal_projective_resolution(algebra, v, 12)
 
 
 def test_single_projective_is_a_stalk(a2):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_dg_module_verify, dense_dg_verify
 from siltkit.core.algebras import build_algebra
-from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Arrow, Quiver
 from siltkit.correspond.pipeline import graded_algebra_isomorphism, standard_pair
 from siltkit.dg import (
@@ -35,7 +35,7 @@ from siltkit.homotopy.complexes import shift, single_projective
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(simple_module(algebra, v), 12)
+    return minimal_projective_resolution(algebra, v, 12)
 
 
 def stalks(algebra):
@@ -85,7 +85,7 @@ def test_end_of_the_shifted_projectives(shifted_end):
 
 
 def test_end_rejects_truncated_members(loop2):
-    r = minimal_projective_resolution(simple_module(loop2, "1"), 6)
+    r = minimal_projective_resolution(loop2, "1", 6)
     assert not r.complete
     with pytest.raises(TruncationUnsound):
         dg_end([r])

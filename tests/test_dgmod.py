@@ -6,7 +6,7 @@ import pytest
 from conftest import INPUTS, linear_algebra_text
 from oracles import dense_dg_module_verify
 from siltkit.cli.parsing import parse_algebra
-from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.dg import (
     DGModule,
@@ -167,7 +167,7 @@ def test_resolutions_of_the_simples_are_minimal(name):
         R = semifree_resolution(M, E)
         assert R.complete
         got = sorted((g.degree, vertex[g.vertex]) for g in R.generators)
-        res = minimal_projective_resolution(simple_module(A, vertex[s]), 12)
+        res = minimal_projective_resolution(A, vertex[s], 12)
         want = sorted((k, v) for k, vs in res.summands.items() for v in vs)
         assert got == want, f"simple {s}"
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FORBIDDEN
 from oracles import euler_pairing, hom_cohomology_dims
-from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.correspond.checks import support_window
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.errors import TruncationUnsound
@@ -20,7 +20,7 @@ from siltkit.homotopy.mutation import silting_mutate, smc_mutate
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(simple_module(algebra, v), 12)
+    return minimal_projective_resolution(algebra, v, 12)
 
 
 def all_hom_dims(x, y, lo=-4, hi=4):
@@ -134,7 +134,7 @@ def test_euler_pairing_equals_cartan_pairing(a2, a3rel):
 def test_truncated_resolutions_have_a_trust_window(loop2):
     """Maps out of a truncation are untrusted in high degrees, where they
     would probe the missing tail; maps in are untrusted in low degrees."""
-    r = minimal_projective_resolution(simple_module(loop2, "1"), 5)
+    r = minimal_projective_resolution(loop2, "1", 5)
     assert not r.complete
     p = single_projective(loop2, "1", 0)
     lo, hi = trusted_window(r, p)
@@ -148,7 +148,7 @@ def test_truncated_resolutions_have_a_trust_window(loop2):
 
 
 def test_trusted_degrees_still_answer_on_truncations(loop2):
-    r = minimal_projective_resolution(simple_module(loop2, "1"), 5)
+    r = minimal_projective_resolution(loop2, "1", 5)
     p = single_projective(loop2, "1", 0)
     assert hom_space(r, p, 0).dimension == 1
 
@@ -188,7 +188,7 @@ def first_refusal(x, y, degrees):
 
 
 def test_hom_dims_refuses_truncations_where_hom_space_does(loop2):
-    r = minimal_projective_resolution(simple_module(loop2, "1"), 5)
+    r = minimal_projective_resolution(loop2, "1", 5)
     p = single_projective(loop2, "1", 0)
     degrees = list(range(-8, 9))
     for x, y in ((r, p), (p, r), (r, r)):

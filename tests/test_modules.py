@@ -1,36 +1,73 @@
-"""Right modules: simples, projectives, covers, minimal resolutions, and
-their Homs."""
+"""Minimal projective resolutions of the simples, the positions of a
+projective sum, and the sympy referee that sees each resolution as its
+simple."""
+
+import pathlib
 
 import pytest
 
-from oracles import module_hom_dimension
+from conftest import FORBIDDEN, INPUTS, linear_algebra_text
+from oracles import hom_cohomology_dims
+from siltkit.cli.parsing import parse_algebra
 from siltkit.core.modules import (
-    ProjectiveSumModule,
+    RESOLUTION_BOUND,
     minimal_projective_resolution,
-    projective_cover,
-    simple_module,
+    positions,
+    vertex_blocks,
 )
-from siltkit.errors import ZeroModule
-from siltkit.homotopy.homs import hom_space
+from siltkit.errors import UnknownVertex
+from siltkit.homotopy.complexes import complex_cohomology_dims, single_projective
+from siltkit.homotopy.homs import hom_space, trusted_window
+from siltkit.serialize import complex_text
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "resolutions"
+
+
+def res(algebra, v, bound=12):
+    return minimal_projective_resolution(algebra, v, bound)
+
+
+def dims(algebra, copies):
+    return {u: len(ps) for u, ps in positions(algebra, copies).items()}
 
 
 def test_simple_module_shape(a2):
-    s = simple_module(a2, "1")
-    assert s.dims == {"1": 1, "2": 0}
-    assert not s.is_zero()
+    """The only cohomology of res(v) is the simple at v, in degree 0."""
+    assert complex_cohomology_dims(res(a2, "1")) == {0: {"1": 1}}
+    assert complex_cohomology_dims(res(a2, "2")) == {0: {"2": 1}}
 
 
 def test_projective_module_dimension_vector(a2, a3):
     """e_v A is spanned by the paths into v, graded by their sources."""
-    assert ProjectiveSumModule(a2, ("1",)).dims == {"1": 1, "2": 1}
-    assert ProjectiveSumModule(a2, ("2",)).dims == {"1": 0, "2": 1}
-    assert ProjectiveSumModule(a3, ("1",)).dims == {"1": 1, "2": 1, "3": 1}
-    assert ProjectiveSumModule(a3, ("3",)).dims == {"1": 0, "2": 0, "3": 1}
+    assert dims(a2, ("1",)) == {"1": 1, "2": 1}
+    assert dims(a2, ("2",)) == {"1": 0, "2": 1}
+    assert dims(a3, ("1",)) == {"1": 1, "2": 1, "3": 1}
+    assert dims(a3, ("3",)) == {"1": 0, "2": 0, "3": 1}
 
 
 def test_projective_dimension_vector_respects_relations(a3rel):
     # with ab = 0 the projective at 1 no longer reaches vertex 3
-    assert ProjectiveSumModule(a3rel, ("1",)).dims == {"1": 1, "2": 1, "3": 0}
+    assert dims(a3rel, ("1",)) == {"1": 1, "2": 1, "3": 0}
+
+
+def test_positions_run_copy_major(a2):
+    e1, e2, a = (a2.basis_index[p] for p in a2.basis)
+    assert positions(a2, ("1", "2", "1")) == {
+        "1": [(0, e1), (2, e1)],
+        "2": [(0, a), (1, e2), (2, a)],
+    }
+
+
+def test_vertex_blocks_spell_out_left_multiplication(a2):
+    """The arrow as a map e_2 A -> e_1 A sends e_2 to a and has nothing to
+    move at vertex 1."""
+    (arrow,) = res(a2, "1").diffs[-1][0]
+    blocks = vertex_blocks(a2, ("2",), ("1",), [[arrow]])
+    assert blocks == {"1": [[]], "2": [[1]]}
+    assert vertex_blocks(a2, ("1",), ("1",), [[a2.idempotent("1")]]) == {
+        "1": [[1]],
+        "2": [[1]],
+    }
 
 
 @pytest.mark.parametrize(
@@ -38,74 +75,138 @@ def test_projective_dimension_vector_respects_relations(a3rel):
     [("1", "1", 1), ("1", "2", 0), ("2", "1", 0), ("2", "2", 1)],
 )
 def test_simple_homs_are_diagonal(a2, v, w, expected):
-    res_v, res_w = (minimal_projective_resolution(simple_module(a2, u), 12) for u in (v, w))
+    res_v, res_w = (res(a2, u) for u in (v, w))
     assert hom_space(res_v, res_w, 0).dimension == expected
 
 
-def test_module_homs_match_the_sympy_oracle(a3, a3rel, kronecker):
-    """Hom of modules is H^0 of the Hom complex between their resolutions."""
-    for algebra in (a3, a3rel, kronecker):
-        objects = [simple_module(algebra, v) for v in algebra.quiver.vertices]
-        objects += [ProjectiveSumModule(algebra, (v,)) for v in algebra.quiver.vertices]
-        resolved = [minimal_projective_resolution(m, 12) for m in objects]
-        for m, x in zip(objects, resolved):
-            for n, y in zip(objects, resolved):
-                assert hom_space(x, y, 0).dimension == module_hom_dimension(m, n)
-
-
 def test_projective_cover_of_a_simple(a2):
-    mults, cover = projective_cover(simple_module(a2, "1"))
-    assert mults == {"1": 1, "2": 0}
-    assert cover.source.dims == {"1": 1, "2": 1}
-
-
-def test_projective_cover_of_zero_raises(a2):
-    zero = simple_module(a2, "1")
-    zero = type(zero)(a2, {"1": 0, "2": 0}, {"a": []})
-    with pytest.raises(ZeroModule):
-        projective_cover(zero)
+    """Degree 0 of res(1) is the cover e_1 A of the simple at 1."""
+    r = res(a2, "1")
+    assert r.summands[0] == ("1",)
+    assert dims(a2, r.summands[0]) == {"1": 1, "2": 1}
 
 
 def test_resolution_of_the_a2_simples(a2):
-    r1 = minimal_projective_resolution(simple_module(a2, "1"), 12)
+    r1 = res(a2, "1")
     assert r1.summands == {0: ("1",), -1: ("2",)}
     assert r1.complete
-    r2 = minimal_projective_resolution(simple_module(a2, "2"), 12)
+    assert r1.label == "res(1)"
+    r2 = res(a2, "2")
     assert r2.summands == {0: ("2",)}
     assert r2.complete
 
 
 def test_resolution_depth_three_with_relation(a3rel):
     """With ab = 0 the simple at 1 resolves through every projective."""
-    r1 = minimal_projective_resolution(simple_module(a3rel, "1"), 12)
+    r1 = res(a3rel, "1")
     assert r1.summands == {0: ("1",), -1: ("2",), -2: ("3",)}
     assert r1.complete
 
 
 def test_resolution_of_projective_is_a_stalk(a3):
-    r = minimal_projective_resolution(ProjectiveSumModule(a3, ("2",)), 12)
-    assert r.summands == {0: ("2",)}
+    """Nothing but e_3 ends at the source 3, so its simple is projective."""
+    r = res(a3, "3")
+    assert r.summands == {0: ("3",)}
+    assert r.complete
 
 
 def test_loop_resolution_is_periodic_and_truncated(loop2):
-    r = minimal_projective_resolution(simple_module(loop2, "1"), 6)
+    r = res(loop2, "1", 6)
     assert r.summands == {k: ("1",) for k in range(-6, 1)}
     assert not r.complete
 
 
+def test_a_zero_bound_keeps_only_the_cover(a2, loop2):
+    assert res(a2, "2", 0).complete
+    r = res(loop2, "1", 0)
+    assert r.summands == {0: ("1",)}
+    assert not r.complete
+
+
+def test_bad_arguments_are_refused(a2):
+    with pytest.raises(ValueError, match="length_bound"):
+        res(a2, "1", -1)
+    with pytest.raises(UnknownVertex):
+        res(a2, "3")
+
+
 def test_resolution_differentials_square_to_zero(a3rel):
-    r = minimal_projective_resolution(simple_module(a3rel, "3"), 12)
+    r = res(a3rel, "3")
     # d^2 = 0 is enforced on construction; spot-check the composite matrix
     for k in r.diffs:
         if k + 1 in r.diffs:
             upper, lower = r.diffs[k + 1], r.diffs[k]
             for i in range(len(upper)):
                 for j in range(len(lower[0])):
-                    entry = sum(
-                        (upper[i][t] * lower[t][j]).coeffs != {} for t in range(len(lower))
-                    )
                     composite = None
                     for t in range(len(lower)):
                         term = upper[i][t] * lower[t][j]
                         composite = term if composite is None else composite + term
                     assert composite is None or composite.is_zero()
+
+
+#: (algebra file, bound) for algebras whose resolutions no command golden
+#: pins: each ``<name>-<bound>.res`` holds every res(v), flag and literal.
+RESOLVED = [
+    (GOLDEN / "square.alg", RESOLUTION_BOUND),
+    (GOLDEN / "d4.alg", RESOLUTION_BOUND),
+    (GOLDEN / "kron3.alg", RESOLUTION_BOUND),
+    (GOLDEN / "cycle3.alg", RESOLUTION_BOUND),
+    (INPUTS / "loop2.alg", 5),
+]
+
+
+@pytest.mark.parametrize("path,bound", RESOLVED, ids=lambda p: getattr(p, "stem", str(p)))
+def test_resolutions_match_the_golden(path, bound):
+    algebra = parse_algebra(path.read_text(encoding="utf-8"))
+    blocks = []
+    for v in algebra.quiver.vertices:
+        r = res(algebra, v, bound)
+        flag = "complete" if r.complete else "truncated"
+        blocks.append(f"# res({v}): {flag}\n" + complex_text(f"res{v}", r))
+    expected = (GOLDEN / f"{path.stem}-{bound}.res").read_text(encoding="utf-8")
+    assert "\n".join(blocks) + "\n" == expected
+
+
+def _linear(n, radical_square_zero):
+    return parse_algebra(linear_algebra_text(n, radical_square_zero))
+
+
+#: name -> the refereed algebra; the oracle's forbidden subwords come
+#: from ``FORBIDDEN`` under the same name.
+REFEREED = {
+    "a2": lambda request: request.getfixturevalue("a2"),
+    "a3": lambda request: request.getfixturevalue("a3"),
+    "a3rel": lambda request: request.getfixturevalue("a3rel"),
+    "kronecker": lambda request: request.getfixturevalue("kronecker"),
+    "loop2": lambda request: request.getfixturevalue("loop2"),
+    "A5": lambda request: _linear(5, False),
+    "A5-rad2": lambda request: _linear(5, True),
+    "a3rel-F3": lambda request: parse_algebra(
+        (INPUTS / "a3rel.alg").read_text(encoding="utf-8"), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFEREED)
+def test_the_oracle_sees_each_resolution_as_its_simple(request, name):
+    """Refereed by sympy: Hom(P_u, res(v)) has cohomology k in degree 0
+    when u = v and none otherwise, so H(res v) is the simple S_v; and no
+    differential entry has an idempotent term, so res(v) is minimal.  A
+    truncated resolution is only checked inside its trusted window."""
+    algebra = REFEREED[name](request)
+    forbidden = FORBIDDEN.get(name.removesuffix("-F3"), ())
+    idempotents = set(algebra.idempotent_index.values())
+    for v in algebra.quiver.vertices:
+        r = res(algebra, v, RESOLUTION_BOUND)
+        for mat in r.diffs.values():
+            assert not any(idempotents & entry.coeffs.keys() for row in mat for entry in row)
+        for u in algebra.quiver.vertices:
+            p = single_projective(algebra, u)
+            lo, hi = trusted_window(p, r)
+            seen = {
+                n: d
+                for n, d in hom_cohomology_dims(algebra, p, r, forbidden).items()
+                if lo <= n <= hi
+            }
+            assert seen == ({0: 1} if u == v else {}), (u, v)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from siltkit.core.modules import minimal_projective_resolution, simple_module
+from siltkit.core.modules import minimal_projective_resolution
 from siltkit.correspond.checks import check_pattern
 from siltkit.errors import PatternFailed
 from siltkit.homotopy.compare import is_isomorphic
@@ -16,7 +16,7 @@ from siltkit.homotopy.mutation import (
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(simple_module(algebra, v), 12)
+    return minimal_projective_resolution(algebra, v, 12)
 
 
 def same_collection(xs, ys) -> bool:

@@ -7,6 +7,7 @@ import siltkit.correspond.pipeline as pipeline_module
 import siltkit.dg.dga as dga_module
 from conftest import INPUTS
 from siltkit.cli import main
+from siltkit.core.modules import RESOLUTION_BOUND
 from siltkit.correspond.checks import check_pattern
 from siltkit.correspond.pipeline import (
     graded_algebra_isomorphism,
@@ -29,9 +30,12 @@ def test_standard_pair_members(a2):
     assert smc[1].summands == {0: ("2",)}
 
 
-def test_standard_pair_respects_the_resolution_bound(a3):
-    _, smc = standard_pair(a3, resolution_bound=7)
+def test_standard_pair_respects_the_resolution_bound(a3, loop2):
+    _, smc = standard_pair(a3)
     assert all(r.complete for r in smc)
+    _, (r,) = standard_pair(loop2)
+    assert not r.complete
+    assert r.min_degree == -RESOLUTION_BOUND
 
 
 def walk(algebra, script):
