@@ -463,16 +463,17 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
     recorded_hash = None
     recorded: dict[str, int] = {}
     header_line: dict[str, int] = {}
+    # A line that is not re-parsed is kept blank, so a parse error names
+    # its line of the certificate itself.
     kept: list[str] = []
     inside = 0
     for number, line in enumerate(original.splitlines(), start=1):
         stripped = line.strip()
+        keep = inside > 0
         if inside > 0:
-            kept.append(line)
             if stripped == "}":
                 inside -= 1
-            continue
-        if stripped.startswith("algebra-hash "):
+        elif stripped.startswith("algebra-hash "):
             recorded_hash = stripped.split(None, 1)[1]
             header_line["algebra-hash"] = number
         elif stripped.startswith(("seed ", "characteristic ")):
@@ -485,10 +486,11 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
                 ) from None
             header_line[key] = number
         elif stripped.startswith("complex ") and stripped.endswith("{"):
-            kept.append(line)
+            keep = True
             inside += 1
         elif stripped.startswith(("silting ", "smc ")):
-            kept.append(line)
+            keep = True
+        kept.append(line if keep else "")
     recorded_seed, recorded_char = recorded.get("seed"), recorded.get("characteristic")
     if recorded_hash is None or recorded_seed is None:
         raise ParseError("certificate is missing its hash or seed header")

@@ -389,6 +389,11 @@ def _parse_complex_block(
             if k in summands:
                 _fail(f"degree {k} declared twice in complex {name!r}", no)
             summands[k] = _parse_summands(m.group(2), no)
+            try:
+                for v in summands[k]:
+                    algebra.check_vertex(v)
+            except UnknownVertex as exc:
+                _fail(str(exc), no)
             continue
         m = re.match(r"^d\s+(-?\d+)\s*:\s*(.*)$", line)
         if m:

@@ -148,6 +148,9 @@ class PathAlgebra:
             key = (p.target, p.source)
             self._hom_basis.setdefault(key, ())
             self._hom_basis[key] += (i,)
+        #: Hom complex data per pair of complex keys, filled by
+        #: ``homotopy.homs.HomComplex`` and kept as long as the algebra.
+        self.hom_data: dict = {}
         #: Structure constants: (i, j) -> coordinates of b_i b_j, for the
         #: nonzero products only, in ascending (i, j) order.
         self.products: dict[tuple[int, int], dict[int, object]] = {}

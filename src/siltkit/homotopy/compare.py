@@ -1,16 +1,18 @@
 """Deciding isomorphism and indecomposability in the homotopy category.
 
 K^b(proj A) is Krull–Schmidt: an indecomposable object has a local
-endomorphism ring.  Isomorphism is decided through exact invariants first
-(graded summand multiplicities, cohomology dimensions, a zero H^0 Hom), then
-by matching visible direct summands, then by testing H^0 Hom representatives
-for invertibility.  When H^0 End of either side is local this test is
-exact: an isomorphism is a combination of representatives, and the
-non-units of a local ring form an ideal, so some representative is itself
-invertible.  Otherwise every combination in a coefficient box bounded by
-``SEARCH_BUDGET`` is tried.  Over the rationals a failed box search is
-reported as Inconclusive, never as a definitive "no"; over a prime field
-the box is the whole space, and a negative answer is then real.
+endomorphism ring.  Two complete complexes whose minimal forms have equal
+keys are isomorphic by the identity.  Otherwise isomorphism is decided
+through exact invariants first (graded summand multiplicities, cohomology
+dimensions, a zero H^0 Hom), then by matching visible direct summands,
+then by testing H^0 Hom representatives for invertibility.  When H^0 End
+of either side is local this test is exact: an isomorphism is a
+combination of representatives, and the non-units of a local ring form an
+ideal, so some representative is itself invertible.  Otherwise every
+combination in a coefficient box bounded by ``SEARCH_BUDGET`` is tried.
+Over the rationals a failed box search is reported as Inconclusive, never
+as a definitive "no"; over a prime field the box is the whole space, and
+a negative answer is then real.
 """
 
 from __future__ import annotations
@@ -148,16 +150,21 @@ def isomorphic_collections(
 def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     """Whether x and y are isomorphic in the homotopy category.
 
-    Exact invariants (graded multiplicities of the minimal models, then
-    vertex-wise cohomology dimensions) settle most negatives.  Complexes
-    whose differential visibly splits are first matched summand by
-    summand.  Otherwise :func:`find_isomorphism` decides: a found map
-    proves True, and a miss proves False when H^0 Hom(x, y) is zero, when
-    H^0 End of either side is local, or when the box over a prime field
-    covered all of H^0 Hom(x, y).  Any other miss raises Inconclusive
-    naming ``SEARCH_BUDGET``.
+    Complete minimal models with equal keys are the same complex, so the
+    identity settles them.  Truncated ones go on: equal truncations need
+    not come from isomorphic resolutions.  Exact invariants (graded
+    multiplicities of the minimal models, then vertex-wise cohomology
+    dimensions) settle most negatives.  Complexes whose differential
+    visibly splits are first matched summand by summand.  Otherwise
+    :func:`find_isomorphism` decides: a found map proves True, and a miss
+    proves False when H^0 Hom(x, y) is zero, when H^0 End of either side
+    is local, or when the box over a prime field covered all of
+    H^0 Hom(x, y).  Any other miss raises Inconclusive naming
+    ``SEARCH_BUDGET``.
     """
     mx, my = minimize(x), minimize(y)
+    if mx.complete and mx.key == my.key:
+        return True
     if mx.is_zero() or my.is_zero():
         return mx.is_zero() and my.is_zero()
     if mx.graded_multiplicities() != my.graded_multiplicities():

@@ -10,9 +10,19 @@ A complex carries a ``complete`` flag.  Resolutions that were truncated at a
 length bound are flagged incomplete: degrees below their lowest recorded
 degree are unknown, and Hom computations guard against using them outside
 the range where the truncation cannot matter.
+
+A complex is never changed after it is built.  That makes its content
+exact and hashable: ``ProjComplex.key`` holds the flag, the summands and
+every differential coefficient, so two complexes with equal keys are the
+same complex, whatever object or label carries them.  Hom complexes are
+built once per pair of keys (see ``homs``), and ``minimize`` keeps its
+result on the complex it was asked about, so each object is minimized
+once; a minimal form is its own minimal form.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ..core.algebras import AlgebraElement, PathAlgebra
 from ..core.modules import positions, vertex_blocks
@@ -69,7 +79,11 @@ def _entry_in_block(x: AlgebraElement, target: str, source: str) -> bool:
 
 
 class ProjComplex:
-    """A bounded complex of projective right modules."""
+    """A bounded complex of projective right modules.
+
+    Never mutated after construction: ``key`` and the kept minimal form
+    are computed once and rely on that.
+    """
 
     def __init__(
         self,
@@ -94,8 +108,24 @@ class ProjComplex:
             self.diffs[k] = mat
         self.complete = True if not self.summands else complete
         self.label = label
+        #: The result of ``minimize(self)``, once it has been asked for.
+        self._minimal: ProjComplex | None = None
         if check:
             self._validate()
+
+    @cached_property
+    def key(self) -> tuple:
+        """The exact content: the ``complete`` flag, the summands, and the
+        coordinates of every differential entry.  The label is not part
+        of it."""
+        return (
+            self.complete,
+            tuple(sorted(self.summands.items())),
+            tuple(
+                (k, tuple(tuple(tuple(sorted(x.coeffs.items())) for x in row) for row in mat))
+                for k, mat in sorted(self.diffs.items())
+            ),
+        )
 
     def _validate(self) -> None:
         for v in {w for vs in self.summands.values() for w in vs}:
@@ -393,9 +423,16 @@ def minimize(x: ProjComplex) -> ProjComplex:
     (r, c) of d^k has matching vertices and a nonzero idempotent coefficient,
     the contractible summand it spans is split off by a change of basis.  The
     scan order (degree, then row, then column) is fixed, so the result is
-    deterministic.
+    deterministic.  A complex without such an entry is its own minimal
+    form.  The result is kept on x, so each complex is minimized once.
     """
-    algebra = x.algebra
+    if x._minimal is None:
+        x._minimal = _cancel_units(x)
+        x._minimal._minimal = x._minimal
+    return x._minimal
+
+
+def _cancel_units(x: ProjComplex) -> ProjComplex:
     summands = {k: list(vs) for k, vs in x.summands.items()}
     diffs = {k: [row[:] for row in mat] for k, mat in x.diffs.items()}
 
@@ -411,10 +448,10 @@ def minimize(x: ProjComplex) -> ProjComplex:
                         return k, r, c
         return None
 
-    while True:
-        found = find_unit()
-        if found is None:
-            break
+    found = find_unit()
+    if found is None:
+        return x
+    while found is not None:
         k, r, c = found
         mat = diffs[k]
         u = mat[r][c]
@@ -450,6 +487,7 @@ def minimize(x: ProjComplex) -> ProjComplex:
                 summands.pop(kk, None)
                 diffs.pop(kk, None)
                 diffs.pop(kk - 1, None)
+        found = find_unit()
 
     cleaned_summands = {k: tuple(vs) for k, vs in summands.items() if vs}
     cleaned_diffs = {

@@ -9,6 +9,15 @@ null-homotopic ones.  H^n comes from ``linalg.Cohomology`` on the
 differentials into and out of degree n; ``hom_dims`` reads several
 dimensions off one Hom complex from differential ranks alone.
 
+The linear data of Hom(X, Y) depends only on the contents of X and Y, so
+it is built once per pair of complex keys (``ProjComplex.key``) and kept
+in ``hom_data``, a dict owned by the algebra: it lasts as long as the
+algebra, and two algebras never share it.  With it go each degree's
+differential rank and ``Cohomology``, so representatives and class
+coordinates are also found once per pair of keys.  A ``HomComplex``
+still wraps the caller's own complexes, and the chain maps it returns run
+between them.
+
 When either complex is an incomplete (truncated) resolution, cohomology is
 served only in the degree range where the missing part provably cannot
 contribute; outside it, TruncationUnsound is raised rather than returning a
@@ -17,7 +26,6 @@ wrong number.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 from ..errors import TruncationUnsound
@@ -27,8 +35,63 @@ from .complexes import ChainMap, ProjComplex, alg_zero_matrix
 BasisElt = tuple[int, int, int, int]
 
 
+class _HomData:
+    """The linear data of Hom(X, Y): basis, index, differential matrices,
+    and each degree's rank and Cohomology once asked for.  It depends on
+    the contents of X and Y only, so one copy serves every pair of
+    complexes with the same keys."""
+
+    __slots__ = ("basis", "index", "diff", "ranks", "cohomology")
+
+    def __init__(self, source: ProjComplex, target: ProjComplex):
+        algebra = source.algebra
+        field = algebra.field
+        raw: dict[int, list[BasisElt]] = {}
+        for k in source.summands:
+            for m in target.summands:
+                n = m - k
+                for c, w in enumerate(source.summands[k]):
+                    for r, v in enumerate(target.summands[m]):
+                        for q in algebra.hom_basis(v, w):
+                            raw.setdefault(n, []).append((k, r, c, q))
+        self.basis: dict[int, tuple[BasisElt, ...]] = {
+            n: tuple(sorted(elts)) for n, elts in raw.items()
+        }
+        self.index = {
+            n: {e: i for i, e in enumerate(es)} for n, es in self.basis.items()
+        }
+        self.diff: dict[int, list] = {}
+        for n, elts in self.basis.items():
+            rows = len(self.basis.get(n + 1, ()))
+            mat = [zero_vector(field, len(elts)) for _ in range(rows)]
+            sign = -1 if n % 2 else 1
+            for col, (k, r, c, q) in enumerate(elts):
+                pq = algebra.basis_element(q)
+                for r2, dy_row in enumerate(target.diffs.get(k + n, ())):
+                    if not dy_row[r]:
+                        continue
+                    for qi, coeff in (dy_row[r] * pq).coeffs.items():
+                        row = self.index[n + 1][(k, r2, c, qi)]
+                        mat[row][col] = mat[row][col] + coeff
+                dx = source.diffs.get(k - 1)
+                for c2, dx_entry in enumerate(dx[c] if dx else ()):
+                    if not dx_entry:
+                        continue
+                    for qi, coeff in (pq * dx_entry).coeffs.items():
+                        row = self.index[n + 1][(k - 1, r, c2, qi)]
+                        mat[row][col] = mat[row][col] - sign * coeff
+            self.diff[n] = mat
+        self.ranks: dict[int, int] = {}
+        self.cohomology: dict[int, Cohomology] = {}
+
+
 class HomComplex:
-    """The total complex of graded maps between two complexes."""
+    """The total complex of graded maps between two complexes.
+
+    The linear data comes from the algebra's ``hom_data``, built on the
+    first request for the pair of keys; the maps it hands out run
+    between this object's own ``source`` and ``target``.
+    """
 
     def __init__(self, source: ProjComplex, target: ProjComplex):
         if source.algebra is not target.algebra:
@@ -37,40 +100,14 @@ class HomComplex:
         self.target = target
         self.algebra = source.algebra
         self.field = self.algebra.field
-        raw: dict[int, list[BasisElt]] = {}
-        for k in source.summands:
-            for m in target.summands:
-                n = m - k
-                for c, w in enumerate(source.summands[k]):
-                    for r, v in enumerate(target.summands[m]):
-                        for q in self.algebra.hom_basis(v, w):
-                            raw.setdefault(n, []).append((k, r, c, q))
-        self.basis: dict[int, tuple[BasisElt, ...]] = {
-            n: tuple(sorted(elts)) for n, elts in raw.items()
-        }
-        self.index = {
-            n: {e: i for i, e in enumerate(es)} for n, es in self.basis.items()
-        }
-        self._diff: dict[int, list] = {}
-        for n, elts in self.basis.items():
-            rows = len(self.basis.get(n + 1, ()))
-            mat = [zero_vector(self.field, len(elts)) for _ in range(rows)]
-            sign = -1 if n % 2 else 1
-            for col, (k, r, c, q) in enumerate(elts):
-                pq = self.algebra.basis_element(q)
-                dy = target.differential(k + n)
-                for r2 in range(len(target.summands.get(k + n + 1, ()))):
-                    product = dy[r2][r] * pq
-                    for qi, coeff in product.coeffs.items():
-                        row = self.index[n + 1][(k, r2, c, qi)]
-                        mat[row][col] = mat[row][col] + coeff
-                dx = source.differential(k - 1)
-                for c2 in range(len(source.summands.get(k - 1, ()))):
-                    product = pq * dx[c][c2]
-                    for qi, coeff in product.coeffs.items():
-                        row = self.index[n + 1][(k - 1, r, c2, qi)]
-                        mat[row][col] = mat[row][col] - sign * coeff
-            self._diff[n] = mat
+        store = self.algebra.hom_data
+        pair = (source.key, target.key)
+        data = store.get(pair)
+        if data is None:
+            data = store[pair] = _HomData(source, target)
+        self._data = data
+        self.basis = data.basis
+        self.index = data.index
 
     # -- underlying graded pieces --------------------------------------
 
@@ -78,15 +115,24 @@ class HomComplex:
         return len(self.basis.get(n, ()))
 
     def differential_matrix(self, n: int) -> list:
-        return self._diff.get(n, [])
+        return self._data.diff.get(n, [])
 
     def differential_rank(self, n: int) -> int:
-        return rank(self.field, self._diff.get(n, []))
+        ranks = self._data.ranks
+        if n not in ranks:
+            ranks[n] = rank(self.field, self.differential_matrix(n))
+        return ranks[n]
 
     def cohomology(self, n: int) -> Cohomology:
-        return Cohomology(
-            self.field, self.dimension(n), self._diff.get(n - 1, []), self._diff.get(n, [])
-        )
+        known = self._data.cohomology
+        if n not in known:
+            known[n] = Cohomology(
+                self.field,
+                self.dimension(n),
+                self.differential_matrix(n - 1),
+                self.differential_matrix(n),
+            )
+        return known[n]
 
     # -- conversions ---------------------------------------------------
 
@@ -186,9 +232,9 @@ def hom_dims(x: ProjComplex, y: ProjComplex, degrees: Iterable[int]) -> dict[int
     Hom complex.
 
     dim H^n = dim Hom^n - rank d^n - rank d^(n-1), with each differential's
-    rank taken once.  Every degree is checked against the truncation window
-    before anything is built, so TruncationUnsound names the first
-    untrusted degree, as ``hom_space`` would.
+    rank taken once per pair of keys.  Every degree is checked against the
+    truncation window before anything is built, so TruncationUnsound names
+    the first untrusted degree, as ``hom_space`` would.
     """
     degrees = list(degrees)
     for n in degrees:
@@ -196,8 +242,10 @@ def hom_dims(x: ProjComplex, y: ProjComplex, degrees: Iterable[int]) -> dict[int
     if not degrees:
         return {}
     hom = HomComplex(x, y)
-    ranks = functools.cache(hom.differential_rank)
-    return {n: hom.dimension(n) - ranks(n) - ranks(n - 1) for n in degrees}
+    return {
+        n: hom.dimension(n) - hom.differential_rank(n) - hom.differential_rank(n - 1)
+        for n in degrees
+    }
 
 
 def cartan_pairing(algebra, class_x: dict[str, int], class_y: dict[str, int]) -> int:

@@ -57,6 +57,7 @@ CASES = [
     ("koszul-a3rel-cycle3", ["koszul", "{in}/a3rel.alg", "{in}/cycle3.pair"], 0),
     ("dgend-smc-std", ["dgend", "{in}/a2.alg", "{in}/smc-std"], 0),
     ("graph-a2", ["graph", "{in}/a2.alg"], 0),
+    ("graph-kron-depth2", ["graph", "{in}/kron.alg", "--depth", "2"], 0),
 ]
 
 
@@ -103,6 +104,31 @@ def test_replay_rejects_a_malformed_seed_header(tmp_path, capsys):
     assert code == 4
     assert err.startswith("input error: line 4, column 1:")
     assert "'zero'" in err
+
+
+def test_replay_names_the_certificate_line_of_a_bad_entry(tmp_path, capsys):
+    """Lines that replay does not re-parse still count, so the error names
+    the line of the certificate that holds the bad arrow."""
+    run_case(MUTATE, tmp_path / "mutate")
+    cert = tmp_path / "mutate" / "step-1.cert"
+    lines = cert.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[11] == "  d -1: a;\n"
+    lines[11] = "  d -1: zz;\n"
+    cert.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["replay", str(INPUTS / "a2.alg"), str(cert)])
+    assert code == 4
+    assert capsys.readouterr().err == "input error: line 12, column 1: unknown arrow 'zz'\n"
+
+
+def test_an_undeclared_vertex_in_a_complex_is_located(tmp_path, capsys):
+    path = tmp_path / "p9.coll"
+    path.write_text("complex X {\n  deg 0: P9;\n}\nsilting s = [X]\n", encoding="utf-8")
+    code = main(["verify", "--silting", str(INPUTS / "a2.alg"), str(path)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "input error: line 2, column 1: vertex '9' is not declared in the quiver\n"
+    )
 
 
 @pytest.mark.parametrize(

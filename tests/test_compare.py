@@ -2,9 +2,10 @@
 
 import pytest
 
+import siltkit.homotopy.compare as compare
 from siltkit.cli.parsing import parse_matrix
 from siltkit.core.modules import minimal_projective_resolution
-from siltkit.errors import CharacteristicUnsupported, Inconclusive
+from siltkit.errors import CharacteristicUnsupported, Inconclusive, TruncationUnsound
 from siltkit.fields import PrimeField
 from siltkit.homotopy.compare import (
     find_isomorphism,
@@ -192,3 +193,45 @@ def test_an_unmatched_open_member_reraises(kronecker):
     x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
     with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
         isomorphic_collections([p1, x], [y, p1])
+
+
+def test_equal_complete_minimal_forms_are_isomorphic_without_a_search(
+    kronecker, monkeypatch
+):
+    """Equal keys make the identity an isomorphism, so no search runs,
+    not even for two objects with different labels or a contractible
+    summand on one side."""
+
+    def no_search(x, y):
+        raise AssertionError("find_isomorphism ran on identical minimal forms")
+
+    monkeypatch.setattr(compare, "find_isomorphism", no_search)
+    x, y = res(kronecker, "1"), res(kronecker, "1")
+    assert x is not y and x.key == y.key and x.complete
+    contractible = cone(identity_map(single_projective(kronecker, "2")))
+    padded = direct_sum(res(kronecker, "1"), contractible)
+    assert padded.key != x.key
+    assert is_isomorphic(x, y)
+    assert is_isomorphic(padded, y)
+    assert is_isomorphic(single_projective(kronecker, "1", 0, "A"),
+                         single_projective(kronecker, "1", 0, "B"))
+
+
+def test_equal_truncations_still_go_through_the_search(loop2, monkeypatch):
+    """Identical truncations need not come from isomorphic resolutions, so
+    a truncated pair reaches the search and its truncation check, as it
+    did before the key existed."""
+    searched = []
+    real = compare.find_isomorphism
+
+    def spying(x, y):
+        searched.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(compare, "find_isomorphism", spying)
+    x = minimal_projective_resolution(loop2, "1", 3)
+    y = minimal_projective_resolution(loop2, "1", 3)
+    assert not x.complete and x.key == y.key
+    with pytest.raises(TruncationUnsound, match="H\\^0 of the Hom complex"):
+        is_isomorphic(x, y)
+    assert len(searched) == 1

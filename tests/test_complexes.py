@@ -1,7 +1,11 @@
 """Complexes of projectives: construction, shift, cones, minimization."""
 
+import ast
+import pathlib
+
 import pytest
 
+import siltkit
 from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Path
 from siltkit.errors import ChainConditionViolated
@@ -124,3 +128,57 @@ def test_labels_propagate_through_copy(a2):
     p = single_projective(a2, "1", 0, label="mine")
     assert p.copy(label="renamed").label == "renamed"
     assert p.label == "mine"
+
+
+def test_a_minimal_form_is_its_own_minimal_form(a2):
+    padded = direct_sum(res(a2, "1"), cone(identity_map(single_projective(a2, "2"))))
+    m = minimize(padded)
+    assert m is not padded
+    assert minimize(m) is m
+    assert minimize(padded) is m
+    r = res(a2, "1")
+    assert minimize(r) is r
+
+
+def test_the_key_is_the_content_not_the_label(a2):
+    x = res(a2, "1")
+    assert x.key == x.copy(label="other").key
+    assert x.key != shift(x, 1).key
+    assert x.key != shift(x, 2).key
+
+
+def test_complexes_are_changed_only_while_they_are_built():
+    """``ProjComplex.key`` and the kept minimal form are computed once, so
+    no module may assign to a ``.summands`` or ``.diffs`` attribute, or to
+    an item of one, outside ``ProjComplex.__init__``."""
+    root = pathlib.Path(siltkit.__file__).resolve().parent
+    watched = {"summands", "diffs"}
+
+    def touches(target) -> bool:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(touches(t) for t in target.elts)
+        return isinstance(target, ast.Attribute) and target.attr in watched
+
+    found = []
+
+    def visit(node, scope: str, path: pathlib.Path) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            targets = []
+        if scope != "ProjComplex.__init__" and any(touches(t) for t in targets):
+            found.append(f"{path.relative_to(root)}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path)
+    assert found == []

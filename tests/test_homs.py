@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import FORBIDDEN
+from conftest import FORBIDDEN, INPUTS
 from oracles import euler_pairing, hom_cohomology_dims
+from siltkit.cli.parsing import parse_algebra
 from siltkit.core.modules import minimal_projective_resolution
 from siltkit.correspond.checks import support_window
 from siltkit.correspond.pipeline import standard_pair
@@ -199,3 +200,35 @@ def test_hom_dims_refuses_truncations_where_hom_space_does(loop2):
                 hom_dims(x, y, order)
             assert str(info.value) == str(expected)
             assert info.value.degree == expected.degree
+
+
+def test_equal_complexes_share_one_hom_complex(kronecker):
+    """A second Hom complex between equal but distinct complexes reuses
+    the first one's linear data, while its maps run between the caller's
+    own complexes."""
+    x, y = res(kronecker, "1"), res(kronecker, "2")
+    x2, y2 = res(kronecker, "1"), res(kronecker, "2")
+    assert x is not x2 and y is not y2
+    first, second = HomComplex(x, y), HomComplex(x2, y2)
+    assert second.basis is first.basis
+    for n in first.basis:
+        assert second.differential_matrix(n) is first.differential_matrix(n)
+        assert second.cohomology(n) is first.cohomology(n)
+    space = hom_space(x2, y2, 1)
+    assert space.dimension == hom_space(x, y, 1).dimension == 2
+    assert all(f.source is x2 and f.target is y2 for f in space.representatives)
+
+
+def test_two_algebras_from_one_file_never_share_hom_data():
+    text = (INPUTS / "kron.alg").read_text(encoding="utf-8")
+    first, second = parse_algebra(text), parse_algebra(text)
+    x, y = res(first, "1"), res(second, "1")
+    assert x.key == y.key
+    a, b = HomComplex(x, x), HomComplex(y, y)
+    assert first.hom_data is not second.hom_data
+    assert list(first.hom_data) == list(second.hom_data) == [(x.key, x.key)]
+    assert a.basis is not b.basis and a.basis == b.basis
+    assert a.differential_matrix(0)
+    for n in a.basis:
+        assert a.differential_matrix(n) is not b.differential_matrix(n)
+        assert a.differential_matrix(n) == b.differential_matrix(n)

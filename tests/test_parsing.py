@@ -9,7 +9,7 @@ from siltkit.cli.parsing import (
     parse_element,
     parse_matrix,
 )
-from siltkit.errors import ParseError, UnknownVertex
+from siltkit.errors import ParseError
 from siltkit.serialize import algebra_hash, algebra_text
 
 A2_TEXT = """\
@@ -126,7 +126,7 @@ def test_unknown_member_name_is_located(a2):
 
 
 def test_unknown_projective_vertex_in_a_block(a2):
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(ParseError, match="^line 2, column 1: vertex '9' is not declared"):
         parse_collection_file("complex C {\n  deg 0: P9;\n}", a2)
 
 
