@@ -12,7 +12,6 @@ mutation walks, and replayable certificates.
 from .core import build_algebra
 from .errors import (
     ChainConditionViolated,
-    CharacteristicUnsupported,
     IdempotentLiftMissing,
     Inconclusive,
     MalformedRelation,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainConditionViolated",
-    "CharacteristicUnsupported",
     "IdempotentLiftMissing",
     "Inconclusive",
     "MalformedRelation",

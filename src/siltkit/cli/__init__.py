@@ -6,10 +6,11 @@ Subcommands: ``verify`` (collection and pattern checks), ``mutate``
 mutation graph), and ``replay`` (byte-exact certificate re-runs).
 
 Exit codes: 0 all verdicts pass, 2 some verdict fails, 3 nothing fails
-but something is not certified, 4 unusable input (an input file, or
-a command-line option reported by name).  With ``--format
-structured`` the output is line-oriented with a stable key order, so a
-re-run with the same configuration is byte-identical.
+but something is not certified (a resolution truncated at
+``RESOLUTION_BOUND`` included), 4 unusable input (an input file, or a
+command-line option reported by name).  With ``--format structured``
+the output is line-oriented with a stable key order, so a re-run with
+the same configuration is byte-identical.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import re
 import sys
 from dataclasses import dataclass
 
+from ..core.modules import RESOLUTION_BOUND
 from ..correspond.checks import check_pattern, check_silting, check_smc
 from ..correspond.pipeline import koszul_pair_check, lockstep_walk, standard_pair
 from ..dg.dga import dg_end
 from ..errors import (
     ChainConditionViolated,
-    Inconclusive,
     MalformedRelation,
     NonAdmissible,
     ParseError,
@@ -269,7 +270,7 @@ def cmd_mutate(
         except ValueError as exc:
             option = "--at" if step == 1 else "--then"
             raise _OptionError(f"{option} {index} --{side}: {exc}") from exc
-        except (PatternFailed, Inconclusive) as exc:
+        except PatternFailed as exc:
             body.append(f"step {step} ({side} at index {index}) failed: {exc}")
             structured.append(f"{tag} failed {exc}")
             verdicts[tag] = "fail"
@@ -375,7 +376,6 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
 
     nodes: list[dict] = []
     edges: list[tuple[int, int, str, int]] = []
-    doubt = None
     capped = False
 
     def verdict_of(smc) -> str:
@@ -402,12 +402,9 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                         continue
                     target = None
                     for n, known in enumerate(nodes):
-                        try:
-                            if isomorphic_collections(mutated, known["silting"]):
-                                target = n
-                                break
-                        except Inconclusive as exc:
-                            doubt = doubt or str(exc)
+                        if isomorphic_collections(mutated, known["silting"]):
+                            target = n
+                            break
                     if target is None:
                         if len(nodes) >= GRAPH_NODE_CAP:
                             capped = True
@@ -431,10 +428,6 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
         f"(window {lo}..{hi}, depth {config.depth})"
     ]
     structured = [f"graph nodes {len(nodes)} edges {len(edges)}"]
-    if doubt is not None:
-        verdicts["dedup"] = "not-certified"
-        body.append(f"dedup not certified: {doubt}")
-        structured.append(f"graph dedup inconclusive {doubt}")
     if capped:
         verdicts["graph-cap"] = "not-certified"
         body.append(
@@ -711,13 +704,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except (
-        ChainConditionViolated,
-        MalformedRelation,
-        NonAdmissible,
-        TruncationUnsound,
-        UnknownVertex,
-    ) as exc:
+    except TruncationUnsound as exc:
+        bound = f"resolutions truncated at RESOLUTION_BOUND = {RESOLUTION_BOUND}"
+        print(f"not certified: {exc} ({bound})", file=sys.stderr)
+        return 3
+    except (ChainConditionViolated, MalformedRelation, NonAdmissible, UnknownVertex) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     for line in report.lines:

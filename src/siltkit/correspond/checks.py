@@ -6,8 +6,8 @@ Every check returns a :class:`CheckReport` with a three-valued verdict:
 * ``pass`` — all conditions verified;
 * ``fail`` — a condition is violated, with a concrete witness;
 * ``not-certified`` — nothing failed, but some condition could not be
-  settled within the search budget (generation certificates and
-  isomorphism searches are bounded, so silence is not evidence).
+  settled: the thick-closure search is bounded, so silence is not
+  evidence, and indecomposability over the rationals can stay open.
 
 Every condition on a pair of collections is a statement about one
 table, dim Hom(X_i, Y_j[m]): presilting wants zeros for m > 0,
@@ -29,7 +29,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..errors import CharacteristicUnsupported, Inconclusive, PatternFailed
+from ..errors import Inconclusive, PatternFailed
 from ..homotopy.compare import is_indecomposable, is_isomorphic
 from ..homotopy.complexes import (
     Generated,
@@ -242,26 +242,19 @@ def check_presilting(collection: Sequence[ProjComplex]) -> CheckReport:
         try:
             ok = is_indecomposable(x)
             rep.hard(f"member {i + 1} is indecomposable", ok)
-        except (Inconclusive, CharacteristicUnsupported) as exc:
+        except Inconclusive as exc:
             rep.soft(f"member {i + 1} is indecomposable", False, str(exc))
     if rep.failed:
         return rep.report()
 
     for i in range(len(collection)):
         for j in range(i + 1, len(collection)):
-            try:
-                same = is_isomorphic(collection[i], collection[j])
-                rep.hard(
-                    f"members {i + 1} and {j + 1} are non-isomorphic",
-                    not same,
-                    "isomorphic" if same else "",
-                )
-            except Inconclusive as exc:
-                rep.soft(
-                    f"members {i + 1} and {j + 1} are non-isomorphic",
-                    False,
-                    str(exc),
-                )
+            same = is_isomorphic(collection[i], collection[j])
+            rep.hard(
+                f"members {i + 1} and {j + 1} are non-isomorphic",
+                not same,
+                "isomorphic" if same else "",
+            )
 
     table = pattern_table(collection, collection, lambda m: m > 0)
     _require_vanishing(rep, table, "positive-degree Homs vanish")
@@ -329,15 +322,7 @@ def _closure_search(
                 reached.setdefault(v, level)
             if len(nodes) >= CLOSURE_NODE_CAP:
                 continue
-            known = False
-            for n in nodes:
-                try:
-                    if is_isomorphic(piece, n):
-                        known = True
-                        break
-                except Inconclusive:
-                    continue
-            if not known:
+            if not any(is_isomorphic(piece, n) for n in nodes):
                 nodes.append(piece)
 
     for x in collection:

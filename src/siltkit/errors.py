@@ -57,19 +57,13 @@ class TruncationUnsound(SiltkitError):
 
 
 class Inconclusive(SiltkitError):
-    """A bounded procedure could not decide.  An isomorphism or
-    indecomposability test raises it when the endomorphism ring is not
-    known to be local and the coefficient search would exceed
-    ``SEARCH_BUDGET``; ``dg.find_formality_witness`` raises it when its
-    coboundary correction finds no witness, naming where it stopped.
-    Deliberately distinct from a ``False`` answer: callers must not treat
-    this as "not isomorphic" or "not formal".
+    """A procedure could not decide: indecomposability over the rationals
+    when End modulo its radical shows no split, or
+    ``dg.find_formality_witness`` when its coboundary correction finds no
+    witness, naming where it stopped.  Deliberately distinct from a
+    ``False`` answer: callers must not treat this as "decomposable" or
+    "not formal".
     """
-
-
-class CharacteristicUnsupported(SiltkitError):
-    """Indecomposability testing has no sound procedure for this coefficient
-    field within the configured budget."""
 
 
 class SimpleNotOneDimensional(SiltkitError):

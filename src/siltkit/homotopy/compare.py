@@ -1,27 +1,32 @@
 """Deciding isomorphism and indecomposability in the homotopy category.
 
-K^b(proj A) is Krull–Schmidt: an indecomposable object has a local
-endomorphism ring.  Two complete complexes whose minimal forms have equal
-keys are isomorphic by the identity.  Otherwise isomorphism is decided
-through exact invariants first (graded summand multiplicities, cohomology
-dimensions, a zero H^0 Hom), then by matching visible direct summands,
-then by testing H^0 Hom representatives for invertibility.  When H^0 End
-of either side is local this test is exact: an isomorphism is a
-combination of representatives, and the non-units of a local ring form an
-ideal, so some representative is itself invertible.  Otherwise every
-combination in a coefficient box bounded by ``SEARCH_BUDGET`` is tried.
-Over the rationals a failed box search is reported as Inconclusive, never
-as a definitive "no"; over a prime field the box is the whole space, and
-a negative answer is then real.
+K^b(proj A) is Krull–Schmidt: X = ⊕ X_i^{a_i} over pairwise non-isomorphic
+indecomposables X_i, each with a local H^0 End whose residue division ring
+has dimension d_i.  Both questions are read off the radical of H^0 End.
+
+Isomorphism.  Complete minimal models with equal keys are the same
+complex, and exact invariants (zero, graded multiplicities, cohomology
+dimensions) settle most negatives.  The rest is one test (Brooksbank–Luks,
+*Testing isomorphism of modules*, 2008).  Let rad(X, Y) hold the f in
+H^0 Hom(X, Y) with [g∘f] in rad End(X) for every g in H^0 Hom(Y, X), and
+t(X, Y) = dim H^0 Hom(X, Y) − dim rad(X, Y).  For Y = ⊕ X_i^{b_i},
+t(X, Y) = Σ d_i a_i b_i, so t(X, X) + t(Y, Y) − 2 t(X, Y) =
+Σ d_i (a_i − b_i)², which is zero exactly when X ≅ Y.
+
+Indecomposability.  X is indecomposable exactly when End(X)/rad is a
+division algebra.  Over F_p that is decided (Wedderburn, Berlekamp; see
+:func:`is_indecomposable`).  Over Q a reducible minimal polynomial proves
+a split, and a quotient that shows none is reported Inconclusive.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
+from fractions import Fraction
+from math import isqrt, lcm
 
-from ..errors import CharacteristicUnsupported, Inconclusive
-from ..linalg import kernel_basis, mat_vec, solve, zero_vector
+from ..errors import Inconclusive
+from ..linalg import identity_matrix, kernel_basis, rank, solve
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -30,92 +35,39 @@ from .complexes import (
     identity_map,
     minimize,
 )
-from .homs import HomSpace, hom_space
-
-SEARCH_BUDGET = 100_000
-
-
-def _coefficient_pool(field) -> list:
-    if field.characteristic == 0:
-        return [field.coerce(i) for i in range(-3, 4)]
-    return [field.coerce(i) for i in range(field.characteristic)]
-
-
-def _combination(space: HomSpace, coeffs) -> ChainMap:
-    f = space.representatives[0].scale(space.complex.field.zero)
-    for c, rep in zip(coeffs, space.representatives):
-        if c:
-            f = f.add(rep.scale(c))
-    return f
-
-
-def _known_local(x: ProjComplex) -> bool:
-    """Whether H^0 End(x) is known to be a local ring."""
-    try:
-        return is_indecomposable(x)
-    except (Inconclusive, CharacteristicUnsupported):
-        return False
+from .homs import hom_space
 
 
 def find_isomorphism(
     x: ProjComplex, y: ProjComplex
 ) -> tuple[ChainMap, ChainMap] | None:
-    """A pair (f, g) of mutually inverse degree-0 maps up to homotopy, or
-    None if the search finds none.
+    """A pair (f, g) of mutually inverse degree-0 maps up to homotopy, with
+    f one of the H^0 Hom(x, y) representatives, or None when no
+    representative is invertible.  None does not prove x and y
+    non-isomorphic; :func:`is_isomorphic` decides that.
 
-    f is tried among the H^0 Hom(x, y) representatives, then, unless
-    H^0 End(x) or H^0 End(y) is local, among every combination in the
-    coefficient box when that box fits in ``SEARCH_BUDGET``.  A candidate
-    f passes when [g][f] = [1_x] has a solution g and that g also gives
+    f passes when [g][f] = [1_x] has a solution g that also gives
     [f][g] = [1_y].
     """
     mx, my = minimize(x), minimize(y)
-    if mx.is_zero() and my.is_zero():
-        ident = identity_map(mx)
-        return ident, ident
     if mx.is_zero() or my.is_zero():
-        return None
-    forward = hom_space(mx, my, 0)
-    backward = hom_space(my, mx, 0)
-    if forward.dimension == 0 or backward.dimension == 0:
-        return None
-    field = mx.algebra.field
+        ident = identity_map(mx)
+        return (ident, ident) if mx.is_zero() and my.is_zero() else None
+    backward = hom_space(my, mx, 0).representatives
     end_x, end_y = hom_space(mx, mx, 0), hom_space(my, my, 0)
     one_x = end_x.class_coordinates(identity_map(mx))
     one_y = end_y.class_coordinates(identity_map(my))
-
-    def inverse(f: ChainMap) -> ChainMap | None:
-        columns = [
-            end_x.class_coordinates(g.compose(f)) for g in backward.representatives
-        ]
-        matrix = [[column[i] for column in columns] for i in range(len(one_x))]
-        coords = solve(field, matrix, one_x)
+    for f in hom_space(mx, my, 0).representatives:
+        columns = [end_x.class_coordinates(g.compose(f)) for g in backward]
+        coords = solve(mx.algebra.field, [list(r) for r in zip(*columns)], one_x)
         if coords is None:
-            return None
-        g = _combination(backward, coords)
-        if end_y.class_coordinates(f.compose(g)) != one_y:
-            return None
-        return g
-
-    def box():
-        if not _search_is_exhaustive(field, forward.dimension):
-            return
-        if _known_local(mx) or _known_local(my):
-            return
-        pool = _coefficient_pool(field)
-        for coeffs in itertools.product(pool, repeat=forward.dimension):
-            yield _combination(forward, coeffs)
-
-    for f in itertools.chain(forward.representatives, box()):
-        g = inverse(f)
-        if g is not None:
+            continue
+        g = backward[0].scale(coords[0])
+        for c, rep in zip(coords[1:], backward[1:]):
+            g = g.add(rep.scale(c))
+        if end_y.class_coordinates(f.compose(g)) == one_y:
             return f, g
     return None
-
-
-def _search_is_exhaustive(field, dimension: int) -> bool:
-    pool = _coefficient_pool(field)
-    return len(pool) ** dimension <= SEARCH_BUDGET
 
 
 def isomorphic_collections(
@@ -125,24 +77,17 @@ def isomorphic_collections(
 
     Each member of xs takes the first unmatched isomorphic member of ys.
     Isomorphism is transitive, so this greedy matching succeeds whenever
-    any matching does.  A member left without a match after an
-    Inconclusive comparison re-raises it.
+    any matching does.
     """
     if len(xs) != len(ys):
         return False
     free = list(ys)
     for x in xs:
-        doubt = None
         for n, y in enumerate(free):
-            try:
-                if is_isomorphic(x, y):
-                    del free[n]
-                    break
-            except Inconclusive as exc:
-                doubt = exc
+            if is_isomorphic(x, y):
+                del free[n]
+                break
         else:
-            if doubt is not None:
-                raise doubt
             return False
     return True
 
@@ -150,17 +95,11 @@ def isomorphic_collections(
 def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     """Whether x and y are isomorphic in the homotopy category.
 
-    Complete minimal models with equal keys are the same complex, so the
-    identity settles them.  Truncated ones go on: equal truncations need
-    not come from isomorphic resolutions.  Exact invariants (graded
-    multiplicities of the minimal models, then vertex-wise cohomology
-    dimensions) settle most negatives.  Complexes whose differential
-    visibly splits are first matched summand by summand.  Otherwise
-    :func:`find_isomorphism` decides: a found map proves True, and a miss
-    proves False when H^0 Hom(x, y) is zero, when H^0 End of either side
-    is local, or when the box over a prime field covered all of
-    H^0 Hom(x, y).  Any other miss raises Inconclusive naming
-    ``SEARCH_BUDGET``.
+    Equal keys of complete minimal models settle True.  Equal truncations
+    need not come from isomorphic resolutions, so they go on, and
+    ``hom_space`` raises TruncationUnsound where they cannot answer.
+    After the invariants, t(x, y) is the rank of f ↦ ([g∘f] modulo
+    rad End(x)) over the basis g of H^0 Hom(y, x).
     """
     mx, my = minimize(x), minimize(y)
     if mx.complete and mx.key == my.key:
@@ -171,121 +110,212 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
         return False
     if complex_cohomology_dims(mx) != complex_cohomology_dims(my):
         return False
-    xs, ys = component_split(mx), component_split(my)
-    if len(xs) > 1 or len(ys) > 1:
-        try:
-            if isomorphic_collections(xs, ys):
-                return True
-        except Inconclusive:
-            pass
-    if find_isomorphism(mx, my) is not None:
-        return True
-    forward_dim = hom_space(mx, my, 0).dimension
-    if forward_dim == 0 or _known_local(mx) or _known_local(my):
-        return False
     field = mx.algebra.field
-    if not _search_is_exhaustive(field, forward_dim):
-        reach = (
-            f"the {len(_coefficient_pool(field))}^{forward_dim} coefficient "
-            f"choices exceed SEARCH_BUDGET = {SEARCH_BUDGET}"
-        )
-    elif field.characteristic != 0:
-        return False
-    else:
-        reach = (
-            "no invertible map has coefficients in -3..3 (the box the "
-            f"SEARCH_BUDGET = {SEARCH_BUDGET} search covers)"
-        )
-    raise Inconclusive(
-        f"invariants agree and neither H^0 End is known to be local, but {reach}"
-    )
+    top_x, top_y = (_top(field, _end_table(z)[0]) for z in (mx, my))
+    end_x, forward = hom_space(mx, mx, 0), hom_space(mx, my, 0)
+    products = [
+        [end_x.class_coordinates(g.compose(f)) for f in forward.representatives]
+        for g in hom_space(my, mx, 0).representatives
+    ]
+    rows = [[_dot(w, c) for c in row] for row in products for w in top_x]
+    return len(top_x) + len(top_y) == 2 * rank(field, rows)
 
 
-def _end_structure(x: ProjComplex):
-    """Basis, multiplication table, and identity coordinates of H^0 End(x)."""
+def _end_table(x: ProjComplex):
+    """The multiplication table of H^0 End(x) over its representatives r
+    (``table[i][j]`` holds the coordinates of r_i ∘ r_j) and the
+    coordinates of the identity."""
     space = hom_space(x, x, 0)
     reps = space.representatives
-    dim = space.dimension
-    table = [
-        [space.class_coordinates(reps[i].compose(reps[j])) for j in range(dim)]
-        for i in range(dim)
-    ]
-    ident = space.class_coordinates(identity_map(x))
-    return space, table, ident
+    table = [[space.class_coordinates(a.compose(b)) for b in reps] for a in reps]
+    return table, space.class_coordinates(identity_map(x))
 
 
-def _left_multiplication(field, table, coords, dim):
-    mat = [[field.zero] * dim for _ in range(dim)]
-    for i, c in enumerate(coords):
-        if not c:
-            continue
-        for j in range(dim):
-            for k in range(dim):
-                mat[k][j] = mat[k][j] + c * table[i][j][k]
-    return mat
+def _top(field, table) -> list:
+    """A basis of the functionals whose common kernel is the radical of
+    the algebra with this multiplication table, one per dimension of the
+    algebra modulo its radical."""
+    return kernel_basis(field, _radical(field, table), len(table))
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a and b), 0)
+
+
+def _residue(c) -> int:
+    return c.value if c else 0
+
+
+def _product(field, table, x, y) -> list:
+    """The product xy of two coordinate vectors."""
+    out = [field.zero] * len(table)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, t in enumerate(table[i][j]):
+                    if t:
+                        out[k] = out[k] + xi * yj * t
+    return out
+
+
+def _power(field, table, a, exponent: int, one) -> list:
+    """a^exponent, by repeated squaring."""
+    while exponent:
+        if exponent & 1:
+            one = _product(field, table, one, a)
+        a, exponent = _product(field, table, a, a), exponent >> 1
+    return one
+
+
+def _power_trace(mat: list, exponent: int, modulus: int) -> int:
+    """tr(mat^exponent) mod ``modulus`` for a square integer matrix."""
+
+    def times(a, b):
+        out = []
+        for row in a:
+            acc = [0] * len(b)
+            for k, x in enumerate(row):
+                for j, y in enumerate(b[k] if x else ()):
+                    acc[j] += x * y
+            out.append([c % modulus for c in acc])
+        return out
+
+    result = mat
+    for bit in bin(exponent)[3:]:
+        result = times(result, result)
+        if bit == "1":
+            result = times(result, mat)
+    return sum(result[i][i] for i in range(len(mat))) % modulus
+
+
+def _radical(field, table) -> list:
+    """A basis, as coordinate vectors, of the Jacobson radical of the
+    unital algebra whose multiplication table is ``table``
+    (``table[i][j]`` holds the coordinates of e_i e_j).
+
+    Step 0 is the kernel I_0 of the trace form tr(L_a L_b) = tr(L_ab) of
+    the left regular representation L.  That is the radical in
+    characteristic 0 and over F_p when p > dim.  Over a smaller prime
+    field, for i = 1 .. ⌊log_p dim⌋, I_i = {a ∈ I_{i-1} : g_i(ab) = 0 for
+    every basis element b}, where g_i(a) = (tr(ã^{p^i}) mod p^{i+1}) / p^i
+    and ã is the integer lift of L_a, entries in 0 .. p-1.  Each g_i is
+    linear on I_{i-1}, and the last I_i is the radical (Rónyai, 1990, in
+    the form of Cohen–Ivanyos–Wales, 1997).
+    """
+    dim = len(table)
+    traces = [sum(table[k][j][j] for j in range(dim)) for k in range(dim)]
+    gram = [[_dot(table[i][j], traces) for j in range(dim)] for i in range(dim)]
+    ideal = kernel_basis(field, gram, dim)
+    p = power = field.characteristic
+    if not 0 < p <= dim:
+        return ideal
+    # The residues of a and of regular[r][c] have dot product L_a[r][c] mod p.
+    regular = [[[_residue(row[c][r]) for row in table] for c in range(dim)] for r in range(dim)]
+    while power <= dim and ideal:
+        modulus = power * p
+        rows = [[] for _ in range(dim)]
+        for u in ideal:
+            for row, b in zip(rows, identity_matrix(field, dim)):
+                ab = [_residue(c) for c in _product(field, table, u, b)]
+                lift = [[_dot(ab, entry) % p for entry in line] for line in regular]
+                row.append(field.coerce(_power_trace(lift, power, modulus) // power))
+        ideal = [
+            [_dot(c, column) for column in zip(*ideal)]
+            for c in kernel_basis(field, rows, len(ideal))
+        ]
+        power = modulus
+    return ideal
 
 
 def is_indecomposable(x: ProjComplex) -> bool:
-    """Whether x is indecomposable, decided through its endomorphism ring.
+    """Whether x is indecomposable, that is, End(x)/rad is a division ring.
 
-    In characteristic zero the radical of H^0 End is the kernel of the trace
-    form of the regular representation; x is indecomposable when the
-    semisimple quotient is one-dimensional.  Otherwise, in any
-    characteristic, x is declared decomposable only when the bounded search
-    exhibits a nontrivial idempotent.  Over F_p that search exhausts the
-    finite ring, so finding none proves indecomposability; over the
-    rationals it proves nothing and Inconclusive is raised.
+    A visible split of the differential gives False; a one-dimensional
+    End or End/rad gives True.  Over F_p, x is indecomposable iff End/rad
+    is commutative and {a : a^p − a ∈ rad} has dimension dim rad + 1: a
+    finite division ring is a field, and the Frobenius-fixed part of a
+    commutative semisimple ring has one dimension per field factor.  Over
+    Q a basis element that is not a scalar modulo rad, with a repeated
+    factor or a rational root in its minimal polynomial, gives False;
+    otherwise Inconclusive names End modulo its radical and its dimension.
     """
     mx = minimize(x)
-    if mx.is_zero():
+    if mx.is_zero() or len(component_split(mx)) > 1:
         return False
-    space, table, ident = _end_structure(mx)
-    field = mx.algebra.field
-    dim = space.dimension
-    if dim == 1:
+    if hom_space(mx, mx, 0).dimension == 1:
+        return True
+    return _is_local(mx.algebra.field, *_end_table(mx))
+
+
+def _is_local(field, table, one) -> bool:
+    """Whether the unital algebra with this multiplication table and
+    identity coordinates ``one`` is local, as :func:`is_indecomposable`
+    decides it."""
+    top = _top(field, table)
+    if len(top) == 1:
         return True
 
-    if field.characteristic == 0:
-        # Gram matrix of the trace form tr(L_a L_b) on the basis.
-        mults = []
-        for i in range(dim):
-            unit = zero_vector(field, dim)
-            unit[i] = field.one
-            mults.append(_left_multiplication(field, table, unit, dim))
-        gram = [[field.zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                trace = field.zero
-                for a in range(dim):
-                    for b in range(dim):
-                        trace = trace + mults[i][a][b] * mults[j][b][a]
-                gram[i][j] = trace
-        if dim - len(kernel_basis(field, gram)) == 1:
-            return True
+    def modulo_rad(v):
+        return [_dot(w, v) for w in top]
 
-    pool = _coefficient_pool(field)
-    if not _search_is_exhaustive(field, dim):
-        if field.characteristic:
-            raise CharacteristicUnsupported(
-                f"idempotent search over F_{field.characteristic} needs "
-                f"{len(pool)}^{dim} trials, beyond the budget"
-            )
-        raise Inconclusive(
-            f"idempotent search over {len(pool)}^{dim} coefficient choices "
-            f"exceeds SEARCH_BUDGET = {SEARCH_BUDGET}"
-        )
-
-    zero = zero_vector(field, dim)
-    for cand in itertools.product(pool, repeat=dim):
-        e = list(cand)
-        if e == zero or e == ident:
-            continue
-        if mat_vec(field, _left_multiplication(field, table, e, dim), e) == e:
+    units = identity_matrix(field, len(table))
+    p = field.characteristic
+    if p:
+        for i, row in enumerate(table):
+            for j in range(i):
+                if any(modulo_rad([a - b for a, b in zip(row[j], table[j][i])])):
+                    return False
+        frobenius = [
+            modulo_rad([a - b for a, b in zip(_power(field, table, e, p, one), e)])
+            for e in units
+        ]
+        return rank(field, frobenius) == len(top) - 1
+    for e in units:
+        poly = _minimal_polynomial(field, table, e, one, modulo_rad)
+        if len(poly) > 2 and (_has_repeated_factor(field, poly) or _has_rational_root(poly)):
             return False
-    if field.characteristic == 0:
-        raise Inconclusive(
-            "H^0 End is not local by its trace form, but no nontrivial "
-            "idempotent has coefficients in -3..3 (the box the SEARCH_BUDGET "
-            f"= {SEARCH_BUDGET} search covers)"
-        )
-    return True
+    raise Inconclusive(
+        f"End modulo its radical has dimension {len(top)}, and no basis element "
+        "has a minimal polynomial with a repeated factor or a rational root, so "
+        "it is not known whether it is a division algebra"
+    )
+
+
+def _minimal_polynomial(field, table, a, one, modulo_rad) -> list:
+    """The monic minimal polynomial of a modulo the radical, as
+    coefficients from the constant term up."""
+    images, power = [modulo_rad(one)], one
+    while True:
+        power = _product(field, table, power, a)
+        coords = solve(field, [list(row) for row in zip(*images)], modulo_rad(power))
+        if coords is not None:
+            return [-c for c in coords] + [field.one]
+        images.append(modulo_rad(power))
+
+
+def _has_repeated_factor(field, poly: list) -> bool:
+    """Whether a monic rational poly of degree m > 1 (coefficients from the
+    constant term up) shares a factor with its derivative: exactly when
+    their Sylvester matrix is singular."""
+    slope, m = [k * c for k, c in enumerate(poly)][1:], len(poly) - 1
+    rows = [[0] * i + poly + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + slope + [0] * (m - 1 - i) for i in range(m)]
+    return rank(field, rows) < 2 * m - 1
+
+
+def _has_rational_root(poly: list) -> bool:
+    """Whether a rational polynomial has a rational root, by the rational
+    root theorem on its integral multiple."""
+    scale = lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+
+    def divisors(n: int) -> list[int]:
+        n = abs(n)
+        return [e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)]
+
+    return not ints[0] or any(
+        sum(c * Fraction(sign * num, den) ** k for k, c in enumerate(ints)) == 0
+        for num in divisors(ints[0])
+        for den in divisors(ints[-1])
+        for sign in (1, -1)
+    )

@@ -9,13 +9,15 @@ machinery cannot leak into the expected values.
 
 All oracles assume complete complexes.  The Hom oracles read residues of
 F_p as integers and take their ranks over GF(p), so they work in any
-characteristic; the rest assume characteristic zero.  Products of basis
+characteristic; the rest assume characteristic zero, except the radical oracle, which
+enumerates a whole algebra over F_p.  Products of basis
 paths are recomputed by concatenation against an explicit list of
 forbidden subwords, which covers every monomial algebra in the test suite.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -362,3 +364,50 @@ def dense_dg_module_verify(M) -> None:
                 raise ChainConditionViolated(
                     f"Leibniz fails on {M.labels[i]} * {E.labels[a]}"
                 )
+
+
+# ---------------------------------------------------------------------------
+# the radical of a finite algebra, by enumeration
+# ---------------------------------------------------------------------------
+
+
+def brute_force_radical(table, p: int) -> set[tuple[int, ...]]:
+    """Every x with xy nilpotent for all y, as residue tuples, in the
+    unital algebra over F_p with multiplication table ``table`` (residues:
+    ``table[i][j][k]`` is the e_k coordinate of e_i e_j).
+
+    All p^dim elements are enumerated; z is nilpotent when z^(2^k) = 0 for
+    2^k >= dim.  Nothing here knows the radical is a subspace.
+    """
+    dim = len(table)
+
+    def multiply(x, y):
+        out = [0] * dim
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        for k, t in enumerate(table[i][j]):
+                            out[k] += xi * yj * t
+        return tuple(c % p for c in out)
+
+    elements = list(itertools.product(range(p), repeat=dim))
+    zero = (0,) * dim
+    nilpotent = set()
+    for z in elements:
+        w, reach = z, 1
+        while reach < dim and w != zero:
+            w, reach = multiply(w, w), 2 * reach
+        if w == zero:
+            nilpotent.add(z)
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    radical = set()
+    for x in elements:
+        columns = [multiply(x, e) for e in units]
+        if all(
+            tuple(sum(y[j] * columns[j][k] for j in range(dim)) % p for k in range(dim))
+            in nilpotent
+            for y in elements
+        ):
+            radical.add(x)
+    return radical

@@ -24,14 +24,7 @@ import siltkit.correspond.checks as checks
 from conftest import linear_algebra_text
 from siltkit.cli import main
 from siltkit.correspond.checks import _closure_search
-from siltkit.homotopy.compare import is_isomorphic
-from siltkit.homotopy.complexes import (
-    Generated,
-    cone,
-    direct_sum,
-    single_projective,
-)
-from siltkit.homotopy.homs import hom_space
+from siltkit.homotopy.complexes import Generated
 
 HERE = pathlib.Path(__file__).resolve().parent
 INPUTS = HERE.parent / "inputs"
@@ -246,22 +239,16 @@ def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):
     assert "verdict graph-cap not-certified" in lines
 
 
-def test_an_open_dedup_names_the_search_budget(monkeypatch, kronecker, tmp_path):
-    p1 = single_projective(kronecker, "1", 0)
-    p2 = single_projective(kronecker, "2", 0)
-    ra, rb = (cone(f) for f in hom_space(p2, p1, 0).representatives)
-    x = direct_sum(direct_sum(ra, ra), direct_sum(rb, rb))
-    y = direct_sum(direct_sum(ra, ra), direct_sum(ra, rb))
-    monkeypatch.setattr(
-        siltkit.cli, "isomorphic_collections", lambda xs, ys: is_isomorphic(x, y)
-    )
-    code, stdout, _ = run_case(["graph", "{in}/kron.alg", "--depth", "1"], tmp_path / "g")
-    lines = stdout.splitlines()
+def test_a_truncated_resolution_is_not_certified_and_names_the_bound(capsys):
+    """loop2 has infinite global dimension, so res(simple 1) stops at
+    RESOLUTION_BOUND; the graph cannot be decided, but the input is fine."""
+    code = main(["graph", str(INPUTS / "loop2.alg")])
+    captured = capsys.readouterr()
     assert code == 3
-    assert "verdict dedup not-certified" in lines
-    assert any(
-        l.startswith("graph dedup inconclusive") and "SEARCH_BUDGET = 100000" in l
-        for l in lines
+    assert captured.out == ""
+    assert captured.err.startswith("not certified: H^-12 of the Hom complex")
+    assert captured.err.endswith(
+        "(resolutions truncated at RESOLUTION_BOUND = 12)\n"
     )
 
 

@@ -1,12 +1,17 @@
 """Isomorphism testing in the homotopy category and indecomposability."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 import siltkit.homotopy.compare as compare
 from siltkit.cli.parsing import parse_matrix
+from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution
-from siltkit.errors import CharacteristicUnsupported, Inconclusive, TruncationUnsound
-from siltkit.fields import PrimeField
+from siltkit.core.quivers import Arrow, Quiver
+from siltkit.errors import Inconclusive, TruncationUnsound
+from siltkit.fields import QQ, PrimeField, field_of_characteristic
 from siltkit.homotopy.compare import (
     find_isomorphism,
     is_indecomposable,
@@ -102,19 +107,62 @@ def test_endomorphism_field_of_degree_two_is_not_called_decomposable(kronecker):
     a field.  Its semisimple quotient is two-dimensional, yet it has no
     nontrivial idempotent, so the answer must not be a definitive False."""
     x = kronecker_presentation(kronecker, "-b, a | a, b")
-    with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
+    with pytest.raises(Inconclusive, match="End modulo its radical has dimension 2"):
         is_indecomposable(x)
 
 
-def test_indecomposability_over_a_prime_field():
-    from siltkit.core.algebras import build_algebra
-    from siltkit.core.quivers import Arrow, Quiver
+@pytest.mark.parametrize("p, expected", [(2, True), (3, True), (5, False)])
+def test_indecomposability_over_f_p_follows_x_squared_plus_one(p, expected):
+    """The module of the Q(i) test has End = F_p[x]/(x^2 + 1): local over
+    F_2, the field F_9 over F_3, and F_5 × F_5 over F_5, where x^2 + 1
+    splits.  Nothing splits the differential visibly."""
+    x = kronecker_presentation(kronecker_over(p), "-b, a | a, b")
+    assert is_indecomposable(x) is expected
 
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d, second", [("a, b | 0, b", "b"), ("a, a | 0, a", "a")])
+def test_a_connected_differential_can_still_decompose(p, d, second):
+    """[[a, b], [0, b]] and [[a, a], [0, a]] are diag(a, b) and diag(a, a)
+    after a change of basis of P1^2, so the complexes are R_a ⊕ R_b and
+    R_a ⊕ R_a, with End/rad = k × k and M_2(k), although their
+    differentials do not split."""
+    kronecker = kronecker_over(p)
+    x = kronecker_presentation(kronecker, d)
+    ra, rb = regulars(kronecker)
+    assert not is_indecomposable(x)
+    assert is_isomorphic(x, direct_sum(ra, {"a": ra, "b": rb}[second]))
+
+
+@pytest.mark.parametrize(
+    "poly, repeated, rational",
+    [
+        ([0, 0, 1], True, True),
+        ([1, 0, 1], False, False),
+        ([1, 0, 2, 0, 1], True, False),
+        ([-2, 0, 1], False, False),
+        ([Fraction(-1, 4), 0, 1], False, True),
+        ([6, -5, 1], False, True),
+    ],
+    ids=["t^2", "t^2+1", "(t^2+1)^2", "t^2-2", "t^2-1/4", "(t-2)(t-3)"],
+)
+def test_the_splitting_tests_on_minimal_polynomials(poly, repeated, rational):
+    assert compare._has_repeated_factor(QQ, poly) is repeated
+    assert compare._has_rational_root(poly) is rational
+
+
+def test_indecomposability_over_a_prime_field():
     quiver = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
     algebra = build_algebra(quiver, [], 2, field=PrimeField(3))
     p1 = single_projective(algebra, "1", 0)
     assert is_indecomposable(p1)
     assert not is_indecomposable(direct_sum(p1, p1))
+
+
+def kronecker_over(p):
+    """The Kronecker algebra over the field of characteristic p."""
+    quiver = Quiver(("1", "2"), (Arrow("a", "2", "1"), Arrow("b", "2", "1")))
+    return build_algebra(quiver, [], 2, field=field_of_characteristic(p))
 
 
 def regulars(kronecker):
@@ -161,8 +209,8 @@ def test_a_local_side_with_no_invertible_representative_decides(kronecker):
 
 
 def test_sums_beyond_the_coefficient_box_are_isomorphic(kronecker):
-    """End dimensions 9 and 8 put every combination search out of reach;
-    matching the visible summands settles both."""
+    """Sums with End of dimension 9 and 8, once beyond the reach of a
+    coefficient search, are decided through End modulo its radical."""
     p1 = single_projective(kronecker, "1", 0)
     cube = direct_sums(p1, p1, p1)
     assert hom_space(cube, cube, 0).dimension == 9
@@ -173,11 +221,48 @@ def test_sums_beyond_the_coefficient_box_are_isomorphic(kronecker):
     assert is_isomorphic(x, y)
 
 
-def test_an_open_comparison_names_the_search_budget(kronecker):
+def test_sums_with_different_multiplicities_are_not_isomorphic():
+    """R_a^2 ⊕ R_b^2 and R_a^3 ⊕ R_b share every invariant the shortcuts
+    read, and End has dimension 8 on both sides; they differ in the
+    multiplicities, which t(x, y) reads off, in every characteristic."""
+    for p in (0, 2, 3):
+        ra, rb = regulars(kronecker_over(p))
+        x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
+        assert not is_isomorphic(x, y)
+        assert not is_isomorphic(y, x)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_isomorphism_reads_krull_schmidt_multiplicities(p):
+    """Direct sums of six pairwise non-isomorphic indecomposables, taken
+    in shuffled order, are isomorphic exactly when their multiplicity
+    vectors agree.  R_a ⊕ R_b and the Jordan regular J share every
+    invariant the shortcuts read, and so do the sums built on them."""
+    kronecker = kronecker_over(p)
     ra, rb = regulars(kronecker)
-    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
-    with pytest.raises(Inconclusive, match="SEARCH_BUDGET = 100000"):
-        is_isomorphic(x, y)
+    jordan = kronecker_presentation(kronecker, "b, -a | 0, b")
+    p1 = single_projective(kronecker, "1", 0)
+    p2 = single_projective(kronecker, "2", 0)
+    pieces = [p1, p2, ra, rb, jordan, shift(ra, 1)]
+    vectors = [
+        (0, 0, 1, 1, 0, 0),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 2, 0, 0, 0),
+        (1, 0, 1, 1, 0, 0),
+        (1, 0, 0, 0, 1, 0),
+        (0, 1, 0, 1, 1, 1),
+        (0, 1, 1, 2, 0, 1),
+    ]
+    shuffle = random.Random(p).shuffle
+
+    def summed(vector):
+        summands = [x for x, m in zip(pieces, vector) for _ in range(m)]
+        shuffle(summands)
+        return direct_sums(*summands)
+
+    for u in vectors:
+        for v in vectors:
+            assert is_isomorphic(summed(u), summed(v)) == (u == v), (u, v)
 
 
 def test_collections_match_up_to_order(a2):
@@ -187,25 +272,17 @@ def test_collections_match_up_to_order(a2):
     assert not isomorphic_collections([a, b], [a, b, c])
 
 
-def test_an_unmatched_open_member_reraises(kronecker):
-    ra, rb = regulars(kronecker)
-    p1 = single_projective(kronecker, "1", 0)
-    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, ra, ra, rb)
-    with pytest.raises(Inconclusive, match="SEARCH_BUDGET"):
-        isomorphic_collections([p1, x], [y, p1])
-
-
 def test_equal_complete_minimal_forms_are_isomorphic_without_a_search(
     kronecker, monkeypatch
 ):
-    """Equal keys make the identity an isomorphism, so no search runs,
-    not even for two objects with different labels or a contractible
-    summand on one side."""
+    """Equal keys make the identity an isomorphism, so no Hom space is
+    computed, not even for two objects with different labels or a
+    contractible summand on one side."""
 
-    def no_search(x, y):
-        raise AssertionError("find_isomorphism ran on identical minimal forms")
+    def no_search(x, y, n):
+        raise AssertionError("a Hom space was computed for identical minimal forms")
 
-    monkeypatch.setattr(compare, "find_isomorphism", no_search)
+    monkeypatch.setattr(compare, "hom_space", no_search)
     x, y = res(kronecker, "1"), res(kronecker, "1")
     assert x is not y and x.key == y.key and x.complete
     contractible = cone(identity_map(single_projective(kronecker, "2")))
@@ -217,21 +294,12 @@ def test_equal_complete_minimal_forms_are_isomorphic_without_a_search(
                          single_projective(kronecker, "1", 0, "B"))
 
 
-def test_equal_truncations_still_go_through_the_search(loop2, monkeypatch):
+def test_equal_truncations_still_go_through_the_search(loop2):
     """Identical truncations need not come from isomorphic resolutions, so
-    a truncated pair reaches the search and its truncation check, as it
-    did before the key existed."""
-    searched = []
-    real = compare.find_isomorphism
-
-    def spying(x, y):
-        searched.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(compare, "find_isomorphism", spying)
+    a truncated pair goes past the key shortcut to the Hom spaces, whose
+    truncation check refuses it."""
     x = minimal_projective_resolution(loop2, "1", 3)
     y = minimal_projective_resolution(loop2, "1", 3)
     assert not x.complete and x.key == y.key
     with pytest.raises(TruncationUnsound, match="H\\^0 of the Hom complex"):
         is_isomorphic(x, y)
-    assert len(searched) == 1
