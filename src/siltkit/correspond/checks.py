@@ -196,13 +196,14 @@ def _require_vanishing(
         rep.hard(summary, True)
 
 
-def _generation(rep: _Reporter, collection: Sequence[ProjComplex], depth: int) -> None:
-    """Generation in two halves: the members' classes must form an
-    unimodular square matrix against the projectives, and the thick
-    closure must reach every stalk projective, by a :class:`Generated`
-    collection's route or by the bounded search."""
+def _generation(
+    rep: _Reporter, collection: Sequence[ProjComplex], mat: list[list[int]], depth: int
+) -> None:
+    """Generation in two halves: ``mat``, the members' classes in a basis
+    of the Grothendieck group, must be an unimodular square matrix, and
+    the thick closure must reach every stalk projective, by a
+    :class:`Generated` collection's route or by the bounded search."""
     nverts = len(collection[0].algebra.quiver.vertices)
-    mat = k0_matrix(collection)
     if len(mat) != nverts:
         rep.hard(
             "class matrix is square",
@@ -263,7 +264,8 @@ def check_presilting(collection: Sequence[ProjComplex]) -> CheckReport:
 
 def k0_matrix(collection: Sequence[ProjComplex]) -> list[list[int]]:
     """Integer matrix of Euler pairings of the members against the
-    indecomposable projectives, one row per member."""
+    indecomposable projectives, one row per member: their coordinates in
+    K_0(D^b(mod A)), which :func:`check_smc` tests for unimodularity."""
     algebra = collection[0].algebra
     rows = []
     for x in collection:
@@ -371,16 +373,22 @@ def _closure_search(
 def check_silting(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
     """Presilting conditions plus a generation certificate.
 
-    Generation is certified in two halves: the members' classes must
-    form an unimodular square matrix against the projectives, and a
-    bounded thick-closure search must actually reach every stalk
-    projective.  Passing the first while exhausting the second yields
-    ``not-certified``.
+    Generation is certified in two halves: the members' class vectors,
+    their coordinates in K_0(K^b(proj A)) over the projectives, must form
+    an unimodular square matrix, and a bounded thick-closure search must
+    actually reach every stalk projective.  Passing the first while
+    exhausting the second yields ``not-certified``.  The class vectors,
+    not the Euler pairings of :func:`k0_matrix`, are the right
+    coordinates here: the two differ by the Cartan determinant, which
+    need not be ±1 when A has infinite global dimension, and A itself is
+    always silting.
     """
     rep = _Reporter("silting")
     rep.absorb(check_presilting(collection))
     if not rep.failed:
-        _generation(rep, collection, depth)
+        vertices = collection[0].algebra.quiver.vertices
+        classes = [[x.class_vector()[v] for v in vertices] for x in collection]
+        _generation(rep, collection, classes, depth)
     return rep.report()
 
 
@@ -436,7 +444,7 @@ def check_smc(collection: Sequence[ProjComplex], depth: int = 3) -> CheckReport:
                 "endomorphism ring is zero",
             )
     if not rep.failed:
-        _generation(rep, collection, depth)
+        _generation(rep, collection, k0_matrix(collection), depth)
     return rep.report()
 
 

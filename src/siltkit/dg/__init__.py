@@ -1,4 +1,4 @@
-"""Differential graded algebras, their modules, and dual constructions."""
+"""Differential graded algebras, their simple modules, and dual constructions."""
 
 from .dga import (
     DGAlgebra,
@@ -10,7 +10,6 @@ from .dga import (
     verify_dg_quasi_iso,
 )
 from .dgmod import (
-    DGModule,
     SemifreeResolution,
     koszul_dual,
     semifree_resolution,
@@ -19,7 +18,6 @@ from .dgmod import (
 
 __all__ = [
     "DGAlgebra",
-    "DGModule",
     "GradedAlgebraMap",
     "SemifreeResolution",
     "cohomology_algebra",

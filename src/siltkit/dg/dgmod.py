@@ -1,11 +1,15 @@
-"""Right dg modules, semifree resolutions of simples, and dual dg algebras.
+"""Simple dg modules as characters, their semifree resolutions, and dual
+dg algebras.
 
-The chain of constructions here: each idempotent of a dg algebra determines a
-candidate one-dimensional degree-0 module via a multiplicative character on
-the degree-0 part (``simple_dg_modules``); each simple is resolved by a free
-dg module built by repeatedly killing cone cohomology classes
-(``semifree_resolution``); and the endomorphism dg algebra of the direct sum
-of those resolutions is the dual algebra (``koszul_dual``).
+The chain of constructions here: each idempotent e of a dg algebra E
+determines a candidate one-dimensional degree-0 module, given by its
+character chi on E^0 (``simple_dg_modules``).  E^0 acts on it through the
+top of the corner algebra e E^0 e, the corner modulo its radical, and chi
+is read off that top by ``linalg.top``, the routine the homotopy layer
+reads H^0 End through.  Each simple is resolved by a free dg module
+built by repeatedly killing cone cohomology classes
+(``semifree_resolution``); and the endomorphism dg algebra of the direct
+sum of those resolutions is the dual algebra (``koszul_dual``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
 when the class is not already in the span of the cone boundaries and of
@@ -14,12 +18,12 @@ generator kills its piece times every such cocycle, so one stage per kill
 degree still kills every class there, and each generator stands for a
 class no earlier one accounts for.
 
-A ``DGModule`` is structure-constant data only: the simples are correct by
-construction once their character passes the checks in
+A simple is its character, and no module object is built: the simples
+are correct by construction once their character passes the checks in
 ``simple_dg_modules``.  A ``SemifreeResolution`` is a ``dga.FreeModule``
-with a comparison map to the module it resolves; ``verify`` checks d^2 = 0
-and the chain condition of that map on every generator.  The dual is
-``dga.end_algebra`` of the resolutions: the same End construction as
+with a comparison map to the module of its character; ``verify`` checks
+d^2 = 0 and the chain condition of that map on every generator.  The dual
+is ``dga.end_algebra`` of the resolutions: the same End construction as
 ``dg_end``.
 """
 
@@ -30,7 +34,7 @@ from ..errors import (
     IdempotentLiftMissing,
     SimpleNotOneDimensional,
 )
-from ..linalg import Cohomology, GaussianSpan, solve, sparse_apply, sparse_product
+from ..linalg import Cohomology, GaussianSpan, solve, top
 from .dga import (
     Coords,
     DGAlgebra,
@@ -41,70 +45,11 @@ from .dga import (
 )
 
 
-class DGModule:
-    """A right dg module over a DGAlgebra, given by structure constants.
-
-    The ``action`` argument maps an algebra basis index ``a`` to a dict
-    from module basis index ``i`` to the sparse coordinates of
-    ``m_i * b_a``; missing entries mean zero.  It is stored keyed by
-    ``(i, a)``, the layout of ``DGAlgebra.products``.
-    """
-
-    def __init__(
-        self,
-        algebra: DGAlgebra,
-        labels: tuple[str, ...],
-        degrees: tuple[int, ...],
-        differential: dict[int, Coords],
-        action: dict[int, dict[int, Coords]],
-        provenance: str = "",
-    ):
-        if len(labels) != len(degrees):
-            raise ValueError("labels and degrees must have equal length")
-        self.algebra = algebra
-        self.field = algebra.field
-        self.labels = tuple(labels)
-        self.degrees = tuple(degrees)
-        self.differential = {
-            i: {j: c for j, c in val.items() if c}
-            for i, val in differential.items()
-            if any(val.values())
-        }
-        self.action = {
-            (i, a): {j: c for j, c in row.items() if c}
-            for a, rows in action.items()
-            for i, row in rows.items()
-            if any(row.values())
-        }
-        self.provenance = provenance
-
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
-    def graded_dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for n in self.degrees:
-            out[n] = out.get(n, 0) + 1
-        return out
-
-    def act(self, coords: Coords, algebra_coords: Coords) -> Coords:
-        return sparse_product(self.field, self.action, coords, algebra_coords)
-
-    def differentiate(self, coords: Coords) -> Coords:
-        return sparse_apply(self.field, self.differential, coords)
-
-    def __repr__(self):
-        dims = self.graded_dims()
-        shown = ", ".join(f"{n}: {dims[n]}" for n in sorted(dims))
-        tag = f" <- {self.provenance}" if self.provenance else ""
-        return f"DGModule({shown}){tag}"
-
-
 def _character(E: DGAlgebra, name: str) -> list:
     """The multiplicative character of the degree-0 part selected by the
-    named idempotent: chi(x) is the unique eigenvalue of left multiplication
-    by e x e on the corner algebra e E^0 e."""
+    named idempotent e, read off the top of the corner algebra e E^0 e:
+    with w the one functional that vanishes on the corner's radical,
+    chi(g) = w(e g e) / w(e)."""
     field = E.field
     e = E.idempotents[name]
     idx0 = E.indices_at(0)
@@ -133,84 +78,54 @@ def _character(E: DGAlgebra, name: str) -> list:
             )
         return sol
 
-    def left_mult_matrix(y: Coords) -> list:
-        cols = [in_corner_coords(E.multiply(y, c)) for c in corner_basis]
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-    def eigenvalue(y: Coords):
-        L = left_mult_matrix(y)
-
-        def nilpotent(mat) -> bool:
-            power = mat
-            for _ in range(m):
-                if all(not c for row in power for c in row):
-                    return True
-                power = [
-                    [
-                        sum((power[i][t] * mat[t][j] for t in range(m)),
-                            field.zero)
-                        for j in range(m)
-                    ]
-                    for i in range(m)
-                ]
-            return all(not c for row in power for c in row)
-
-        char = field.characteristic
-        if char == 0 or m % char:
-            trace = sum((L[i][i] for i in range(m)), field.zero)
-            c = field.div(trace, field.coerce(m))
-            shifted = [
-                [L[i][j] - (c if i == j else field.zero) for j in range(m)]
-                for i in range(m)
-            ]
-            if nilpotent(shifted):
-                return c
-            raise SimpleNotOneDimensional(
-                f"corner algebra of {name} has no one-dimensional quotient "
-                f"character on this element"
-            )
-        for v in range(char):
-            c = field.coerce(v)
-            shifted = [
-                [L[i][j] - (c if i == j else field.zero) for j in range(m)]
-                for i in range(m)
-            ]
-            if nilpotent(shifted):
-                return c
+    products = {
+        (i, j): {k: c for k, c in enumerate(in_corner_coords(E.multiply(a, b))) if c}
+        for i, a in enumerate(corner_basis)
+        for j, b in enumerate(corner_basis)
+    }
+    functionals = top(field, products, m)
+    if len(functionals) != 1:
         raise SimpleNotOneDimensional(
-            f"corner algebra of {name} is not local over the prime field"
+            f"corner algebra of {name} modulo its radical has dimension "
+            f"{len(functionals)}"
         )
+    (w,) = functionals
 
+    def value(coords: Coords):
+        return sum((a * b for a, b in zip(w, in_corner_coords(coords)) if a), field.zero)
+
+    unit = value(e)
     chi = [field.zero] * E.dimension
     for g in idx0:
-        chi[g] = eigenvalue(corner({g: field.one}))
+        chi[g] = field.div(value(corner({g: field.one})), unit)
     return chi
 
 
-def simple_dg_modules(E: DGAlgebra) -> dict[str, DGModule]:
-    """One-dimensional degree-0 dg modules, one per idempotent.
+def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
+    """The characters of the one-dimensional degree-0 dg modules, one per
+    idempotent.
 
-    Each module acts through a character of the degree-0 part.  Three
-    obstructions are checked exactly: the character must kill the image of
-    the differential (else the action would not be a chain map), it must
-    kill every degree-0 product of elements of opposite nonzero degrees
-    (else the graded action could not be concentrated in one degree), and it
-    must be multiplicative.  The first two failures raise
-    IdempotentLiftMissing, the last SimpleNotOneDimensional.
+    A simple is its character chi: a list over the basis of E, zero
+    outside degree 0, with s * b = chi[b] s on the module's one basis
+    vector s.  chi comes from the top of the idempotent's corner algebra,
+    and four obstructions are then checked exactly, in this order: chi
+    must separate the idempotents, it must be multiplicative on E^0, it
+    must kill the image of the differential (else the action would not be
+    a chain map), and it must kill every degree-0 product of elements of
+    opposite nonzero degrees (else the graded action could not be
+    concentrated in one degree).  A corner whose top is not the field and
+    a character that is not multiplicative raise SimpleNotOneDimensional,
+    the other failures IdempotentLiftMissing.
     """
     if not E.idempotents:
         raise ValueError("the algebra carries no idempotent family")
     field = E.field
-    out: dict[str, DGModule] = {}
+    out: dict[str, list] = {}
     for name in E.idempotents:
         chi = _character(E, name)
 
         def chi_of(coords: Coords):
-            total = field.zero
-            for g, c in coords.items():
-                if E.degrees[g] == 0:
-                    total = total + c * chi[g]
-            return total
+            return sum((c * chi[g] for g, c in coords.items()), field.zero)
 
         for other, e_other in E.idempotents.items():
             expected = field.one if other == name else field.zero
@@ -242,35 +157,35 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, DGModule]:
                             f"character of {name} sees the degree-{a} part "
                             f"through {E.labels[i]} * {E.labels[j]}"
                         )
-        action = {
-            a: ({0: {0: chi[a]}} if E.degrees[a] == 0 and chi[a] else {})
-            for a in range(E.dimension)
-        }
-        out[name] = DGModule(
-            E, (f"S({name})",), (0,), {}, action, provenance=f"simple at {name}"
-        )
+        out[name] = chi
     return out
 
 
 class SemifreeResolution(FreeModule):
-    """A free resolution of a dg module, kept in generator form.
+    """A free resolution of the one-dimensional dg module of a character,
+    kept in generator form.
 
-    ``phi_gens[t]`` fixes the comparison map to the target module on the
-    t-th generator; with ``d_gens`` it determines everything else by
-    right-linearity.
+    The module of ``chi`` is spanned by one vector s of degree 0, with
+    zero differential and s * b = chi[b] s.  ``phi_gens[t]`` is the scalar
+    with phi(g_t) = phi_gens[t] s; with ``d_gens`` it fixes the comparison
+    map everywhere by right-linearity.  In the cone of phi, coordinate 0
+    is s and coordinate 1 + p is the p-th basis pair of the resolution.
     """
 
-    def __init__(self, algebra: DGAlgebra, target: DGModule, window):
+    def __init__(self, algebra: DGAlgebra, chi: list, window):
         super().__init__(algebra, complete=False)
-        self.target = target
+        self.chi = chi
         self.window = window
-        self.phi_gens: list[Coords] = []
+        self.phi_gens: list = []
 
-    def phi_pair(self, t: int, b: int) -> Coords:
-        """phi(g_t * b) = phi(g_t) * b in the target module."""
-        return self.target.act(self.phi_gens[t], {b: self.field.one})
+    def phi_pair(self, t: int, b: int):
+        """The scalar of phi(g_t * b) = phi(g_t) * b = phi_gens[t] chi[b] s."""
+        return self.phi_gens[t] * self.chi[b]
 
     def verify(self) -> None:
+        """d^2 = 0 and phi∘d = 0 on every generator: the module of chi has
+        zero differential, so phi is a chain map exactly when it kills
+        every boundary."""
         field = self.field
         for t in range(len(self.generators)):
             dd: dict[tuple[int, int], object] = {}
@@ -281,13 +196,10 @@ class SemifreeResolution(FreeModule):
                 raise ChainConditionViolated(
                     f"d^2 != 0 on generator {self.generators[t].label}"
                 )
-            lhs: Coords = {}
-            for (u, b), c in self.d_gens[t].items():
-                for j, s in self.phi_pair(u, b).items():
-                    lhs[j] = lhs.get(j, field.zero) + c * s
-            lhs = {j: c for j, c in lhs.items() if c}
-            rhs = self.target.differentiate(self.phi_gens[t])
-            if lhs != rhs:
+            phi_d = sum(
+                (c * self.phi_pair(u, b) for (u, b), c in self.d_gens[t].items()), field.zero
+            )
+            if phi_d:
                 raise ChainConditionViolated(
                     f"comparison map is not a chain map on generator "
                     f"{self.generators[t].label}"
@@ -296,24 +208,17 @@ class SemifreeResolution(FreeModule):
     # -- cone of the comparison map -----------------------------------
 
     def _cone_data(self):
-        """Basis degrees and differential of M (+) F[1], with the comparison
+        """Basis degrees and differential of S (+) F[1], with the comparison
         map folded in.  Returns (degrees, sparse differential columns)."""
-        field = self.field
-        m_dim = self.target.dimension
-        degrees = list(self.target.degrees) + [n - 1 for n in self.basis_degrees]
+        degrees = [0] + [n - 1 for n in self.basis_degrees]
         diff: dict[int, Coords] = {}
-        for i, val in self.target.differential.items():
-            diff[i] = dict(val)
         for p, (t, b) in enumerate(self.basis_pairs):
-            col: Coords = {}
-            for j, c in self.phi_pair(t, b).items():
-                col[j] = col.get(j, field.zero) + c
+            col: Coords = {0: self.phi_pair(t, b)}
             for key, c in self.d_pair(t, b).items():
-                idx = m_dim + self.pair_index[key]
-                col[idx] = col.get(idx, field.zero) - c
+                col[1 + self.pair_index[key]] = -c
             col = {j: c for j, c in col.items() if c}
             if col:
-                diff[m_dim + p] = col
+                diff[1 + p] = col
         return degrees, diff
 
     def _cone_cohomology(self):
@@ -340,15 +245,14 @@ class SemifreeResolution(FreeModule):
     def _cone_times(self, x: Coords, b: Coords) -> Coords:
         """x * b for cone coordinates x and a degree-0 algebra element b."""
         field = self.field
-        m_dim = self.target.dimension
         out: Coords = {}
         for i, c in x.items():
-            if i < m_dim:
-                terms = self.target.act({i: c}, b)
+            if i == 0:
+                terms = {0: c * sum((v * self.chi[a] for a, v in b.items()), field.zero)}
             else:
-                t, a = self.basis_pairs[i - m_dim]
+                t, a = self.basis_pairs[i - 1]
                 terms = {
-                    m_dim + self.pair_index[(t, k)]: s
+                    1 + self.pair_index[(t, k)]: s
                     for k, s in self.algebra.multiply({a: c}, b).items()
                 }
             for j, s in terms.items():
@@ -363,9 +267,10 @@ class SemifreeResolution(FreeModule):
 
 
 def semifree_resolution(
-    module: DGModule, E: DGAlgebra, window: tuple[int, int] = (-5, 5)
+    chi: list, E: DGAlgebra, window: tuple[int, int] = (-5, 5)
 ) -> SemifreeResolution:
-    """Resolve a dg module by a free dg module, killing cone classes.
+    """Resolve the one-dimensional dg module of the character ``chi`` by a
+    free dg module, killing cone classes.
 
     Each stage picks the extremal degree n where the cone of the comparison
     map still has cohomology (smallest degree when the algebra sits in
@@ -382,8 +287,6 @@ def semifree_resolution(
     stops once the kill degree can no longer influence Hom degrees inside
     ``window`` and the resolution is flagged truncated.
     """
-    if module.algebra is not E:
-        raise ValueError("module is not over the given algebra")
     if not E.idempotents:
         raise ValueError("resolutions need an idempotent family")
     field = E.field
@@ -402,7 +305,7 @@ def semifree_resolution(
                     raise IdempotentLiftMissing(
                         "the basis is not block-pure for the idempotent family"
                     )
-    res = SemifreeResolution(E, module, window)
+    res = SemifreeResolution(E, chi, window)
     rng = E.degree_range() or (0, 0)
     ascending = rng[0] >= 0
     spread = rng[1] - rng[0]
@@ -412,7 +315,6 @@ def semifree_resolution(
     cocycles0 = [
         {idx0[i]: c for i, c in enumerate(z) if c} for z in E.cohomology(0).cocycles
     ]
-    m_dim = module.dimension
     counter = 0
     for _ in range(256):
         classes = res._cone_cohomology()
@@ -442,10 +344,8 @@ def semifree_resolution(
                     killed.add(local(res._cone_times(piece, b)))
                 counter += 1
                 res.generators.append(Generator(f"g{counter}", n, vertex))
-                res.d_gens.append({
-                    res.basis_pairs[i - m_dim]: c for i, c in piece.items() if i >= m_dim
-                })
-                res.phi_gens.append({i: -c for i, c in piece.items() if i < m_dim})
+                res.d_gens.append({res.basis_pairs[i - 1]: c for i, c in piece.items() if i})
+                res.phi_gens.append(-piece.get(0, field.zero))
         res._rebuild()
     res.verify()
     return res
@@ -464,7 +364,7 @@ def koszul_dual(
     """
     simples = simple_dg_modules(E)
     return end_algebra(
-        [semifree_resolution(M, E, window) for M in simples.values()],
+        [semifree_resolution(chi, E, window) for chi in simples.values()],
         list(simples),
         f"dual of {E.provenance}" if E.provenance else "dual",
         window,

@@ -67,8 +67,9 @@ class Inconclusive(SiltkitError):
 
 
 class SimpleNotOneDimensional(SiltkitError):
-    """No one-dimensional degree-0 module exists for an idempotent: the
-    multiplicative character forced by the idempotent does not exist."""
+    """No one-dimensional degree-0 module exists for an idempotent e: the
+    corner algebra e E^0 e modulo its radical is not the field, or the
+    character read off it is not multiplicative on E^0."""
 
 
 class IdempotentLiftMissing(SiltkitError):

@@ -17,6 +17,10 @@ Indecomposability.  X is indecomposable exactly when End(X)/rad is a
 division algebra.  Over F_p that is decided (Wedderburn, Berlekamp; see
 :func:`is_indecomposable`).  Over Q a reducible minimal polynomial proves
 a split, and a quotient that shows none is reported Inconclusive.
+
+H^0 End is handed over as sparse structure constants, and its radical
+comes from ``linalg.radical``: the same routine reads the top of the
+corner algebra whose character is a simple dg module in ``dg.dgmod``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from ..errors import Inconclusive
-from ..linalg import identity_matrix, kernel_basis, rank, solve
+from ..linalg import rank, solve, sparse_combination, sparse_product, top
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -111,7 +115,7 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     if complex_cohomology_dims(mx) != complex_cohomology_dims(my):
         return False
     field = mx.algebra.field
-    top_x, top_y = (_top(field, _end_table(z)[0]) for z in (mx, my))
+    top_x, top_y = (top(field, *_end_table(z)[:2]) for z in (mx, my))
     end_x, forward = hom_space(mx, mx, 0), hom_space(mx, my, 0)
     products = [
         [end_x.class_coordinates(g.compose(f)) for f in forward.representatives]
@@ -122,109 +126,25 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
 
 
 def _end_table(x: ProjComplex):
-    """The multiplication table of H^0 End(x) over its representatives r
-    (``table[i][j]`` holds the coordinates of r_i ∘ r_j) and the
-    coordinates of the identity."""
+    """H^0 End(x) as structure constants over its representatives r
+    (``products[(i, j)]`` holds the sparse coordinates of r_i ∘ r_j), its
+    dimension and the sparse coordinates of the identity."""
     space = hom_space(x, x, 0)
     reps = space.representatives
-    table = [[space.class_coordinates(a.compose(b)) for b in reps] for a in reps]
-    return table, space.class_coordinates(identity_map(x))
+    products = {
+        (i, j): _sparse(space.class_coordinates(a.compose(b)))
+        for i, a in enumerate(reps)
+        for j, b in enumerate(reps)
+    }
+    return products, len(reps), _sparse(space.class_coordinates(identity_map(x)))
 
 
-def _top(field, table) -> list:
-    """A basis of the functionals whose common kernel is the radical of
-    the algebra with this multiplication table, one per dimension of the
-    algebra modulo its radical."""
-    return kernel_basis(field, _radical(field, table), len(table))
+def _sparse(vector: list) -> dict:
+    return {k: c for k, c in enumerate(vector) if c}
 
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v) if a and b), 0)
-
-
-def _residue(c) -> int:
-    return c.value if c else 0
-
-
-def _product(field, table, x, y) -> list:
-    """The product xy of two coordinate vectors."""
-    out = [field.zero] * len(table)
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            if xi and yj:
-                for k, t in enumerate(table[i][j]):
-                    if t:
-                        out[k] = out[k] + xi * yj * t
-    return out
-
-
-def _power(field, table, a, exponent: int, one) -> list:
-    """a^exponent, by repeated squaring."""
-    while exponent:
-        if exponent & 1:
-            one = _product(field, table, one, a)
-        a, exponent = _product(field, table, a, a), exponent >> 1
-    return one
-
-
-def _power_trace(mat: list, exponent: int, modulus: int) -> int:
-    """tr(mat^exponent) mod ``modulus`` for a square integer matrix."""
-
-    def times(a, b):
-        out = []
-        for row in a:
-            acc = [0] * len(b)
-            for k, x in enumerate(row):
-                for j, y in enumerate(b[k] if x else ()):
-                    acc[j] += x * y
-            out.append([c % modulus for c in acc])
-        return out
-
-    result = mat
-    for bit in bin(exponent)[3:]:
-        result = times(result, result)
-        if bit == "1":
-            result = times(result, mat)
-    return sum(result[i][i] for i in range(len(mat))) % modulus
-
-
-def _radical(field, table) -> list:
-    """A basis, as coordinate vectors, of the Jacobson radical of the
-    unital algebra whose multiplication table is ``table``
-    (``table[i][j]`` holds the coordinates of e_i e_j).
-
-    Step 0 is the kernel I_0 of the trace form tr(L_a L_b) = tr(L_ab) of
-    the left regular representation L.  That is the radical in
-    characteristic 0 and over F_p when p > dim.  Over a smaller prime
-    field, for i = 1 .. ⌊log_p dim⌋, I_i = {a ∈ I_{i-1} : g_i(ab) = 0 for
-    every basis element b}, where g_i(a) = (tr(ã^{p^i}) mod p^{i+1}) / p^i
-    and ã is the integer lift of L_a, entries in 0 .. p-1.  Each g_i is
-    linear on I_{i-1}, and the last I_i is the radical (Rónyai, 1990, in
-    the form of Cohen–Ivanyos–Wales, 1997).
-    """
-    dim = len(table)
-    traces = [sum(table[k][j][j] for j in range(dim)) for k in range(dim)]
-    gram = [[_dot(table[i][j], traces) for j in range(dim)] for i in range(dim)]
-    ideal = kernel_basis(field, gram, dim)
-    p = power = field.characteristic
-    if not 0 < p <= dim:
-        return ideal
-    # The residues of a and of regular[r][c] have dot product L_a[r][c] mod p.
-    regular = [[[_residue(row[c][r]) for row in table] for c in range(dim)] for r in range(dim)]
-    while power <= dim and ideal:
-        modulus = power * p
-        rows = [[] for _ in range(dim)]
-        for u in ideal:
-            for row, b in zip(rows, identity_matrix(field, dim)):
-                ab = [_residue(c) for c in _product(field, table, u, b)]
-                lift = [[_dot(ab, entry) % p for entry in line] for line in regular]
-                row.append(field.coerce(_power_trace(lift, power, modulus) // power))
-        ideal = [
-            [_dot(c, column) for column in zip(*ideal)]
-            for c in kernel_basis(field, rows, len(ideal))
-        ]
-        power = modulus
-    return ideal
 
 
 def is_indecomposable(x: ProjComplex) -> bool:
@@ -247,46 +167,57 @@ def is_indecomposable(x: ProjComplex) -> bool:
     return _is_local(mx.algebra.field, *_end_table(mx))
 
 
-def _is_local(field, table, one) -> bool:
-    """Whether the unital algebra with this multiplication table and
-    identity coordinates ``one`` is local, as :func:`is_indecomposable`
-    decides it."""
-    top = _top(field, table)
-    if len(top) == 1:
+def _is_local(field, products, dim: int, one) -> bool:
+    """Whether the unital algebra with these structure constants, of
+    dimension ``dim`` and with identity coordinates ``one``, is local, as
+    :func:`is_indecomposable` decides it."""
+    functionals = top(field, products, dim)
+    if len(functionals) == 1:
         return True
 
     def modulo_rad(v):
-        return [_dot(w, v) for w in top]
+        return [sum((w[k] * c for k, c in v.items()), field.zero) for w in functionals]
 
-    units = identity_matrix(field, len(table))
+    units = [{k: field.one} for k in range(dim)]
     p = field.characteristic
     if p:
-        for i, row in enumerate(table):
+        for i in range(dim):
             for j in range(i):
-                if any(modulo_rad([a - b for a, b in zip(row[j], table[j][i])])):
+                ij, ji = products.get((i, j)), products.get((j, i))
+                if any(modulo_rad(sparse_combination(field, [(1, ij), (-1, ji)]))):
                     return False
-        frobenius = [
-            modulo_rad([a - b for a, b in zip(_power(field, table, e, p, one), e)])
+
+        def frobenius(a):
+            """a^p, by repeated squaring."""
+            power = one
+            for bit in bin(p)[2:]:
+                power = sparse_product(field, products, power, power)
+                if bit == "1":
+                    power = sparse_product(field, products, power, a)
+            return power
+
+        rows = [
+            modulo_rad(sparse_combination(field, [(1, frobenius(e)), (-1, e)]))
             for e in units
         ]
-        return rank(field, frobenius) == len(top) - 1
+        return rank(field, rows) == len(functionals) - 1
     for e in units:
-        poly = _minimal_polynomial(field, table, e, one, modulo_rad)
+        poly = _minimal_polynomial(field, products, e, one, modulo_rad)
         if len(poly) > 2 and (_has_repeated_factor(field, poly) or _has_rational_root(poly)):
             return False
     raise Inconclusive(
-        f"End modulo its radical has dimension {len(top)}, and no basis element "
-        "has a minimal polynomial with a repeated factor or a rational root, so "
-        "it is not known whether it is a division algebra"
+        f"End modulo its radical has dimension {len(functionals)}, and no basis "
+        "element has a minimal polynomial with a repeated factor or a rational "
+        "root, so it is not known whether it is a division algebra"
     )
 
 
-def _minimal_polynomial(field, table, a, one, modulo_rad) -> list:
+def _minimal_polynomial(field, products, a, one, modulo_rad) -> list:
     """The monic minimal polynomial of a modulo the radical, as
     coefficients from the constant term up."""
     images, power = [modulo_rad(one)], one
     while True:
-        power = _product(field, table, power, a)
+        power = sparse_product(field, products, power, a)
         coords = solve(field, [list(row) for row in zip(*images)], modulo_rad(power))
         if coords is not None:
             return [-c for c in coords] + [field.one]

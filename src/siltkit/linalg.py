@@ -15,6 +15,11 @@ structure constants are applied: path algebras, dg algebras and dg modules
 multiply through the first; dg differentials and algebra maps act through
 the second (as ``sparse_apply``), and ``DGAlgebra.verify`` multiplies by a
 basis element through it.
+
+``radical`` is the one place the Jacobson radical of a finite algebra is
+computed, from the same sparse structure constants: H^0 End of a complex
+in the homotopy layer and the corner algebra of a simple dg module both
+read their top (the algebra modulo its radical) through ``top``.
 """
 
 from __future__ import annotations
@@ -42,36 +47,6 @@ def identity_matrix(field: Field, n: int) -> Matrix:
     for i in range(n):
         m[i][i] = field.one
     return m
-
-
-def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = zero_matrix(field, len(a), cols)
-    for i, row in enumerate(a):
-        for k in range(inner):
-            aik = row[k]
-            if not aik:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                if brow[j]:
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
-
-
-def mat_vec(field: Field, a: Matrix, v: Vector) -> Vector:
-    out = zero_vector(field, len(a))
-    for i, row in enumerate(a):
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out[i] = acc
-    return out
 
 
 def sparse_product(
@@ -327,3 +302,84 @@ class Cohomology:
                 residual = [x - factor * y for x, y in zip(residual, row)]
                 coords = [x + factor * y for x, y in zip(coords, row[self.width:])]
         return None if any(residual) else coords
+
+
+def radical(
+    field: Field, products: dict[tuple[int, int], Coords], dim: int
+) -> list[Vector]:
+    """A basis, as coordinate vectors, of the Jacobson radical of the
+    unital algebra with basis e_0 .. e_{dim-1} and structure constants
+    ``products`` (``products[(i, j)]`` holds the sparse coordinates of
+    e_i e_j; missing pairs are 0).
+
+    Step 0 is the kernel I_0 of the trace form tr(L_a L_b) = tr(L_ab) of
+    the left regular representation L.  That is the radical in
+    characteristic 0 and over F_p when p > dim.  Over a smaller prime
+    field, for i = 1 .. ⌊log_p dim⌋, I_i = {a ∈ I_{i-1} : g_i(ab) = 0 for
+    every basis element b}, where g_i(a) = (tr(ã^{p^i}) mod p^{i+1}) / p^i
+    and ã is the integer lift of L_a, entries in 0 .. p-1.  Each g_i is
+    linear on I_{i-1}, and the last I_i is the radical (Rónyai, 1990, in
+    the form of Cohen–Ivanyos–Wales, 1997).
+    """
+    zero, one = field.zero, field.one
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v) if a and b), zero)
+
+    traces = [
+        sum((products.get((k, j), {}).get(j, zero) for j in range(dim)), zero)
+        for k in range(dim)
+    ]
+    gram = [
+        [sum((c * traces[k] for k, c in products.get((i, j), {}).items()), zero)
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+    ideal = kernel_basis(field, gram, dim)
+    p = power = field.characteristic
+    if not 0 < p <= dim:
+        return ideal
+    while power <= dim and ideal:
+        modulus = power * p
+        rows = [[] for _ in range(dim)]
+        for u in ideal:
+            a = {k: c for k, c in enumerate(u) if c}
+            for b, row in enumerate(rows):
+                ab = sparse_product(field, products, a, {b: one})
+                columns = [sparse_product(field, products, ab, {c: one}) for c in range(dim)]
+                lift = [[col[r].value if r in col else 0 for col in columns] for r in range(dim)]
+                row.append(field.coerce(_power_trace(lift, power, modulus) // power))
+        ideal = [
+            [dot(c, column) for column in zip(*ideal)]
+            for c in kernel_basis(field, rows, len(ideal))
+        ]
+        power = modulus
+    return ideal
+
+
+def top(field: Field, products: dict[tuple[int, int], Coords], dim: int) -> list[Vector]:
+    """A basis of the functionals whose common kernel is the radical of
+    the algebra with these structure constants, one per dimension of the
+    algebra modulo its radical."""
+    return kernel_basis(field, radical(field, products, dim), dim)
+
+
+def _power_trace(mat: list, exponent: int, modulus: int) -> int:
+    """tr(mat^exponent) mod ``modulus`` for a square integer matrix."""
+
+    def times(a, b):
+        out = []
+        for row in a:
+            acc = [0] * len(b)
+            for k, x in enumerate(row):
+                for j, y in enumerate(b[k] if x else ()):
+                    acc[j] += x * y
+            out.append([c % modulus for c in acc])
+        return out
+
+    result = mat
+    for bit in bin(exponent)[3:]:
+        result = times(result, result)
+        if bit == "1":
+            result = times(result, mat)
+    return sum(result[i][i] for i in range(len(mat))) % modulus

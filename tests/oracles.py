@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
@@ -304,6 +305,39 @@ def dense_dg_verify(A) -> str | None:
     return None
 
 
+def dg_module(algebra, labels, degrees, differential, action) -> SimpleNamespace:
+    """A right dg module over ``algebra`` as plain structure data, the
+    shape :func:`dense_dg_module_verify` reads.
+
+    ``action`` maps an algebra basis index a to a dict from module basis
+    index i to the sparse coordinates of m_i * b_a; it is stored keyed
+    ``(i, a)``.  Zero coefficients and empty entries are dropped.
+    """
+    return SimpleNamespace(
+        algebra=algebra,
+        labels=tuple(labels),
+        degrees=tuple(degrees),
+        differential={
+            i: {j: c for j, c in val.items() if c}
+            for i, val in differential.items()
+            if any(val.values())
+        },
+        action={
+            (i, a): {j: c for j, c in row.items() if c}
+            for a, rows in action.items()
+            for i, row in rows.items()
+            if any(row.values())
+        },
+    )
+
+
+def character_module(algebra, chi) -> SimpleNamespace:
+    """The one-dimensional degree-0 module of a character ``chi`` (a list
+    over the basis of ``algebra``): m * b_a = chi[a] m, zero differential."""
+    action = {a: {0: {0: c}} for a, c in enumerate(chi) if c}
+    return dg_module(algebra, ("m",), (0,), {}, action)
+
+
 def _module_act(M, x: dict, y: dict) -> dict:
     """x * y for module coordinates x and algebra coordinates y, read from
     ``M.action`` keyed ``(module index, algebra index)``."""
@@ -411,3 +445,38 @@ def brute_force_radical(table, p: int) -> set[tuple[int, ...]]:
         ):
             radical.add(x)
     return radical
+
+
+# ---------------------------------------------------------------------------
+# characters of simple dg modules, by eigenvalues
+# ---------------------------------------------------------------------------
+
+
+def corner_eigenvalue(A, idempotent: dict, x: dict) -> sympy.Rational:
+    """The unique eigenvalue of left multiplication by e x e on the corner
+    algebra e A^0 e, over QQ, for the idempotent e and a degree-0 element
+    x (sparse coordinates).
+
+    The corner is spanned by e b e over the degree-0 basis elements b; its
+    basis and the coordinates in it come from sympy's elimination, and the
+    eigenvalues from sympy's characteristic polynomial.  Raises
+    AssertionError when the eigenvalue is not unique.
+    """
+    degree0 = [i for i, n in enumerate(A.degrees) if n == 0]
+
+    def corner(y: dict) -> dict:
+        return _dg_multiply(A, idempotent, _dg_multiply(A, y, idempotent))
+
+    def column(y: dict) -> sympy.Matrix:
+        return sympy.Matrix([sym(y.get(i, 0)) for i in degree0])
+
+    spanning = sympy.Matrix.hstack(*(column(corner({b: 1})) for b in degree0))
+    _, pivots = spanning.rref()
+    basis = [corner({degree0[p]: 1}) for p in pivots]
+    frame = sympy.Matrix.hstack(*(column(b) for b in basis))
+    exe = corner(x)
+    images = [frame.gauss_jordan_solve(column(_dg_multiply(A, exe, b)))[0] for b in basis]
+    eigenvalues = sympy.Matrix.hstack(*images).eigenvals()
+    assert len(eigenvalues) == 1, f"left multiplication has eigenvalues {eigenvalues}"
+    (value,) = eigenvalues
+    return value

@@ -124,6 +124,22 @@ def test_an_undeclared_vertex_in_a_complex_is_located(tmp_path, capsys):
     )
 
 
+def test_the_projectives_are_silting_at_infinite_global_dimension(tmp_path):
+    """The dual numbers (loop2) and the radical-square-zero 3-cycle have
+    Cartan determinant 2; their projectives still form a silting
+    collection, whose class vectors have determinant 1."""
+    collection = tmp_path / "loop2.silt"
+    collection.write_text("silting s = [proj(1)]\n", encoding="utf-8")
+    runs = [
+        ["verify", "--silting", "{in}/loop2.alg", str(collection)],
+        ["verify", "--silting", str(GOLDEN / "resolutions" / "cycle3.alg"), "{in}/cycle3.pair"],
+    ]
+    for n, argv in enumerate(runs):
+        code, stdout, _ = run_case(argv, tmp_path / f"run{n}")
+        assert code == 0, stdout
+        assert "check silting ok class matrix is unimodular :: determinant 1\n" in stdout
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_dg_module_verify, dense_dg_verify
+from oracles import character_module, dense_dg_module_verify, dense_dg_verify
 from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Arrow, Quiver
@@ -176,23 +176,23 @@ def test_simples_of_a_path_algebra(a2):
     D = path_algebra_to_dg(a2)
     simples = simple_dg_modules(D)
     assert set(simples) == {"1", "2"}
-    for name, M in simples.items():
-        assert M.graded_dims() == {0: 1}
+    for name, chi in simples.items():
+        M = character_module(D, chi)
+        assert M.degrees == (0,)
         dense_dg_module_verify(M)
-        gen = {0: D.field.one}
         other = next(v for v in D.idempotents if v != name)
-        assert M.act(gen, D.idempotents[name]) == gen
-        assert not M.act(gen, D.idempotents[other])
+        assert sum(c * chi[g] for g, c in D.idempotents[name].items()) == 1
+        assert not sum(c * chi[g] for g, c in D.idempotents[other].items())
 
 
 def test_simples_of_the_shifted_end(shifted_end):
     simples = simple_dg_modules(shifted_end)
     assert set(simples) == {"1", "2"}
-    assert all(M.graded_dims() == {0: 1} for M in simples.values())
+    assert all(len(chi) == shifted_end.dimension for chi in simples.values())
     # the degree -1 generator must act by zero on either simple
     (x,) = shifted_end.indices_at(-1)
-    for M in simples.values():
-        assert not M.act({0: shifted_end.field.one}, {x: shifted_end.field.one})
+    for chi in simples.values():
+        assert not chi[x]
 
 
 def test_simples_refuse_a_fat_degree_zero_part(smc_end):
@@ -221,8 +221,8 @@ def test_semifree_resolutions_over_the_cohomology_of_the_smc_end(smc_end):
     H = cohomology_algebra(smc_end)
     simples = simple_dg_modules(H)
     resolved = {}
-    for name, M in simples.items():
-        R = semifree_resolution(M, H)
+    for name, chi in simples.items():
+        R = semifree_resolution(chi, H)
         R.verify()
         assert R.complete
         resolved[name] = R
@@ -238,7 +238,7 @@ def test_semifree_resolutions_over_the_cohomology_of_the_smc_end(smc_end):
 
 def test_semifree_resolution_over_the_degree_minus_one_arrow(shifted_end):
     simples = simple_dg_modules(shifted_end)
-    resolutions = {n: semifree_resolution(M, shifted_end) for n, M in simples.items()}
+    resolutions = {n: semifree_resolution(chi, shifted_end) for n, chi in simples.items()}
     for R in resolutions.values():
         R.verify()
         assert R.complete

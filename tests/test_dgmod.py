@@ -1,15 +1,18 @@
-"""Dg modules over structure-constant dg algebras and their free
-resolutions in generator form."""
+"""Simple dg modules as characters over structure-constant dg algebras,
+and their free resolutions in generator form."""
+
+from collections import Counter
 
 import pytest
 
 from conftest import INPUTS, linear_algebra_text
-from oracles import dense_dg_module_verify
+from oracles import character_module, corner_eigenvalue, dense_dg_module_verify, dg_module, sym
 from siltkit.cli.parsing import parse_algebra
+from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution
+from siltkit.core.quivers import Arrow, Path, Quiver
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.dg import (
-    DGModule,
     cohomology_algebra,
     dg_end,
     koszul_dual,
@@ -18,7 +21,7 @@ from siltkit.dg import (
     simple_dg_modules,
 )
 from siltkit.errors import ChainConditionViolated
-from siltkit.fields import QQ
+from siltkit.fields import QQ, field_of_characteristic
 
 
 @pytest.fixture
@@ -32,13 +35,13 @@ def test_action_must_shift_by_the_element_degree(arrow_algebra):
     E = arrow_algebra
     (g,) = E.indices_at(1)
     action = {i: {0: {0: QQ.one}} for i, _ in enumerate(E.labels)}
-    bad = DGModule(E, ("m",), (0,), {}, {g: {0: {0: QQ.one}}, **action})
+    bad = dg_module(E, ("m",), (0,), {}, {g: {0: {0: QQ.one}}, **action})
     with pytest.raises(ChainConditionViolated, match="shift degree"):
         dense_dg_module_verify(bad)
 
 
 def test_unit_must_act_as_identity(arrow_algebra):
-    starved = DGModule(arrow_algebra, ("m",), (0,), {}, {})
+    starved = dg_module(arrow_algebra, ("m",), (0,), {}, {})
     with pytest.raises(ChainConditionViolated, match="unit"):
         dense_dg_module_verify(starved)
 
@@ -51,7 +54,7 @@ def test_module_differential_must_square_to_zero(arrow_algebra):
         for i, name in enumerate(E.labels)
         if E.degrees[i] == 0
     }
-    bad = DGModule(
+    bad = dg_module(
         E,
         ("m0", "m1", "m2"),
         (0, 1, 2),
@@ -63,16 +66,53 @@ def test_module_differential_must_square_to_zero(arrow_algebra):
 
 
 def test_simple_modules_pass_their_own_audit(arrow_algebra):
-    for M in simple_dg_modules(arrow_algebra).values():
+    for chi in simple_dg_modules(arrow_algebra).values():
+        M = character_module(arrow_algebra, chi)
         dense_dg_module_verify(M)
-        assert M.dimension == 1
-        assert M.differentiate({0: QQ.one}) == {}
+        assert len(M.degrees) == 1
+        assert M.differential == {}
+
+
+#: (algebra in inputs/, side of its standard pair): the dg end of the
+#: silting side, and the cohomology algebra of the dg end of the simple
+#: side.  loop2 has no simple side here: its resolutions are truncated.
+CHARACTER_CASES = [
+    (path.stem, side)
+    for path in sorted(INPUTS.glob("*.alg"))
+    for side in ("silting", "smc")
+    if (path.stem, side) != ("loop2", "smc")
+]
+
+
+@pytest.mark.parametrize("name, side", CHARACTER_CASES, ids=["-".join(c) for c in CHARACTER_CASES])
+def test_characters_match_the_eigenvalue_oracle(name, side):
+    """chi(g) is the unique eigenvalue of left multiplication by e g e on
+    the corner algebra e E^0 e, for every idempotent e and degree-0 basis
+    element g."""
+    silting, smc = standard_pair(parse_algebra((INPUTS / f"{name}.alg").read_text(encoding="utf-8")))
+    E = dg_end(silting) if side == "silting" else cohomology_algebra(dg_end(smc))
+    for vertex, chi in simple_dg_modules(E).items():
+        for g in E.indices_at(0):
+            assert sym(chi[g]) == corner_eigenvalue(E, E.idempotents[vertex], {g: 1})
+
+
+@pytest.mark.parametrize("p, length", [(2, 2), (3, 3)], ids=["x^2-over-F_2", "x^3-over-F_3"])
+def test_characters_over_a_prime_field_no_larger_than_the_corner(p, length):
+    """k[x]/(x^length) over F_p with p <= length: its trace form is 0, so
+    only the Rónyai steps find the radical (x) and the character."""
+    field = field_of_characteristic(p)
+    quiver = Quiver(("1",), (Arrow("x", "1", "1"),))
+    relation = [[(field.one, Path(("x",) * length, "1", "1"))]]
+    D = path_algebra_to_dg(build_algebra(quiver, relation, length, field=field))
+    (chi,) = simple_dg_modules(D).values()
+    assert chi[D.labels.index("x")] == 0
+    assert chi[D.labels.index("e_1")] == 1
 
 
 def materialized(R):
-    """The resolution R as a DGModule on its basis pairs (generator, basis
-    element), with the differential and action read off ``d_pair`` and
-    ``act``."""
+    """The resolution R as plain dg module data on its basis pairs
+    (generator, basis element), with the differential and action read off
+    ``d_pair`` and ``act``."""
     one = R.field.one
     labels = tuple(
         f"{R.generators[t].label}*{R.algebra.labels[b]}" for t, b in R.basis_pairs
@@ -88,24 +128,24 @@ def materialized(R):
         }
         for a in range(R.algebra.dimension)
     }
-    return DGModule(R.algebra, labels, tuple(R.basis_degrees), differential, action)
+    return dg_module(R.algebra, labels, R.basis_degrees, differential, action)
 
 
 def test_resolution_materializes_to_a_verified_module(arrow_algebra):
     simples = simple_dg_modules(arrow_algebra)
-    for M in simples.values():
-        R = semifree_resolution(M, arrow_algebra)
+    for chi in simples.values():
+        R = semifree_resolution(chi, arrow_algebra)
         mod = materialized(R)
         dense_dg_module_verify(mod)
-        assert mod.graded_dims() == R.graded_dims()
+        assert Counter(mod.degrees) == R.graded_dims()
         assert all("*" in label for label in mod.labels)
 
 
 def test_resolution_differential_and_comparison_commute(arrow_algebra):
     big = max(
         (
-            semifree_resolution(M, arrow_algebra)
-            for M in simple_dg_modules(arrow_algebra).values()
+            semifree_resolution(chi, arrow_algebra)
+            for chi in simple_dg_modules(arrow_algebra).values()
         ),
         key=lambda r: r.dimension,
     )
@@ -117,15 +157,15 @@ def test_resolution_differential_and_comparison_commute(arrow_algebra):
 
 
 def test_comparison_map_hits_the_module_generator(arrow_algebra):
-    for M in simple_dg_modules(arrow_algebra).values():
-        R = semifree_resolution(M, arrow_algebra)
+    for chi in simple_dg_modules(arrow_algebra).values():
+        R = semifree_resolution(chi, arrow_algebra)
         assert R.phi_gens[0], "first generator must map onto the module"
 
 
 def test_infinite_resolution_is_flagged_truncated(loop2):
     D = path_algebra_to_dg(loop2)
-    (M,) = simple_dg_modules(D).values()
-    R = semifree_resolution(M, D, window=(-3, 3))
+    (chi,) = simple_dg_modules(D).values()
+    R = semifree_resolution(chi, D, window=(-3, 3))
     R.verify()
     assert not R.complete
     assert [g.degree for g in R.generators] == [0, -1, -2, -3, -4, -5]
@@ -135,8 +175,8 @@ def test_infinite_resolution_is_flagged_truncated(loop2):
 def test_right_action_respects_the_idempotent_columns(arrow_algebra):
     E = arrow_algebra
     simples = simple_dg_modules(E)
-    for name, M in simples.items():
-        R = semifree_resolution(M, E)
+    for name, chi in simples.items():
+        R = semifree_resolution(chi, E)
         gen_vertex = R.generators[0].vertex
         assert gen_vertex == name
         # acting by the wrong idempotent annihilates the generator line
@@ -163,8 +203,8 @@ def test_resolutions_of_the_simples_are_minimal(name):
     silting, _ = standard_pair(A)
     vertex = {str(s + 1): x.summands[0][0] for s, x in enumerate(silting)}
     E = dg_end(silting)
-    for s, M in simple_dg_modules(E).items():
-        R = semifree_resolution(M, E)
+    for s, chi in simple_dg_modules(E).items():
+        R = semifree_resolution(chi, E)
         assert R.complete
         got = sorted((g.degree, vertex[g.vertex]) for g in R.generators)
         res = minimal_projective_resolution(A, vertex[s], 12)
