@@ -342,7 +342,7 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
         )
     E = dg_end(list(silting), provenance="dg end of the silting collection")
     F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
-    report = koszul_pair_check(E, F, cert.bijection, window=config.window)
+    report = koszul_pair_check(E, F, cert.bijection)
     body = dg_table_lines(E, "dg endomorphism algebra of the silting side")
     body += [""]
     body += dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")
@@ -580,7 +580,7 @@ def _build_parser() -> _ArgumentParser:
     shared.add_argument("--depth", type=int, default=3, metavar="N",
                         help="closure/graph search depth")
     shared.add_argument("--window", type=str, default="-5..5", metavar="A..B",
-                        help="degree window for duality and graph bounds")
+                        help="degree window for graph bounds")
     shared.add_argument("--format", dest="fmt", choices=("table", "structured"),
                         default="table", help="output format")
     shared.add_argument("--out", type=str, default=None, metavar="DIR",

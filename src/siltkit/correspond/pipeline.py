@@ -11,7 +11,8 @@ an algebra starts from.
 ``koszul_pair_check`` compares the two sides' dg endomorphism algebras
 through Koszul duality: each side's dual (computed directly from its
 simple dg modules when they exist, otherwise through a formality
-witness) must have the cohomology of the opposite side.  The cohomology
+witness) must have the cohomology of the opposite side; a resolution
+longer than ``RESOLUTION_BOUND`` leaves it not certified.  The cohomology
 algebras are compared through the pattern's bijection: silting member i
 and simple member σ(i) name matching idempotents, so no matching is
 searched for, and only one-dimensional blocks are matched.
@@ -95,28 +96,26 @@ def lockstep_walk(
 # ---------------------------------------------------------------------------
 
 
-def _koszul_dual_route(
-    E: DGAlgebra, window: tuple[int, int]
-) -> tuple[DGAlgebra | None, str]:
+def _koszul_dual_route(E: DGAlgebra) -> tuple[DGAlgebra | None, str]:
     """Compute a Koszul dual of E, directly when its simple dg modules
     exist, else through a formality witness; (None, reason) if neither
     route lands."""
     try:
-        return koszul_dual(E, window=window), "direct"
+        return koszul_dual(E), "direct"
     except (SimpleNotOneDimensional, IdempotentLiftMissing):
         pass
     except TruncationUnsound as exc:
-        return None, f"resolutions do not close within the window ({exc})"
+        return None, str(exc)
     try:
         witness = find_formality_witness(E)
     except Inconclusive as exc:
         return None, f"no formality witness: {exc}"
     try:
-        return koszul_dual(witness.source, window=window), "formality"
+        return koszul_dual(witness.source), "formality"
     except (SimpleNotOneDimensional, IdempotentLiftMissing) as exc:
         return None, f"cohomology algebra has no usable simples ({exc})"
     except TruncationUnsound as exc:
-        return None, f"resolutions do not close within the window ({exc})"
+        return None, str(exc)
 
 
 def _blockwise_buckets(h: DGAlgebra) -> dict[tuple[int, str, str], list[int]] | None:
@@ -243,7 +242,6 @@ def koszul_pair_check(
     E: DGAlgebra,
     F: DGAlgebra,
     bijection: Sequence[int],
-    window: tuple[int, int] = (-5, 5),
 ) -> CheckReport:
     """Check that the two sides of a pair are Koszul dual to each other,
     given the dg endomorphism algebras E of the silting side and F of the
@@ -257,6 +255,7 @@ def koszul_pair_check(
     cohomology algebras that matches the idempotents through the
     bijection (pass when ``graded_algebra_isomorphism`` finds one,
     not-certified otherwise: it matches one-dimensional blocks only).
+    A dual whose resolutions reach ``RESOLUTION_BOUND`` is a soft miss.
     """
     forward = {str(i + 1): str(j + 1) for i, j in enumerate(bijection)}
     backward = {j: i for i, j in forward.items()}
@@ -265,7 +264,7 @@ def koszul_pair_check(
         ("dual of the silting side", E, F, forward),
         ("dual of the simple side", F, E, backward),
     ):
-        dual, route = _koszul_dual_route(source, window)
+        dual, route = _koszul_dual_route(source)
         if dual is None:
             rep.soft(f"{label} computed", False, route)
             continue

@@ -79,7 +79,8 @@ def _factors(index: dict[int, list[int]], support) -> set[int]:
 
 
 class DGAlgebra:
-    """A dg algebra with a fixed ordered graded basis."""
+    """A dg algebra with a fixed ordered graded basis, exact in every
+    degree: no constructor builds one from a truncated resolution."""
 
     def __init__(
         self,
@@ -91,8 +92,6 @@ class DGAlgebra:
         unit: Coords,
         idempotents: dict[str, Coords],
         provenance: str = "",
-        window: tuple[int, int] | None = None,
-        complete: bool = True,
     ):
         if len(labels) != len(degrees):
             raise ValueError("labels and degrees must have equal length")
@@ -113,8 +112,6 @@ class DGAlgebra:
             for name, val in idempotents.items()
         }
         self.provenance = provenance
-        self.window = window
-        self.complete = complete
 
     # -- shape ---------------------------------------------------------
 
@@ -348,7 +345,7 @@ class FreeModule:
     ``g * (e E)``, with basis the pairs ``(t, b)`` over the basis elements
     ``b`` fixed by ``e`` on the left.  ``d_gens[t]`` is the differential of
     the t-th generator in pair coordinates; everything else follows by
-    right-linearity.
+    right-linearity.  It is never truncated.
     """
 
     def __init__(
@@ -356,13 +353,11 @@ class FreeModule:
         algebra: DGAlgebra,
         generators=(),
         d_gens=(),
-        complete: bool = True,
     ):
         self.algebra = algebra
         self.field = algebra.field
         self.generators: list[Generator] = list(generators)
         self.d_gens: list[dict[tuple[int, int], object]] = list(d_gens)
-        self.complete = complete
         one = algebra.field.one
         self._left_fixed = {
             name: [
@@ -417,12 +412,7 @@ class FreeModule:
         return {k: c for k, c in out.items() if c}
 
 
-def end_algebra(
-    objects: list[FreeModule],
-    names: list[str],
-    provenance: str,
-    window: tuple[int, int] | None = None,
-) -> DGAlgebra:
+def end_algebra(objects: list[FreeModule], names: list[str], provenance: str) -> DGAlgebra:
     """The dg endomorphism algebra of free dg modules over one dg algebra.
 
     A basis element of the (s, t) block sends a generator g of
@@ -521,8 +511,6 @@ def end_algebra(
         unit,
         idempotents,
         provenance=provenance,
-        window=window,
-        complete=all(X.complete for X in objects),
     )
     out.verify()
     return out
@@ -611,8 +599,8 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
         return {first[n] + j: c for j, c in enumerate(sol) if c}
 
     products: dict[tuple[int, int], Coords] = {}
-    for i, (ni, ci) in enumerate(reps):
-        for j, (nj, cj) in enumerate(reps):
+    for i, (_, ci) in enumerate(reps):
+        for j, (_, cj) in enumerate(reps):
             prod = E.multiply(ci, cj)
             if not prod:
                 continue
@@ -643,8 +631,6 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
         unit_cls,
         idempotents,
         provenance=f"cohomology of {E.provenance}" if E.provenance else "cohomology",
-        window=E.window,
-        complete=E.complete,
     )
     H.section_reps = [coords for _, coords in reps]
     return H

@@ -7,9 +7,10 @@ character chi on E^0 (``simple_dg_modules``).  E^0 acts on it through the
 top of the corner algebra e E^0 e, the corner modulo its radical, and chi
 is read off that top by ``linalg.top``, the routine the homotopy layer
 reads H^0 End through.  Each simple is resolved by a free dg module
-built by repeatedly killing cone cohomology classes
-(``semifree_resolution``); and the endomorphism dg algebra of the direct
-sum of those resolutions is the dual algebra (``koszul_dual``).
+built by repeatedly killing cone cohomology classes until the cone is
+acyclic, within ``RESOLUTION_BOUND`` (``semifree_resolution``); and the
+endomorphism dg algebra of the direct sum of those resolutions is the
+dual algebra (``koszul_dual``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
 when the class is not already in the span of the cone boundaries and of
@@ -29,10 +30,12 @@ is ``dga.end_algebra`` of the resolutions: the same End construction as
 
 from __future__ import annotations
 
+from ..core.modules import RESOLUTION_BOUND
 from ..errors import (
     ChainConditionViolated,
     IdempotentLiftMissing,
     SimpleNotOneDimensional,
+    TruncationUnsound,
 )
 from ..linalg import Cohomology, GaussianSpan, solve, top
 from .dga import (
@@ -163,7 +166,7 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
 
 class SemifreeResolution(FreeModule):
     """A free resolution of the one-dimensional dg module of a character,
-    kept in generator form.
+    kept in generator form, and returned only once its cone is acyclic.
 
     The module of ``chi`` is spanned by one vector s of degree 0, with
     zero differential and s * b = chi[b] s.  ``phi_gens[t]`` is the scalar
@@ -172,10 +175,9 @@ class SemifreeResolution(FreeModule):
     is s and coordinate 1 + p is the p-th basis pair of the resolution.
     """
 
-    def __init__(self, algebra: DGAlgebra, chi: list, window):
-        super().__init__(algebra, complete=False)
+    def __init__(self, algebra: DGAlgebra, chi: list):
+        super().__init__(algebra)
         self.chi = chi
-        self.window = window
         self.phi_gens: list = []
 
     def phi_pair(self, t: int, b: int):
@@ -262,13 +264,10 @@ class SemifreeResolution(FreeModule):
     def __repr__(self):
         dims = self.graded_dims()
         shown = ", ".join(f"{n}: {dims[n]}" for n in sorted(dims))
-        flag = "complete" if self.complete else "truncated"
-        return f"SemifreeResolution({shown}; {flag})"
+        return f"SemifreeResolution({shown})"
 
 
-def semifree_resolution(
-    chi: list, E: DGAlgebra, window: tuple[int, int] = (-5, 5)
-) -> SemifreeResolution:
+def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
     """Resolve the one-dimensional dg module of the character ``chi`` by a
     free dg module, killing cone classes.
 
@@ -282,10 +281,9 @@ def semifree_resolution(
 
     One stage still kills every class of degree n: the generator g adopted
     for x has d(g * b) = -(x * b) in the cone whenever d(b) = 0, so the
-    whole span becomes boundaries, and every piece lies in it.  The result
-    is complete when the cone is globally acyclic; otherwise generation
-    stops once the kill degree can no longer influence Hom degrees inside
-    ``window`` and the resolution is flagged truncated.
+    whole span becomes boundaries, and every piece lies in it.  Stages run
+    until the cone is acyclic.  A resolution of length d takes d + 2
+    stages, so one longer than ``RESOLUTION_BOUND`` raises TruncationUnsound.
     """
     if not E.idempotents:
         raise ValueError("resolutions need an idempotent family")
@@ -305,25 +303,18 @@ def semifree_resolution(
                     raise IdempotentLiftMissing(
                         "the basis is not block-pure for the idempotent family"
                     )
-    res = SemifreeResolution(E, chi, window)
-    rng = E.degree_range() or (0, 0)
-    ascending = rng[0] >= 0
-    spread = rng[1] - rng[0]
-    lo, hi = window
-    depth_cap = max(abs(lo), abs(hi)) + spread + 2
+    res = SemifreeResolution(E, chi)
+    ascending = (E.degree_range() or (0, 0))[0] >= 0
     idx0 = E.indices_at(0)
     cocycles0 = [
         {idx0[i]: c for i, c in enumerate(z) if c} for z in E.cohomology(0).cocycles
     ]
     counter = 0
-    for _ in range(256):
+    for _ in range(RESOLUTION_BOUND + 2):
         classes = res._cone_cohomology()
         if not classes:
-            res.complete = True
             break
         n = min(classes) if ascending else max(classes)
-        if abs(n) > depth_cap:
-            break
         src, h = classes[n]
         position = {i: p for p, i in enumerate(src)}
 
@@ -347,25 +338,25 @@ def semifree_resolution(
                 res.d_gens.append({res.basis_pairs[i - 1]: c for i, c in piece.items() if i})
                 res.phi_gens.append(-piece.get(0, field.zero))
         res._rebuild()
+    else:
+        raise TruncationUnsound(
+            f"semifree resolution is longer than RESOLUTION_BOUND = {RESOLUTION_BOUND}"
+        )
     res.verify()
     return res
 
 
-def koszul_dual(
-    E: DGAlgebra, window: tuple[int, int] = (-5, 5)
-) -> DGAlgebra:
+def koszul_dual(E: DGAlgebra) -> DGAlgebra:
     """The endomorphism dg algebra of the sum of the semifree resolutions of
     the simple dg modules of E.
 
     The basis consists of the generator-to-basis elementary maps between the
-    resolutions; multiplication is composition and is exact.  The result is
-    complete when every resolution is; otherwise its cohomology is only
-    trustworthy inside ``window``, and the window is recorded on the output.
+    resolutions; multiplication is composition and is exact.  A resolution
+    longer than ``RESOLUTION_BOUND`` raises TruncationUnsound.
     """
     simples = simple_dg_modules(E)
     return end_algebra(
-        [semifree_resolution(chi, E, window) for chi in simples.values()],
+        [semifree_resolution(chi, E) for chi in simples.values()],
         list(simples),
         f"dual of {E.provenance}" if E.provenance else "dual",
-        window,
     )

@@ -47,13 +47,12 @@ class ChainConditionViolated(SiltkitError):
 
 
 class TruncationUnsound(SiltkitError):
-    """A Hom computation was requested in a degree that an incomplete
-    (truncated) complex cannot answer reliably."""
+    """A Hom degree that a truncated complex cannot answer reliably, or a
+    semifree resolution longer than ``RESOLUTION_BOUND``."""
 
-    def __init__(self, message: str, degree: int | None = None, window=None):
+    def __init__(self, message: str, degree: int | None = None):
         super().__init__(message)
         self.degree = degree
-        self.window = window
 
 
 class Inconclusive(SiltkitError):

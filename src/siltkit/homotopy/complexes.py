@@ -194,16 +194,6 @@ class ProjComplex:
         cols = len(self.summands.get(k, ()))
         return self.diffs.get(k, alg_zero_matrix(self.algebra, rows, cols))
 
-    def copy(self, label: str | None = None) -> "ProjComplex":
-        return ProjComplex(
-            self.algebra,
-            dict(self.summands),
-            {k: [row[:] for row in mat] for k, mat in self.diffs.items()},
-            complete=self.complete,
-            label=self.label if label is None else label,
-            check=False,
-        )
-
     def __repr__(self):
         if self.is_zero():
             return "ProjComplex(0)"
@@ -251,7 +241,7 @@ def shift(x: ProjComplex, n: int) -> ProjComplex:
     )
 
 
-def direct_sum(x: ProjComplex, y: ProjComplex, label: str = "") -> ProjComplex:
+def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
     """X ⊕ Y with X's summands listed first in every degree."""
     algebra = x.algebra
     summands = {}
@@ -278,7 +268,6 @@ def direct_sum(x: ProjComplex, y: ProjComplex, label: str = "") -> ProjComplex:
         summands,
         diffs,
         complete=x.complete and y.complete,
-        label=label,
         check=False,
     )
 
@@ -353,7 +342,7 @@ def identity_map(x: ProjComplex) -> ChainMap:
     return ChainMap(x, x, components, degree=0)
 
 
-def cone(f: ChainMap, label: str = "") -> ProjComplex:
+def cone(f: ChainMap) -> ProjComplex:
     """Mapping cone of a degree-0 chain map f: X -> Y.
 
     Degree k is Y^k ⊕ X^{k+1}; the differential is upper triangular with
@@ -392,7 +381,6 @@ def cone(f: ChainMap, label: str = "") -> ProjComplex:
         summands,
         diffs,
         complete=x.complete and y.complete,
-        label=label,
         check=False,
     )
 

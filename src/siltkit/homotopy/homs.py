@@ -213,7 +213,6 @@ def _require_trusted(x: ProjComplex, y: ProjComplex, n: int) -> None:
             f"H^{n} of the Hom complex is not determined by the truncated "
             f"resolutions (trusted degrees: {lo} .. {hi})",
             degree=n,
-            window=(lo, hi),
         )
 
 

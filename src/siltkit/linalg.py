@@ -166,7 +166,6 @@ def kernel_basis(field: Field, a: Matrix, ncols: int | None = None) -> list[Vect
 
 def solve(field: Field, a: Matrix, b: Vector) -> Vector | None:
     """One solution of a @ x = b (free variables set to zero), or None."""
-    nrows = len(a)
     ncols = len(a[0]) if a else 0
     aug = [list(row) + [b[i]] for i, row in enumerate(a)]
     if not aug:
@@ -229,9 +228,6 @@ class GaussianSpan:
 
     def contains(self, vector: Vector) -> bool:
         return not any(self.reduce(vector))
-
-    def basis(self) -> list[Vector]:
-        return [self.rows[p] for p in sorted(self.rows)]
 
     def pivots(self) -> list[int]:
         return sorted(self.rows)

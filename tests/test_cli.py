@@ -237,6 +237,14 @@ def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a7(tmp_path, 
     assert "verdict koszul pass" in lines
 
 
+def test_koszul_certifies_the_standard_pair_of_radical_square_zero_a9(tmp_path, capsys):
+    """The resolutions of the simple dg modules run past degree 7 here, so
+    both duals are built only when each is resolved to its end."""
+    code, lines = koszul_on_a_linear_standard_pair(tmp_path, capsys, 9, True)
+    assert code == 0
+    assert "verdict koszul pass" in lines
+
+
 def test_koszul_certifies_the_standard_pair_of_linear_a6(tmp_path, capsys):
     """The duals are built from minimal resolutions of the simples, which
     keeps the hereditary A6 pair small enough for the test suite."""

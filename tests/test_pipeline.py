@@ -167,6 +167,18 @@ def test_koszul_check_matches_idempotents_through_the_bijection(a3rel):
         assert koszul_pair_check(E, F, wrong).verdict == "not-certified"
 
 
+def test_an_unending_resolution_is_not_certified_and_names_the_bound(loop2):
+    """Over the dual numbers the simple dg module has an infinite
+    resolution, so neither dual can be built: the verdict names the bound
+    and no dimension witness is taken from a truncated dual."""
+    D = path_algebra_to_dg(loop2)
+    report = koszul_pair_check(D, D, (0,))
+    assert report.verdict == "not-certified"
+    computed = [item for item in report.items if "computed" in item.name]
+    assert len(computed) == 2
+    assert all(not item.ok and "RESOLUTION_BOUND" in item.detail for item in computed)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_a_formality_miss_names_where_it_stopped(a3, side):
     """After one mutation at 2 over linear A3 the silting side has no
