@@ -20,6 +20,7 @@ import hashlib
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..core.modules import RESOLUTION_BOUND
@@ -121,10 +122,15 @@ def _finish(
     inputs_hash: str,
     algebra,
     verdicts: dict[str, str],
-    table_body: list[str],
-    structured_body: list[str],
+    table_body: list[str] | Callable[[], list[str]],
+    structured_body: list[str] | Callable[[], list[str]],
 ) -> Report:
+    """The report in the format ``config`` asks for.  A body may be given
+    as a function that builds it, so only the body printed is built."""
     code = _exit_from_verdicts(verdicts)
+    body = structured_body if config.fmt == "structured" else table_body
+    if callable(body):
+        body = body()
     if config.fmt == "structured":
         lines = [
             f"command {command}",
@@ -134,11 +140,11 @@ def _finish(
             f"depth {config.depth}",
             f"window {config.window[0]}..{config.window[1]}",
         ]
-        lines.extend(structured_body)
+        lines.extend(body)
         lines.extend(f"verdict {k} {verdicts[k]}" for k in sorted(verdicts))
         lines.append(f"exit {code}")
     else:
-        lines = list(table_body)
+        lines = list(body)
         lines.append("")
         lines.extend(f"verdict {k}: {verdicts[k]}" for k in sorted(verdicts))
         lines.append(f"exit {code}")
@@ -315,16 +321,15 @@ def cmd_dgend(config: RunConfig, algebra_path: str, collection_path: str) -> Rep
     kind, name, members = parsed.any_collection()
     inputs = _inputs_hash([algebra_path, collection_path])
     E = dg_end(members, provenance=f"dg end of {kind} {name}")
-    body = [f"collection: {collection_summary(members)}", ""]
-    body += dg_table_lines(E, f"dg endomorphism algebra of {kind} {name}")
     return _finish(
         config,
         "dgend",
         inputs,
         algebra,
         {"dgend": "pass"},
-        body,
-        dg_structured_lines(E, "dgend"),
+        lambda: [f"collection: {collection_summary(members)}", ""]
+        + dg_table_lines(E, f"dg endomorphism algebra of {kind} {name}"),
+        lambda: dg_structured_lines(E, "dgend"),
     )
 
 
@@ -343,22 +348,20 @@ def cmd_koszul(config: RunConfig, algebra_path: str, pair_path: str) -> Report:
     E = dg_end(list(silting), provenance="dg end of the silting collection")
     F = dg_end(list(smc), provenance="dg end of the simple-minded collection")
     report = koszul_pair_check(E, F, cert.bijection)
-    body = dg_table_lines(E, "dg endomorphism algebra of the silting side")
-    body += [""]
-    body += dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")
-    body += [""]
-    body += report_lines(report)
-    structured = dg_structured_lines(E, "silting-end")
-    structured += dg_structured_lines(F, "smc-end")
-    structured += report_structured_lines(report)
     return _finish(
         config,
         "koszul",
         inputs,
         algebra,
         {"pattern": "pass", "koszul": report.verdict},
-        body,
-        structured,
+        lambda: dg_table_lines(E, "dg endomorphism algebra of the silting side")
+        + [""]
+        + dg_table_lines(F, "dg endomorphism algebra of the simple-minded side")
+        + [""]
+        + report_lines(report),
+        lambda: dg_structured_lines(E, "silting-end")
+        + dg_structured_lines(F, "smc-end")
+        + report_structured_lines(report),
     )
 
 

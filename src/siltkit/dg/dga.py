@@ -24,10 +24,10 @@ Cohomology (dimensions, representatives, class coordinates) comes from
 degree.
 
 Maps between dg algebras are ``GradedAlgebraMap``s, audited exactly by
-``verify_dg_quasi_iso``.  ``find_formality_witness`` looks for a
-quasi-isomorphism H^*(E) -> E, which the Koszul check uses when E has no
-simple dg modules of its own; it solves for at most ``FORMALITY_BUDGET``
-coboundary corrections and says where it stopped when it finds none.
+``verify_dg_quasi_iso``.  ``find_formality_witness`` checks that the cocycle
+section H^*(E) -> E is a quasi-isomorphism, which the Koszul check needs
+when E has no simple dg modules of its own; when it is not, it names the
+first violation.
 """
 
 from __future__ import annotations
@@ -38,17 +38,12 @@ from ..errors import ChainConditionViolated, Inconclusive, TruncationUnsound
 from ..linalg import (
     Coords,
     Cohomology,
-    GaussianSpan,
     rank,
-    solve,
     sparse_apply,
     sparse_combination,
     sparse_product,
     zero_vector,
 )
-
-#: Most coboundary correction coefficients ``find_formality_witness`` solves for.
-FORMALITY_BUDGET = 64
 
 
 def differential_block(field, differential: dict[int, Coords], src: list, dst: list) -> list:
@@ -723,141 +718,14 @@ def verify_dg_quasi_iso(f: GradedAlgebraMap, diagnostics: list | None = None) ->
 
 
 def find_formality_witness(E: DGAlgebra) -> GradedAlgebraMap:
-    """A verified multiplicative chain section H^*(E) -> E.
+    """The cocycle section H^*(E) -> E, verified as a dg quasi-isomorphism.
 
-    The plain cocycle representatives are tried first; failing that, each
-    representative is corrected by an unknown coboundary and the unit and
-    multiplicativity constraints are solved in their linearisation, then the
-    candidate is verified exactly.  At most ``FORMALITY_BUDGET`` correction
-    coefficients are tried.  Raises Inconclusive naming where the attempt
-    stopped; that proves nothing about the formality of E.
+    Raises Inconclusive naming the first violation when the section is not
+    one; that proves nothing about the formality of E.
     """
     H = cohomology_algebra(E)
-    field = E.field
-    reps: list[Coords] = list(H.section_reps)
-
-    direct = GradedAlgebraMap(H, E, reps)
-    if verify_dg_quasi_iso(direct):
-        return direct
-
-    # Coboundary corrections: rep_i + sum_t x_{i,t} * (boundary basis of the
-    # right degree).  Unknowns are indexed per (rep, boundary vector).
-    boundary_vecs: list[list[Coords]] = []
-    unknown_count = 0
-    for i, rep in enumerate(reps):
-        n = H.degrees[i]
-        idx = E.indices_at(n)
-        mat = E.differential_matrix(n - 1)
-        vecs: list[Coords] = []
-        if mat:
-            span = GaussianSpan(field, len(idx))
-            src = E.indices_at(n - 1)
-            for col in range(len(src)):
-                v = [mat[r][col] for r in range(len(mat))]
-                if span.add(v):
-                    vecs.append({idx[r]: v[r] for r in range(len(idx)) if v[r]})
-        boundary_vecs.append(vecs)
-        unknown_count += len(vecs)
-    if unknown_count == 0:
-        raise Inconclusive(
-            "the cocycle section is not multiplicative and there is no "
-            "coboundary to correct it with"
-        )
-    if unknown_count > FORMALITY_BUDGET:
-        raise Inconclusive(
-            f"{unknown_count} correction unknowns exceed "
-            f"FORMALITY_BUDGET = {FORMALITY_BUDGET}"
-        )
-
-    offsets = []
-    total = 0
-    for vecs in boundary_vecs:
-        offsets.append(total)
-        total += len(vecs)
-
-    rows: list[list] = []
-    rhs: list = []
-
-    def add_equation(lin: dict[int, object], const: Coords) -> None:
-        """One scalar equation per E-basis coordinate of the residual."""
-        support = set(const)
-        for term in lin.values():
-            support.update(term)
-        for g in sorted(support):
-            row = zero_vector(field, total)
-            for u, term in lin.items():
-                c = term.get(g)
-                if c:
-                    row[u] = row[u] + c
-            rows.append(row)
-            rhs.append(-(const.get(g, field.zero)))
-
-    # Unit: sum_k gamma_k (rep_k + corr_k) = 1 with gamma = H-coords of 1_H.
-    lin: dict[int, Coords] = {}
-    const: Coords = {}
-    for k, gamma in H.unit.items():
-        for g, c in reps[k].items():
-            const[g] = const.get(g, field.zero) + gamma * c
-        for tindex, vec in enumerate(boundary_vecs[k]):
-            u = offsets[k] + tindex
-            scaled = {g: gamma * c for g, c in vec.items()}
-            lin[u] = scaled
-    for g, c in E.unit.items():
-        const[g] = const.get(g, field.zero) - c
-    add_equation(lin, const)
-
-    # Multiplicativity, linearised: rep_i corr_j + corr_i rep_j
-    #   - sum_k gamma_k corr_k = -(rep_i rep_j - sum_k gamma_k rep_k).
-    for i in range(H.dimension):
-        for j in range(H.dimension):
-            gamma = H.products.get((i, j), {})
-            defect = E.multiply(reps[i], reps[j])
-            for k, c in gamma.items():
-                for g, s in reps[k].items():
-                    defect[g] = defect.get(g, field.zero) - c * s
-            defect = {g: c for g, c in defect.items() if c}
-            lin = {}
-            for tindex, vec in enumerate(boundary_vecs[j]):
-                u = offsets[j] + tindex
-                term = E.multiply(reps[i], vec)
-                if term:
-                    lin[u] = dict(term)
-            for tindex, vec in enumerate(boundary_vecs[i]):
-                u = offsets[i] + tindex
-                term = E.multiply(vec, reps[j])
-                if term:
-                    prev = lin.get(u, {})
-                    merged = dict(prev)
-                    for g, c in term.items():
-                        merged[g] = merged.get(g, field.zero) + c
-                    lin[u] = merged
-            for k, c in gamma.items():
-                for tindex, vec in enumerate(boundary_vecs[k]):
-                    u = offsets[k] + tindex
-                    prev = lin.get(u, {})
-                    merged = dict(prev)
-                    for g, s in vec.items():
-                        merged[g] = merged.get(g, field.zero) - c * s
-                    lin[u] = merged
-            if lin or defect:
-                add_equation(lin, defect)
-
-    sol = solve(field, rows, rhs) if rows else zero_vector(field, total)
-    if sol is None:
-        raise Inconclusive(
-            "the linearised correction of the cocycle section has no "
-            f"solution (correction unknowns: {unknown_count})"
-        )
-    images = []
-    for i, rep in enumerate(reps):
-        img = dict(rep)
-        for tindex, vec in enumerate(boundary_vecs[i]):
-            c = sol[offsets[i] + tindex]
-            if c:
-                for g, s in vec.items():
-                    img[g] = img.get(g, field.zero) + c * s
-        images.append({g: c for g, c in img.items() if c})
-    corrected = GradedAlgebraMap(H, E, images)
-    if not verify_dg_quasi_iso(corrected):
-        raise Inconclusive("the corrected cocycle section fails verification")
-    return corrected
+    section = GradedAlgebraMap(H, E, H.section_reps)
+    notes: list[str] = []
+    if not verify_dg_quasi_iso(section, notes):
+        raise Inconclusive(f"the cocycle section fails: {notes[0]}")
+    return section

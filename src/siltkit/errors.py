@@ -58,10 +58,10 @@ class TruncationUnsound(SiltkitError):
 class Inconclusive(SiltkitError):
     """A procedure could not decide: indecomposability over the rationals
     when End modulo its radical shows no split, or
-    ``dg.find_formality_witness`` when its coboundary correction finds no
-    witness, naming where it stopped.  Deliberately distinct from a
-    ``False`` answer: callers must not treat this as "decomposable" or
-    "not formal".
+    ``dg.find_formality_witness`` when the cocycle section is not a
+    quasi-isomorphism, naming its first violation.  Deliberately distinct
+    from a ``False`` answer: callers must not treat this as "decomposable"
+    or "not formal".
     """
 
 

@@ -128,15 +128,20 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
 def _end_table(x: ProjComplex):
     """H^0 End(x) as structure constants over its representatives r
     (``products[(i, j)]`` holds the sparse coordinates of r_i ∘ r_j), its
-    dimension and the sparse coordinates of the identity."""
-    space = hom_space(x, x, 0)
-    reps = space.representatives
-    products = {
-        (i, j): _sparse(space.class_coordinates(a.compose(b)))
-        for i, a in enumerate(reps)
-        for j, b in enumerate(reps)
-    }
-    return products, len(reps), _sparse(space.class_coordinates(identity_map(x)))
+    dimension and the sparse coordinates of the identity.  The table is
+    kept on x, so each complex builds it once."""
+    if x._end_table is None:
+        space = hom_space(x, x, 0)
+        reps = space.representatives
+        products = {
+            (i, j): _sparse(space.class_coordinates(a.compose(b)))
+            for i, a in enumerate(reps)
+            for j, b in enumerate(reps)
+        }
+        x._end_table = (
+            products, len(reps), _sparse(space.class_coordinates(identity_map(x)))
+        )
+    return x._end_table
 
 
 def _sparse(vector: list) -> dict:

@@ -81,8 +81,8 @@ def _entry_in_block(x: AlgebraElement, target: str, source: str) -> bool:
 class ProjComplex:
     """A bounded complex of projective right modules.
 
-    Never mutated after construction: ``key`` and the kept minimal form
-    are computed once and rely on that.
+    Never mutated after construction: ``key``, the kept minimal form and
+    the kept H^0 End table are computed once and rely on that.
     """
 
     def __init__(
@@ -110,6 +110,8 @@ class ProjComplex:
         self.label = label
         #: The result of ``minimize(self)``, once it has been asked for.
         self._minimal: ProjComplex | None = None
+        #: H^0 End(self) as structure constants, once ``compare`` has asked.
+        self._end_table: tuple | None = None
         if check:
             self._validate()
 

@@ -26,6 +26,16 @@ def linear_algebra_text(n: int, radical_square_zero: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def standard_pair_text(n: int) -> str:
+    """Pair file of the projectives and the resolved simples over the
+    vertices 1, ..., n."""
+    vertices = range(1, n + 1)
+    return (
+        f"silting std = [{', '.join(f'proj({v})' for v in vertices)}]\n"
+        f"smc std = [{', '.join(f'res(simple {v})' for v in vertices)}]\n"
+    )
+
+
 @pytest.fixture(scope="session")
 def a2():
     """Two vertices, one arrow 2 -> 1; dimension 3."""

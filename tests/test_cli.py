@@ -21,7 +21,7 @@ import pytest
 
 import siltkit.cli
 import siltkit.correspond.checks as checks
-from conftest import linear_algebra_text
+from conftest import linear_algebra_text, standard_pair_text
 from siltkit.cli import main
 from siltkit.correspond.checks import _closure_search
 from siltkit.homotopy.complexes import Generated
@@ -218,12 +218,7 @@ def koszul_on_a_linear_standard_pair(tmp_path, capsys, n, radical_square_zero):
     algebra = tmp_path / f"a{n}.alg"
     algebra.write_text(linear_algebra_text(n, radical_square_zero), encoding="utf-8")
     pair = tmp_path / f"std{n}.pair"
-    vertices = range(1, n + 1)
-    pair.write_text(
-        f"silting std = [{', '.join(f'proj({v})' for v in vertices)}]\n"
-        f"smc std = [{', '.join(f'res(simple {v})' for v in vertices)}]\n",
-        encoding="utf-8",
-    )
+    pair.write_text(standard_pair_text(n), encoding="utf-8")
     capsys.readouterr()
     code = main(["koszul", str(algebra), str(pair), "--format", "structured"])
     return code, capsys.readouterr().out.splitlines()
@@ -274,6 +269,20 @@ def test_a_truncated_resolution_is_not_certified_and_names_the_bound(capsys):
     assert captured.err.endswith(
         "(resolutions truncated at RESOLUTION_BOUND = 12)\n"
     )
+
+
+@pytest.mark.parametrize("command, pair", [("koszul", "std.pair"), ("dgend", "smc-std")])
+@pytest.mark.parametrize("fmt, unused", [("table", "dg_structured_lines"),
+                                         ("structured", "dg_table_lines")])
+def test_only_the_body_of_the_asked_format_is_rendered(
+    monkeypatch, capsys, command, pair, fmt, unused
+):
+    def unwanted(*args):
+        raise AssertionError(f"{unused} rendered for --format {fmt}")
+
+    monkeypatch.setattr(siltkit.cli, unused, unwanted)
+    assert main([command, str(INPUTS / "a2.alg"), str(INPUTS / pair), "--format", fmt]) == 0
+    assert capsys.readouterr().out.endswith("exit 0\n")
 
 
 def test_the_seed_only_reaches_its_own_line(tmp_path):

@@ -19,6 +19,7 @@ from siltkit.homotopy.compare import (
     isomorphic_collections,
 )
 from siltkit.homotopy.complexes import (
+    ChainMap,
     ProjComplex,
     cone,
     direct_sum,
@@ -303,3 +304,23 @@ def test_equal_truncations_still_go_through_the_search(loop2):
     assert not x.complete and x.key == y.key
     with pytest.raises(TruncationUnsound, match="H\\^0 of the Hom complex"):
         is_isomorphic(x, y)
+
+
+def test_a_second_isomorphism_test_builds_no_end_table(kronecker, monkeypatch):
+    """The H^0 End tables are kept on the minimal forms, so asking again
+    composes only the products of the two Hom spaces between them."""
+    ra, rb = regulars(kronecker)
+    x, y = direct_sums(ra, ra, rb, rb), direct_sums(ra, rb, ra, rb)
+    compositions = []
+    real = ChainMap.compose
+
+    def counting(self, other):
+        compositions.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ChainMap, "compose", counting)
+    assert is_isomorphic(x, y)
+    first, compositions[:] = len(compositions), []
+    assert is_isomorphic(x, y)
+    between = hom_space(y, x, 0).dimension * hom_space(x, y, 0).dimension
+    assert len(compositions) == between < first
