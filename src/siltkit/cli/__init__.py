@@ -6,9 +6,10 @@ Subcommands: ``verify`` (collection and pattern checks), ``mutate``
 mutation graph), and ``replay`` (byte-exact certificate re-runs).
 
 Exit codes: 0 all verdicts pass, 2 some verdict fails, 3 nothing fails
-but something is not certified (a resolution truncated at
-``RESOLUTION_BOUND`` included), 4 unusable input (an input file, or a
-command-line option reported by name).  With ``--format structured``
+but something is not certified (a resolution longer than
+``RESOLUTION_BOUND`` included: it is refused, not cut off, and stderr
+names the bound), 4 unusable input (an input file, or a command-line
+option reported by name).  With ``--format structured``
 the output is line-oriented with a stable key order, so a re-run with
 the same configuration is byte-identical.
 """
@@ -23,7 +24,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..core.modules import RESOLUTION_BOUND
 from ..correspond.checks import check_pattern, check_silting, check_smc
 from ..correspond.pipeline import koszul_pair_check, lockstep_walk, standard_pair
 from ..dg.dga import dg_end
@@ -382,9 +382,9 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
     capped = False
 
     def verdict_of(smc) -> str:
-        # --depth bounds the mutation search here.  Nodes mutated from a
-        # complete standard pair carry their generation by provenance; any
-        # other node falls back to the checker's own closure depth.
+        # --depth bounds the mutation search here.  Nodes mutated from the
+        # standard pair carry their generation by provenance; any other
+        # node falls back to the checker's own closure depth.
         return check_smc(smc).verdict
 
     nodes.append({"silting": silting0, "smc": smc0, "verdict": verdict_of(smc0)})
@@ -399,10 +399,7 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                     mutated = silting_mutate(node["silting"], index - 1, side)
                     if not in_window(mutated):
                         continue
-                    try:
-                        partner = smc_mutate(node["smc"], index - 1, side)
-                    except TruncationUnsound:
-                        continue
+                    partner = smc_mutate(node["smc"], index - 1, side)
                     target = None
                     for n, known in enumerate(nodes):
                         if isomorphic_collections(mutated, known["silting"]):
@@ -708,8 +705,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except TruncationUnsound as exc:
-        bound = f"resolutions truncated at RESOLUTION_BOUND = {RESOLUTION_BOUND}"
-        print(f"not certified: {exc} ({bound})", file=sys.stderr)
+        print(f"not certified: {exc}", file=sys.stderr)
         return 3
     except (ChainConditionViolated, MalformedRelation, NonAdmissible, UnknownVertex) as exc:
         print(f"input error: {exc}", file=sys.stderr)

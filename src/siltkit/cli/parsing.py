@@ -42,9 +42,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from ..core.algebras import AlgebraElement, PathAlgebra, build_algebra
-from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution
+from ..core.modules import minimal_projective_resolution
 from ..core.quivers import Arrow, Path, Quiver
-from ..errors import ChainConditionViolated, ParseError, UnknownVertex
+from ..errors import ChainConditionViolated, ParseError, TruncationUnsound, UnknownVertex
 from ..fields import field_of_characteristic
 from ..homotopy.complexes import Generated, ProjComplex, shift, single_projective
 
@@ -286,32 +286,57 @@ def parse_matrix(text: str, algebra: PathAlgebra, no: int) -> list[list[AlgebraE
 
 @dataclass
 class CollectionFile:
-    """Parsed contents of a collection file."""
+    """Parsed contents of a collection file.
+
+    A collection with a ``res(simple v)`` entry that does not end within
+    ``RESOLUTION_BOUND`` holds that TruncationUnsound in place of its
+    members.  Handing the collection out raises it, after every count
+    check: a file's own errors come first, and a collection the command
+    does not ask for (the simple-minded side under ``verify --silting``)
+    does not stop it.
+    """
 
     complexes: dict[str, ProjComplex] = dataclass_field(default_factory=dict)
-    silting: dict[str, list[ProjComplex]] = dataclass_field(default_factory=dict)
+    silting: dict[str, list[ProjComplex] | TruncationUnsound] = dataclass_field(
+        default_factory=dict
+    )
     #: A declaration of the resolved simples is kept as :class:`Generated`.
-    smc: dict[str, Sequence[ProjComplex]] = dataclass_field(default_factory=dict)
+    smc: dict[str, Sequence[ProjComplex] | TruncationUnsound] = dataclass_field(
+        default_factory=dict
+    )
     #: (keyword, line) of every collection declaration, in file order.
     declarations: list[tuple[str, int]] = dataclass_field(default_factory=list)
 
-    def sole(self, keyword: str) -> Sequence[ProjComplex]:
-        """The unique collection declared under ``keyword``."""
+    def _only(self, keyword: str) -> Sequence[ProjComplex] | TruncationUnsound:
         lines = [no for kind, no in self.declarations if kind == keyword]
         _exactly_one(keyword, lines)
         table = self.silting if keyword == "silting" else self.smc
         return next(iter(table.values()))
+
+    def sole(self, keyword: str) -> Sequence[ProjComplex]:
+        """The unique collection declared under ``keyword``."""
+        return _members(self._only(keyword))
 
     def any_collection(self) -> tuple[str, str, Sequence[ProjComplex]]:
         """The unique collection of either kind, as (kind, name, members)."""
         _exactly_one("collection", [no for _, no in self.declarations])
         found = [("silting", n, c) for n, c in self.silting.items()]
         found += [("smc", n, c) for n, c in self.smc.items()]
-        return found[0]
+        kind, name, members = found[0]
+        return kind, name, _members(members)
 
     def pair(self) -> tuple[Sequence[ProjComplex], Sequence[ProjComplex]]:
         """The (silting, smc) pair of a pair file."""
-        return self.sole("silting"), self.sole("smc")
+        silting, smc = self._only("silting"), self._only("smc")
+        return _members(silting), _members(smc)
+
+
+def _members(
+    collection: Sequence[ProjComplex] | TruncationUnsound,
+) -> Sequence[ProjComplex]:
+    if isinstance(collection, TruncationUnsound):
+        raise collection
+    return collection
 
 
 def _exactly_one(what: str, lines: list[int]) -> None:
@@ -344,15 +369,21 @@ def parse_collection_file(text: str, algebra: PathAlgebra) -> CollectionFile:
         m = re.match(rf"^(silting|smc)\s+({_IDENT})\s*=\s*\[(.*)\]$", line)
         if m:
             keyword, name, body = m.groups()
-            entries = [
-                _resolve_entry(tok.strip(), algebra, out, no)
-                for tok in body.split(",")
-                if tok.strip()
-            ]
-            if not entries:
+            entries = []
+            refused = None
+            for tok in body.split(","):
+                if not tok.strip():
+                    continue
+                try:
+                    entries.append(_resolve_entry(tok.strip(), algebra, out, no))
+                except TruncationUnsound as exc:
+                    refused = refused or exc
+            if not entries and refused is None:
                 _fail(f"collection {name!r} is empty", no)
             members = [x for x, _ in entries]
-            if keyword == "smc" and _is_standard(entries, algebra):
+            if refused is not None:
+                members = refused
+            elif keyword == "smc" and _is_standard(entries, algebra):
                 members = Generated(members, "standard collection")
             table = out.silting if keyword == "silting" else out.smc
             if name in table:
@@ -416,9 +447,7 @@ def _parse_complex_block(
             )
         diffs[k] = mat
     try:
-        out.complexes[name] = ProjComplex(
-            algebra, summands, diffs, complete=True, label=name
-        )
+        out.complexes[name] = ProjComplex(algebra, summands, diffs, label=name)
     except ChainConditionViolated as exc:
         _fail(f"complex {name!r}: {exc}", header_line)
     return no
@@ -441,14 +470,10 @@ def _parse_summands(text: str, no: int) -> tuple[str, ...]:
 def _is_standard(
     entries: list[tuple[ProjComplex, str | None]], algebra: PathAlgebra
 ) -> bool:
-    """Whether the entries are the complete resolutions of the simples,
-    each vertex once and none shifted."""
+    """Whether the entries are the resolutions of the simples, each vertex
+    once and none shifted."""
     simples = [v for _, v in entries]
-    return (
-        None not in simples
-        and sorted(simples) == sorted(algebra.quiver.vertices)
-        and all(x.complete for x, _ in entries)
-    )
+    return None not in simples and sorted(simples) == sorted(algebra.quiver.vertices)
 
 
 def _resolve_entry(
@@ -471,7 +496,7 @@ def _resolve_entry(
         v = rm.group(1)
         if v not in algebra.quiver.vertices:
             _fail(f"unknown vertex {v!r} in res(simple ...)", no)
-        x = minimal_projective_resolution(algebra, v, RESOLUTION_BOUND)
+        x = minimal_projective_resolution(algebra, v)
     else:
         if base not in out.complexes:
             _fail(f"unknown complex {base!r}", no)

@@ -1,5 +1,9 @@
 """Minimal projective resolutions of the simple modules.
 
+A resolution is built to its end or not at all: one longer than
+``RESOLUTION_BOUND`` raises TruncationUnsound naming the bound, so every
+``res(v)`` is an object of K^b(proj A).
+
 A sum of indecomposable projectives e_{w_1} A ⊕ ... ⊕ e_{w_m} A is given by
 its tuple of vertices ``copies``.  Its component at a vertex u has one basis
 position per pair ``(copy, residue path)``, the path running from u to the
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..errors import TruncationUnsound
 from ..linalg import (
     GaussianSpan,
     Matrix,
@@ -24,8 +29,8 @@ from ..linalg import (
 from .algebras import PathAlgebra
 from .quivers import Path
 
-#: Resolution length used for ``res(simple v)`` in input files and for the
-#: simple-minded side of the standard pair.
+#: The longest resolution built: ``minimal_projective_resolution`` adopts at
+#: most this many layers, and ``dg.semifree_resolution`` takes the same cap.
 RESOLUTION_BOUND = 12
 
 
@@ -61,7 +66,7 @@ def vertex_blocks(
     return blocks
 
 
-def minimal_projective_resolution(algebra: PathAlgebra, v: str, length_bound: int):
+def minimal_projective_resolution(algebra: PathAlgebra, v: str):
     """The minimal projective resolution of the simple module at v, labelled
     ``res(v)``, in degrees -n .. 0 with e_v A in degree 0.
 
@@ -70,14 +75,12 @@ def minimal_projective_resolution(algebra: PathAlgebra, v: str, length_bound: in
     independent modulo K·rad, the span of the kernel vectors at each arrow's
     target times the arrow, are adopted in kernel-basis order.  Each adopted
     vector becomes a copy of e_u A and a column of the next differential.
-    When a kernel vanishes within ``length_bound`` steps the resolution is
-    complete; otherwise it is truncated and flagged incomplete, and Hom
-    computations respect its trust window.
+    The resolution runs until a kernel vanishes; one that has not vanished
+    after ``RESOLUTION_BOUND`` steps raises TruncationUnsound naming the
+    bound, since a cut-off resolution is not an object of K^b(proj A).
     """
     from ..homotopy.complexes import ProjComplex
 
-    if length_bound < 0:
-        raise ValueError("length_bound must be >= 0")
     algebra.check_vertex(v)
     field = algebra.field
     arrows = [
@@ -97,7 +100,7 @@ def minimal_projective_resolution(algebra: PathAlgebra, v: str, length_bound: in
                 kernel[u].append(unit)
     summands = {0: copies}
     diffs = {}
-    for n in range(1, length_bound + 1):
+    for n in range(1, RESOLUTION_BOUND + 1):
         if not any(kernel.values()):
             break
         adopted = []
@@ -133,6 +136,8 @@ def minimal_projective_resolution(algebra: PathAlgebra, v: str, length_bound: in
             for u in algebra.quiver.vertices
         }
         summands[-n] = copies
-    return ProjComplex(
-        algebra, summands, diffs, complete=not any(kernel.values()), label=f"res({v})"
-    )
+    if any(kernel.values()):
+        raise TruncationUnsound(
+            f"res({v}) is longer than RESOLUTION_BOUND = {RESOLUTION_BOUND}"
+        )
+    return ProjComplex(algebra, summands, diffs, label=f"res({v})")

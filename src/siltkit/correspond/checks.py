@@ -161,9 +161,7 @@ def pattern_table(
     degrees m that ``wanted`` accepts.
 
     Every check reads its Hom dimensions from such a table.  Each pair is
-    one Hom complex; pairs are taken row-major and degrees ascending, so
-    a truncated resolution raises TruncationUnsound at the first untrusted
-    entry in that order.
+    one Hom complex; pairs are taken row-major and degrees ascending.
     """
     return {
         (i, j): hom_dims(x, y, [m for m in support_window(x, y) if wanted(m)])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ..core.algebras import PathAlgebra
-from ..core.modules import RESOLUTION_BOUND, minimal_projective_resolution
+from ..core.modules import minimal_projective_resolution
 from ..dg import (
     DGAlgebra,
     GradedAlgebraMap,
@@ -43,25 +43,21 @@ from ..homotopy.mutation import silting_mutate, smc_mutate
 from .checks import CheckReport, CorrespondenceCertificate, _Reporter, check_pattern
 
 
-def standard_pair(algebra: PathAlgebra) -> tuple[list[ProjComplex], Sequence[ProjComplex]]:
+def standard_pair(algebra: PathAlgebra) -> tuple[list[ProjComplex], Generated]:
     """The standard certified pair of an algebra: projective stalks on
     the silting side, resolved simples on the simple-minded side.
 
-    When every resolution is complete, the simple-minded side is
-    :class:`Generated`: it is the simples in K^b(proj A), and each
-    projective has a composition series.
+    The simple-minded side is :class:`Generated`: it is the simples in
+    K^b(proj A), and each projective has a composition series.  A simple
+    whose resolution is longer than ``RESOLUTION_BOUND`` raises
+    TruncationUnsound.
     """
     silting = [
         single_projective(algebra, v, 0, label=f"P({v})")
         for v in algebra.quiver.vertices
     ]
-    smc = [
-        minimal_projective_resolution(algebra, v, RESOLUTION_BOUND)
-        for v in algebra.quiver.vertices
-    ]
-    if all(x.complete for x in smc):
-        return silting, Generated(smc, "standard collection")
-    return silting, smc
+    smc = [minimal_projective_resolution(algebra, v) for v in algebra.quiver.vertices]
+    return silting, Generated(smc, "standard collection")
 
 
 def lockstep_walk(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ChainConditionViolated, Inconclusive, TruncationUnsound
+from ..errors import ChainConditionViolated, Inconclusive
 from ..linalg import (
     Coords,
     Cohomology,
@@ -548,10 +548,6 @@ def dg_end(collection, provenance: str = "") -> DGAlgebra:
     for m in members:
         if m.algebra is not algebra:
             raise ValueError("complexes live over different algebras")
-        if not m.complete:
-            raise TruncationUnsound(
-                "dg endomorphism algebra needs fully resolved members"
-            )
     E = path_algebra_to_dg(algebra)
     return end_algebra(
         [_free_module(E, m) for m in members],

@@ -47,12 +47,9 @@ class ChainConditionViolated(SiltkitError):
 
 
 class TruncationUnsound(SiltkitError):
-    """A Hom degree that a truncated complex cannot answer reliably, or a
-    semifree resolution longer than ``RESOLUTION_BOUND``."""
-
-    def __init__(self, message: str, degree: int | None = None):
-        super().__init__(message)
-        self.degree = degree
+    """A resolution did not end within ``RESOLUTION_BOUND``: the minimal
+    projective resolution of a simple, or a semifree resolution.  The
+    message names the bound; the object is refused, never cut off."""
 
 
 class Inconclusive(SiltkitError):

@@ -18,7 +18,6 @@ from .homs import (
     cartan_pairing,
     hom_dims,
     hom_space,
-    trusted_window,
 )
 from .mutation import (
     Approximation,
@@ -51,5 +50,4 @@ __all__ = [
     "silting_mutate",
     "single_projective",
     "smc_mutate",
-    "trusted_window",
 ]

@@ -99,14 +99,12 @@ def isomorphic_collections(
 def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     """Whether x and y are isomorphic in the homotopy category.
 
-    Equal keys of complete minimal models settle True.  Equal truncations
-    need not come from isomorphic resolutions, so they go on, and
-    ``hom_space`` raises TruncationUnsound where they cannot answer.
-    After the invariants, t(x, y) is the rank of f ↦ ([g∘f] modulo
-    rad End(x)) over the basis g of H^0 Hom(y, x).
+    Equal keys of the minimal models settle True.  After the invariants,
+    t(x, y) is the rank of f ↦ ([g∘f] modulo rad End(x)) over the basis g
+    of H^0 Hom(y, x).
     """
     mx, my = minimize(x), minimize(y)
-    if mx.complete and mx.key == my.key:
+    if mx.key == my.key:
         return True
     if mx.is_zero() or my.is_zero():
         return mx.is_zero() and my.is_zero()

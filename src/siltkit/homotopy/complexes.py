@@ -6,14 +6,13 @@ elements giving the differential d^k into degree k+1.  Entry (r, c) of d^k
 lies in e_{v_r} A e_{w_c} and acts by left multiplication, matching the
 identification Hom(e_w A, e_v A) = e_v A e_w.
 
-A complex carries a ``complete`` flag.  Resolutions that were truncated at a
-length bound are flagged incomplete: degrees below their lowest recorded
-degree are unknown, and Hom computations guard against using them outside
-the range where the truncation cannot matter.
+Every complex is bounded and whole: a resolution that does not end within
+``RESOLUTION_BOUND`` is refused when it is built (``core.modules``), so no
+cut-off complex exists.
 
 A complex is never changed after it is built.  That makes its content
-exact and hashable: ``ProjComplex.key`` holds the flag, the summands and
-every differential coefficient, so two complexes with equal keys are the
+exact and hashable: ``ProjComplex.key`` holds the summands and every
+differential coefficient, so two complexes with equal keys are the
 same complex, whatever object or label carries them.  Hom complexes are
 built once per pair of keys (see ``homs``), and ``minimize`` keeps its
 result on the complex it was asked about, so each object is minimized
@@ -90,7 +89,6 @@ class ProjComplex:
         algebra: PathAlgebra,
         summands: dict[int, tuple[str, ...]],
         diffs: dict[int, list],
-        complete: bool = True,
         label: str = "",
         check: bool = True,
     ):
@@ -106,7 +104,6 @@ class ProjComplex:
             if mat is None:
                 mat = alg_zero_matrix(algebra, rows, cols)
             self.diffs[k] = mat
-        self.complete = True if not self.summands else complete
         self.label = label
         #: The result of ``minimize(self)``, once it has been asked for.
         self._minimal: ProjComplex | None = None
@@ -117,11 +114,9 @@ class ProjComplex:
 
     @cached_property
     def key(self) -> tuple:
-        """The exact content: the ``complete`` flag, the summands, and the
-        coordinates of every differential entry.  The label is not part
-        of it."""
+        """The exact content: the summands and the coordinates of every
+        differential entry.  The label is not part of it."""
         return (
-            self.complete,
             tuple(sorted(self.summands.items())),
             tuple(
                 (k, tuple(tuple(tuple(sorted(x.coeffs.items())) for x in row) for row in mat))
@@ -202,8 +197,7 @@ class ProjComplex:
         parts = []
         for k in self.degrees():
             parts.append(f"{k}: {'+'.join(self.summands[k])}")
-        flag = "" if self.complete else ", truncated"
-        return f"ProjComplex({'; '.join(parts)}{flag})"
+        return f"ProjComplex({'; '.join(parts)})"
 
 
 class Generated(tuple):
@@ -224,9 +218,7 @@ def single_projective(
     algebra: PathAlgebra, v: str, degree: int = 0, label: str = ""
 ) -> ProjComplex:
     algebra.check_vertex(v)
-    return ProjComplex(
-        algebra, {degree: (v,)}, {}, complete=True, label=label or f"P({v})[{-degree}]"
-    )
+    return ProjComplex(algebra, {degree: (v,)}, {}, label=label or f"P({v})[{-degree}]")
 
 
 def shift(x: ProjComplex, n: int) -> ProjComplex:
@@ -238,9 +230,7 @@ def shift(x: ProjComplex, n: int) -> ProjComplex:
     for k, mat in x.diffs.items():
         diffs[k - n] = mat if sign == 1 else alg_mat_neg(mat)
     label = x.label and f"{x.label}[{n}]"
-    return ProjComplex(
-        x.algebra, summands, diffs, complete=x.complete, label=label, check=False
-    )
+    return ProjComplex(x.algebra, summands, diffs, label=label, check=False)
 
 
 def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
@@ -265,13 +255,7 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
             for c in range(yk):
                 mat[xk1 + r][xk + c] = dy[r][c]
         diffs[k] = mat
-    return ProjComplex(
-        x.algebra,
-        summands,
-        diffs,
-        complete=x.complete and y.complete,
-        check=False,
-    )
+    return ProjComplex(x.algebra, summands, diffs, check=False)
 
 
 class ChainMap:
@@ -378,13 +362,7 @@ def cone(f: ChainMap) -> ProjComplex:
             for c in range(xk1):
                 mat[yk1 + r][yk + c] = -dx[r][c]
         diffs[k] = mat
-    return ProjComplex(
-        algebra,
-        summands,
-        diffs,
-        complete=x.complete and y.complete,
-        check=False,
-    )
+    return ProjComplex(algebra, summands, diffs, check=False)
 
 
 def _local_inverse(x: AlgebraElement, v: str) -> AlgebraElement:
@@ -484,12 +462,7 @@ def _cancel_units(x: ProjComplex) -> ProjComplex:
         k: mat for k, mat in diffs.items() if k in cleaned_summands and k + 1 in cleaned_summands
     }
     return ProjComplex(
-        x.algebra,
-        cleaned_summands,
-        cleaned_diffs,
-        complete=x.complete,
-        label=x.label,
-        check=False,
+        x.algebra, cleaned_summands, cleaned_diffs, label=x.label, check=False
     )
 
 
@@ -555,7 +528,5 @@ def component_split(x: ProjComplex) -> list[ProjComplex]:
             for k in degs
             if k + 1 in degs
         }
-        out.append(
-            ProjComplex(x.algebra, summands, diffs, complete=x.complete, check=False)
-        )
+        out.append(ProjComplex(x.algebra, summands, diffs, check=False))
     return out

@@ -18,17 +18,14 @@ coordinates are also found once per pair of keys.  A ``HomComplex``
 still wraps the caller's own complexes, and the chain maps it returns run
 between them.
 
-When either complex is an incomplete (truncated) resolution, cohomology is
-served only in the degree range where the missing part provably cannot
-contribute; outside it, TruncationUnsound is raised rather than returning a
-wrong number.
+Both complexes are bounded (no truncated complex exists), so every degree
+of every Hom complex is answered.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..errors import TruncationUnsound
 from ..linalg import Cohomology, rank, zero_vector
 from .complexes import ChainMap, ProjComplex, alg_zero_matrix
 
@@ -165,22 +162,6 @@ class HomComplex:
         return vec
 
 
-def trusted_window(x: ProjComplex, y: ProjComplex) -> tuple[float, float]:
-    """Degrees n for which H^n Hom(x, y) is unaffected by truncation.
-
-    A resolution truncated below its lowest degree b can only contribute
-    Hom basis elements in high (for the source) or low (for the target)
-    degrees; cohomology at n also needs degrees n-1 and n+1 to be clean.
-    """
-    lo: float = float("-inf")
-    hi: float = float("inf")
-    if not x.complete and not x.is_zero() and not y.is_zero():
-        hi = y.min_degree - x.min_degree - 1
-    if not y.complete and not x.is_zero() and not y.is_zero():
-        lo = y.min_degree - x.min_degree + 1
-    return lo, hi
-
-
 class HomSpace:
     """H^n of a Hom complex, with chain-map representatives and coordinates
     for arbitrary cocycles modulo boundaries."""
@@ -206,23 +187,8 @@ class HomSpace:
         return coords
 
 
-def _require_trusted(x: ProjComplex, y: ProjComplex, n: int) -> None:
-    lo, hi = trusted_window(x, y)
-    if not (lo <= n <= hi):
-        raise TruncationUnsound(
-            f"H^{n} of the Hom complex is not determined by the truncated "
-            f"resolutions (trusted degrees: {lo} .. {hi})",
-            degree=n,
-        )
-
-
 def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:
-    """H^n Hom(x, y): degree-n chain maps up to homotopy.
-
-    Raises TruncationUnsound if either complex is an incomplete resolution
-    and n lies outside the range its truncation leaves intact.
-    """
-    _require_trusted(x, y, n)
+    """H^n Hom(x, y): degree-n chain maps up to homotopy."""
     return HomSpace(HomComplex(x, y), n)
 
 
@@ -231,13 +197,9 @@ def hom_dims(x: ProjComplex, y: ProjComplex, degrees: Iterable[int]) -> dict[int
     Hom complex.
 
     dim H^n = dim Hom^n - rank d^n - rank d^(n-1), with each differential's
-    rank taken once per pair of keys.  Every degree is checked against the
-    truncation window before anything is built, so TruncationUnsound names
-    the first untrusted degree, as ``hom_space`` would.
+    rank taken once per pair of keys.
     """
     degrees = list(degrees)
-    for n in degrees:
-        _require_trusted(x, y, n)
     if not degrees:
         return {}
     hom = HomComplex(x, y)

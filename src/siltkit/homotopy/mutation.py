@@ -43,9 +43,7 @@ class Approximation:
 
 
 def _assemble_sum(parts: list[ProjComplex], algebra) -> ProjComplex:
-    from .complexes import ProjComplex as PC
-
-    total = PC(algebra, {}, {}, complete=True, check=False)
+    total = ProjComplex(algebra, {}, {}, check=False)
     for p in parts:
         total = direct_sum(total, p)
     return total
@@ -212,8 +210,7 @@ def smc_mutate(
 
     Each new member sits in a triangle with an old member and a power of
     the shifted summand, so the thick closure is unchanged.  A
-    :class:`Generated` input therefore yields a :class:`Generated` result,
-    provided every result member is a complete complex.
+    :class:`Generated` input therefore yields a :class:`Generated` result.
     """
     if not 0 <= index < len(collection):
         raise IndexError(f"index {index} out of range for {len(collection)} summands")
@@ -234,7 +231,7 @@ def smc_mutate(
         else:
             result.append(minimize(cone(g)))
 
-    if isinstance(collection, Generated) and all(x.complete for x in result):
+    if isinstance(collection, Generated):
         return Generated(
             result, f"{side} mutation at {index + 1} of a certified collection"
         )

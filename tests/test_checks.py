@@ -18,7 +18,7 @@ from siltkit.correspond.checks import (
     support_window,
 )
 from siltkit.correspond.pipeline import standard_pair
-from siltkit.errors import PatternFailed
+from siltkit.errors import PatternFailed, TruncationUnsound
 from siltkit.homotopy.complexes import Generated, direct_sum, shift, single_projective
 from siltkit.homotopy.homs import HomComplex, hom_space
 
@@ -139,11 +139,15 @@ def test_a_nonstandard_declaration_gets_no_grant(a2, searches, body):
 
 
 def test_truncated_resolutions_get_no_grant(loop2):
-    _, smc = standard_pair(loop2)
-    assert not smc[0].complete
-    assert not isinstance(smc, Generated)
-    parsed = parse_collection_file("smc s = [res(simple 1)]", loop2).sole("smc")
-    assert not isinstance(parsed, Generated)
+    """A resolution longer than RESOLUTION_BOUND is refused, not cut off,
+    so no truncation can carry a grant: neither the standard pair nor a
+    declared collection of loop2 is handed out."""
+    bound = r"res\(1\) is longer than RESOLUTION_BOUND = 12"
+    with pytest.raises(TruncationUnsound, match=bound):
+        standard_pair(loop2)
+    parsed = parse_collection_file("smc s = [res(simple 1)]", loop2)
+    with pytest.raises(TruncationUnsound, match=bound):
+        parsed.sole("smc")
 
 
 def test_resolved_simples_are_simple_minded(a2_cast):

@@ -259,16 +259,24 @@ def test_graph_reports_truncation_at_the_node_cap(monkeypatch, tmp_path):
 
 
 def test_a_truncated_resolution_is_not_certified_and_names_the_bound(capsys):
-    """loop2 has infinite global dimension, so res(simple 1) stops at
-    RESOLUTION_BOUND; the graph cannot be decided, but the input is fine."""
+    """loop2 has infinite global dimension, so res(simple 1) does not end
+    within RESOLUTION_BOUND and is refused; the graph cannot be decided,
+    but the input is fine."""
     code = main(["graph", str(INPUTS / "loop2.alg")])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("not certified: H^-12 of the Hom complex")
-    assert captured.err.endswith(
-        "(resolutions truncated at RESOLUTION_BOUND = 12)\n"
-    )
+    assert captured.err == "not certified: res(1) is longer than RESOLUTION_BOUND = 12\n"
+
+
+def test_a_file_error_comes_before_an_unending_resolution(capsys):
+    """ex46.silt declares no smc, and over loop2 its res(simple 1) does not
+    end: the file's own error wins, with the input-error code."""
+    code = main(["verify", "--pattern", str(INPUTS / "loop2.alg"), str(INPUTS / "ex46.silt")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "input error: expected exactly one smc declaration, found 0\n"
 
 
 @pytest.mark.parametrize("command, pair", [("koszul", "std.pair"), ("dgend", "smc-std")])

@@ -23,7 +23,7 @@ from siltkit.homotopy.homs import hom_space
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(algebra, v, 12)
+    return minimal_projective_resolution(algebra, v)
 
 
 def test_single_projective_is_a_stalk(a2):
@@ -136,7 +136,7 @@ def test_a_minimal_form_is_its_own_minimal_form(a2):
 
 def test_the_key_is_the_content_not_the_label(a2):
     x = res(a2, "1")
-    relabelled = ProjComplex(a2, x.summands, x.diffs, complete=x.complete, label="other")
+    relabelled = ProjComplex(a2, x.summands, x.diffs, label="other")
     assert relabelled.label == "other"
     assert x.key == relabelled.key
     assert x.key != shift(x, 1).key

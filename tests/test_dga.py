@@ -28,14 +28,13 @@ from siltkit.errors import (
     ChainConditionViolated,
     IdempotentLiftMissing,
     SimpleNotOneDimensional,
-    TruncationUnsound,
 )
 from siltkit.fields import QQ, PrimeField
 from siltkit.homotopy.complexes import shift, single_projective
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(algebra, v, 12)
+    return minimal_projective_resolution(algebra, v)
 
 
 def stalks(algebra):
@@ -82,13 +81,6 @@ def test_end_of_the_shifted_projectives(shifted_end):
     assert shifted_end.cohomology_dims() == {-1: 1, 0: 2}
     assert all(shifted_end.differential_rank(n) == 0 for n in (-1, 0))
     shifted_end.verify()
-
-
-def test_end_rejects_truncated_members(loop2):
-    r = minimal_projective_resolution(loop2, "1", 6)
-    assert not r.complete
-    with pytest.raises(TruncationUnsound):
-        dg_end([r])
 
 
 def test_path_algebra_as_a_dg_algebra(a3rel):

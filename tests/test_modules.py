@@ -15,16 +15,16 @@ from siltkit.core.modules import (
     positions,
     vertex_blocks,
 )
-from siltkit.errors import UnknownVertex
+from siltkit.errors import TruncationUnsound, UnknownVertex
 from siltkit.homotopy.complexes import complex_cohomology_dims, single_projective
-from siltkit.homotopy.homs import hom_space, trusted_window
+from siltkit.homotopy.homs import hom_space
 from siltkit.serialize import complex_text
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "resolutions"
 
 
-def res(algebra, v, bound=12):
-    return minimal_projective_resolution(algebra, v, bound)
+def res(algebra, v):
+    return minimal_projective_resolution(algebra, v)
 
 
 def dims(algebra, copies):
@@ -89,43 +89,39 @@ def test_projective_cover_of_a_simple(a2):
 def test_resolution_of_the_a2_simples(a2):
     r1 = res(a2, "1")
     assert r1.summands == {0: ("1",), -1: ("2",)}
-    assert r1.complete
     assert r1.label == "res(1)"
-    r2 = res(a2, "2")
-    assert r2.summands == {0: ("2",)}
-    assert r2.complete
+    assert res(a2, "2").summands == {0: ("2",)}
 
 
 def test_resolution_depth_three_with_relation(a3rel):
     """With ab = 0 the simple at 1 resolves through every projective."""
     r1 = res(a3rel, "1")
     assert r1.summands == {0: ("1",), -1: ("2",), -2: ("3",)}
-    assert r1.complete
 
 
 def test_resolution_of_projective_is_a_stalk(a3):
     """Nothing but e_3 ends at the source 3, so its simple is projective."""
-    r = res(a3, "3")
-    assert r.summands == {0: ("3",)}
-    assert r.complete
+    assert res(a3, "3").summands == {0: ("3",)}
 
 
-def test_loop_resolution_is_periodic_and_truncated(loop2):
-    r = res(loop2, "1", 6)
-    assert r.summands == {k: ("1",) for k in range(-6, 1)}
-    assert not r.complete
+def test_an_unending_resolution_is_refused_naming_the_bound(loop2):
+    """Over the dual numbers the simple resolves periodically, forever."""
+    with pytest.raises(TruncationUnsound) as info:
+        res(loop2, "1")
+    assert str(info.value) == "res(1) is longer than RESOLUTION_BOUND = 12"
 
 
-def test_a_zero_bound_keeps_only_the_cover(a2, loop2):
-    assert res(a2, "2", 0).complete
-    r = res(loop2, "1", 0)
-    assert r.summands == {0: ("1",)}
-    assert not r.complete
+def test_the_bound_is_the_longest_resolution_accepted():
+    """With radical square zero, res(simple 1) of linear A_n has n - 1
+    layers below the cover: A13 reaches exactly RESOLUTION_BOUND, and A14
+    goes one past it."""
+    r = res(_linear(RESOLUTION_BOUND + 1, True), "1")
+    assert r.min_degree == -RESOLUTION_BOUND
+    with pytest.raises(TruncationUnsound, match="RESOLUTION_BOUND"):
+        res(_linear(RESOLUTION_BOUND + 2, True), "1")
 
 
 def test_bad_arguments_are_refused(a2):
-    with pytest.raises(ValueError, match="length_bound"):
-        res(a2, "1", -1)
     with pytest.raises(UnknownVertex):
         res(a2, "3")
 
@@ -146,13 +142,13 @@ def test_resolution_differentials_square_to_zero(a3rel):
 
 
 #: (algebra file, bound) for algebras whose resolutions no command golden
-#: pins: each ``<name>-<bound>.res`` holds every res(v), flag and literal.
+#: pins: each ``<name>-<bound>.res`` holds every res(v) literal, or the
+#: refusal of a resolution longer than the bound (all three of cycle3's).
 RESOLVED = [
     (GOLDEN / "square.alg", RESOLUTION_BOUND),
     (GOLDEN / "d4.alg", RESOLUTION_BOUND),
     (GOLDEN / "kron3.alg", RESOLUTION_BOUND),
     (GOLDEN / "cycle3.alg", RESOLUTION_BOUND),
-    (INPUTS / "loop2.alg", 5),
 ]
 
 
@@ -161,9 +157,12 @@ def test_resolutions_match_the_golden(path, bound):
     algebra = parse_algebra(path.read_text(encoding="utf-8"))
     blocks = []
     for v in algebra.quiver.vertices:
-        r = res(algebra, v, bound)
-        flag = "complete" if r.complete else "truncated"
-        blocks.append(f"# res({v}): {flag}\n" + complex_text(f"res{v}", r))
+        try:
+            r = res(algebra, v)
+        except TruncationUnsound as exc:
+            blocks.append(f"# {exc}\n")
+        else:
+            blocks.append(f"# res({v}): complete\n" + complex_text(f"res{v}", r))
     expected = (GOLDEN / f"{path.stem}-{bound}.res").read_text(encoding="utf-8")
     assert "\n".join(blocks) + "\n" == expected
 
@@ -179,7 +178,6 @@ REFEREED = {
     "a3": lambda request: request.getfixturevalue("a3"),
     "a3rel": lambda request: request.getfixturevalue("a3rel"),
     "kronecker": lambda request: request.getfixturevalue("kronecker"),
-    "loop2": lambda request: request.getfixturevalue("loop2"),
     "A5": lambda request: _linear(5, False),
     "A5-rad2": lambda request: _linear(5, True),
     "a3rel-F3": lambda request: parse_algebra(
@@ -192,21 +190,15 @@ REFEREED = {
 def test_the_oracle_sees_each_resolution_as_its_simple(request, name):
     """Refereed by sympy: Hom(P_u, res(v)) has cohomology k in degree 0
     when u = v and none otherwise, so H(res v) is the simple S_v; and no
-    differential entry has an idempotent term, so res(v) is minimal.  A
-    truncated resolution is only checked inside its trusted window."""
+    differential entry has an idempotent term, so res(v) is minimal."""
     algebra = REFEREED[name](request)
     forbidden = FORBIDDEN.get(name.removesuffix("-F3"), ())
     idempotents = set(algebra.idempotent_index.values())
     for v in algebra.quiver.vertices:
-        r = res(algebra, v, RESOLUTION_BOUND)
+        r = res(algebra, v)
         for mat in r.diffs.values():
             assert not any(idempotents & entry.coeffs.keys() for row in mat for entry in row)
         for u in algebra.quiver.vertices:
             p = single_projective(algebra, u)
-            lo, hi = trusted_window(p, r)
-            seen = {
-                n: d
-                for n, d in hom_cohomology_dims(algebra, p, r, forbidden).items()
-                if lo <= n <= hi
-            }
+            seen = hom_cohomology_dims(algebra, p, r, forbidden)
             assert seen == ({0: 1} if u == v else {}), (u, v)

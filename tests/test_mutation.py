@@ -16,7 +16,7 @@ from siltkit.homotopy.mutation import (
 
 
 def res(algebra, v):
-    return minimal_projective_resolution(algebra, v, 12)
+    return minimal_projective_resolution(algebra, v)
 
 
 def same_collection(xs, ys) -> bool:

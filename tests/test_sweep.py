@@ -1,21 +1,44 @@
-"""Theory answers on lockstep-mutated pairs, run through ``siltkit.cli.main``.
+"""Theory answers on whole families of pairs, run through ``siltkit.cli.main``.
+
+The standard pair of every algebra in ``inputs/`` and
+``tests/golden/resolutions/`` satisfies the pattern (Koenig–Yang,
+arXiv:1203.5657), and by Koszul duality ``koszul`` on it should exit 0.
 
 Over linear and radical-square-zero A3/A4, the standard pair is mutated
 by every 1-step script and by every 2-step script ``i l, i+1 r`` (with
 ``n l, 1 r`` closing the cycle).  Lockstep mutation keeps a pair a pair
 (Aihara–Iyama, *Silting mutation in triangulated categories*, 2012;
-Koenig–Yang, arXiv:1203.5657), so ``mutate`` exits 0, and by Koszul
-duality ``koszul`` on the result should exit 0.  A run that ends
-not-certified (exit 3) is a known miss, marked as a strict xfail; a
-``fail`` (exit 2) is never right.
+Koenig–Yang), so ``mutate`` exits 0, and ``koszul`` on the result should
+exit 0.
+
+A run that ends not-certified (exit 3) is a known miss, marked as a
+strict xfail naming the ROADMAP item that would mend it; a ``fail``
+(exit 2) or an input error (exit 4) is never right.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import linear_algebra_text, standard_pair_text
+from conftest import INPUTS, linear_algebra_text, standard_pair_text
 from siltkit.cli import main
+from siltkit.cli.parsing import parse_algebra
+from siltkit.core.modules import RESOLUTION_BOUND
+
+GOLDEN = INPUTS.parent / "tests" / "golden" / "resolutions"
+
+#: (algebra, command) runs on the standard pair that end not-certified
+#: today, with the ROADMAP item that would mend them: the Kronecker
+#: algebras' cohomology algebras have blocks of dimension two, and the
+#: simples of loop2 and cycle3 have no finite projective resolution.
+STANDARD_MISSES = {
+    ("kron", "koszul"): "ROADMAP item 7",
+    ("kron3", "koszul"): "ROADMAP item 7",
+    ("loop2", "verify"): "ROADMAP item 8",
+    ("loop2", "koszul"): "ROADMAP item 8",
+    ("cycle3", "verify"): "ROADMAP item 8",
+    ("cycle3", "koszul"): "ROADMAP item 8",
+}
 
 #: Scripts whose ``koszul`` ends not-certified today, per (family, n).
 MISSES = {
@@ -27,7 +50,49 @@ MISSES = {
 
 
 class NotCertified(Exception):
-    """``koszul`` ended not-certified where the theory answers pass."""
+    """A run ended not-certified where the theory answers pass."""
+
+
+def standard_cases():
+    for path in sorted(INPUTS.glob("*.alg")) + sorted(GOLDEN.glob("*.alg")):
+        for command in ("verify", "koszul"):
+            reason = STANDARD_MISSES.get((path.stem, command))
+            marks = ()
+            if reason:
+                marks = pytest.mark.xfail(strict=True, raises=NotCertified, reason=reason)
+            yield pytest.param(path, command, marks=marks, id=f"{path.stem}-{command}")
+
+
+@pytest.mark.parametrize("path, command", standard_cases())
+def test_the_standard_pair_passes(tmp_path, capsys, path, command):
+    n = len(parse_algebra(path.read_text(encoding="utf-8")).quiver.vertices)
+    pair = tmp_path / "std.pair"
+    pair.write_text(standard_pair_text(n), encoding="utf-8")
+    argv = ["verify", "--pattern"] if command == "verify" else ["koszul"]
+    code = main([*argv, str(path), str(pair)])
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured
+    if code == 3:
+        raise NotCertified(captured.err or captured.out)
+
+
+@pytest.mark.parametrize("n, expected", [(13, 0), (14, 3)], ids=["rsz-a13", "rsz-a14"])
+def test_only_a_reached_resolution_cap_leaves_the_pattern_not_certified(
+    tmp_path, capsys, n, expected
+):
+    """Radical-square-zero A_n has global dimension n - 1: the longest
+    resolution of A13 has exactly RESOLUTION_BOUND layers below its cover
+    and passes, while A14's goes one past the cap, which is named."""
+    algebra = tmp_path / "algebra.alg"
+    algebra.write_text(linear_algebra_text(n, True), encoding="utf-8")
+    pair = tmp_path / "std.pair"
+    pair.write_text(standard_pair_text(n), encoding="utf-8")
+    code = main(["verify", "--pattern", str(algebra), str(pair)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert captured.out == ""
+        assert f"RESOLUTION_BOUND = {RESOLUTION_BOUND}" in captured.err
 
 
 def scripts(n: int) -> list[str]:
