@@ -151,6 +151,9 @@ class PathAlgebra:
         #: Hom complex data per pair of complex keys, filled by
         #: ``homotopy.homs.HomComplex`` and kept as long as the algebra.
         self.hom_data: dict = {}
+        #: This algebra as a dg algebra in degree 0, built by
+        #: ``dg.path_algebra_to_dg`` on first use.
+        self.dg_view = None
         #: Structure constants: (i, j) -> coordinates of b_i b_j, for the
         #: nonzero products only, in ascending (i, j) order.
         self.products: dict[tuple[int, int], dict[int, object]] = {}

@@ -1,6 +1,7 @@
 """Minimal projective resolutions of the simple modules.
 
-A resolution is built to its end or not at all: one longer than
+res(v) is the semifree resolution of S_v over A in degree 0, read back as
+a complex.  It is built to its end or not at all: one longer than
 ``RESOLUTION_BOUND`` raises TruncationUnsound naming the bound, so every
 ``res(v)`` is an object of K^b(proj A).
 
@@ -17,20 +18,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..dg.dga import path_algebra_to_dg
+from ..dg.dgmod import semifree_resolution
 from ..errors import TruncationUnsound
-from ..linalg import (
-    GaussianSpan,
-    Matrix,
-    kernel_basis,
-    sparse_product,
-    zero_matrix,
-    zero_vector,
-)
+from ..linalg import Matrix, sparse_product, zero_matrix
 from .algebras import PathAlgebra
-from .quivers import Path
 
-#: The longest resolution built: ``minimal_projective_resolution`` adopts at
-#: most this many layers, and ``dg.semifree_resolution`` takes the same cap.
+#: The longest resolution built: ``minimal_projective_resolution`` accepts
+#: resolutions of length at most this.
 RESOLUTION_BOUND = 12
 
 
@@ -70,74 +65,36 @@ def minimal_projective_resolution(algebra: PathAlgebra, v: str):
     """The minimal projective resolution of the simple module at v, labelled
     ``res(v)``, in degrees -n .. 0 with e_v A in degree 0.
 
-    Each step covers the kernel K of the last differential minimally
-    (Green–Solberg–Zacharia): at each vertex u, the kernel vectors that are
-    independent modulo K·rad, the span of the kernel vectors at each arrow's
-    target times the arrow, are adopted in kernel-basis order.  Each adopted
-    vector becomes a copy of e_u A and a column of the next differential.
-    The resolution runs until a kernel vanishes; one that has not vanished
-    after ``RESOLUTION_BOUND`` steps raises TruncationUnsound naming the
-    bound, since a cut-off resolution is not an object of K^b(proj A).
+    It is ``dg.semifree_resolution`` of the character of S_v over
+    ``path_algebra_to_dg(algebra)``, read back as a complex (the inverse
+    of ``dga._free_module``): a generator of degree k at w is a summand
+    e_w A of degree k, and a term g' * b of its differential is the entry
+    b of d^k.  A resolution of length n takes n + 2 stages, so the cap of
+    ``RESOLUTION_BOUND + 2`` accepts the lengths up to the bound; a longer
+    one raises TruncationUnsound naming it.
     """
     from ..homotopy.complexes import ProjComplex
 
     algebra.check_vertex(v)
     field = algebra.field
-    arrows = [
-        (a.source, a.target, algebra.basis_index[Path((a.name,), a.source, a.target)])
-        for a in algebra.quiver.arrows
-    ]
-    copies: tuple[str, ...] = (v,)
-    layer = positions(algebra, copies)
-    # The kernel of e_v A -> S_v is the radical: every position but e_v.
-    generator = (0, algebra.idempotent_index[v])
-    kernel = {u: [] for u in algebra.quiver.vertices}
-    for u, pairs in layer.items():
-        for i, pair in enumerate(pairs):
-            if pair != generator:
-                unit = zero_vector(field, len(pairs))
-                unit[i] = field.one
-                kernel[u].append(unit)
-    summands = {0: copies}
-    diffs = {}
-    for n in range(1, RESOLUTION_BOUND + 1):
-        if not any(kernel.values()):
-            break
-        adopted = []
-        for u in algebra.quiver.vertices:
-            index = {pair: i for i, pair in enumerate(layer[u])}
-            span = GaussianSpan(field, len(layer[u]))
-            for source, target, arrow in arrows:
-                if source != u:
-                    continue
-                for k in kernel[target]:
-                    image = zero_vector(field, len(layer[u]))
-                    for coeff, (c, q) in zip(k, layer[target]):
-                        if coeff:
-                            for r, x in algebra.products.get((q, arrow), {}).items():
-                                image[index[(c, r)]] += coeff * x
-                    span.add(image)
-            adopted += [(u, k) for k in kernel[u] if span.add(k)]
-        # Column j of the differential reads the j-th adopted vector as one
-        # algebra element per copy of the previous layer.
-        columns = []
-        for u, k in adopted:
-            column = [{} for _ in copies]
-            for coeff, (c, q) in zip(k, layer[u]):
-                if coeff:
-                    column[c][q] = field.coerce(coeff)
-            columns.append(column)
-        diffs[-n] = [[algebra.element(col[r]) for col in columns] for r in range(len(copies))]
-        previous, copies = copies, tuple(u for u, _ in adopted)
-        blocks = vertex_blocks(algebra, copies, previous, diffs[-n])
-        layer = positions(algebra, copies)
-        kernel = {
-            u: kernel_basis(field, blocks[u], ncols=len(layer[u]))
-            for u in algebra.quiver.vertices
-        }
-        summands[-n] = copies
-    if any(kernel.values()):
+    chi = [field.zero] * algebra.dimension
+    chi[algebra.idempotent_index[v]] = field.one
+    try:
+        res = semifree_resolution(chi, path_algebra_to_dg(algebra), RESOLUTION_BOUND + 2)
+    except TruncationUnsound:
         raise TruncationUnsound(
             f"res({v}) is longer than RESOLUTION_BOUND = {RESOLUTION_BOUND}"
-        )
+        ) from None
+    summands: dict[int, list[str]] = {}
+    slot = []  # each generator's position among the summands of its degree
+    for g in res.generators:
+        slot.append(len(summands.setdefault(g.degree, [])))
+        summands[g.degree].append(g.vertex)
+    entries = {k: [[{} for _ in vs] for _ in summands.get(k + 1, ())] for k, vs in summands.items()}
+    for t, (g, d) in enumerate(zip(res.generators, res.d_gens)):
+        for (u, b), c in d.items():
+            entries[g.degree][slot[u]][slot[t]][b] = field.coerce(c)
+    diffs = {
+        k: [[algebra.element(x) for x in r] for r in mat] for k, mat in entries.items() if mat
+    }
     return ProjComplex(algebra, summands, diffs, label=f"res({v})")

@@ -33,6 +33,7 @@ first violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ChainConditionViolated, Inconclusive
 from ..linalg import (
@@ -290,15 +291,30 @@ class DGAlgebra:
                         f"d of idempotent {a} leaves its block"
                     )
 
-    def block_of(self, i: int) -> tuple[str, str] | None:
-        """(left, right) idempotent labels whose block contains basis elt i,
-        or None if the element is not block-pure."""
-        unit_vec = {i: self.field.one}
-        for a, ea in self.idempotents.items():
-            for b, eb in self.idempotents.items():
-                if self.multiply(ea, self.multiply(unit_vec, eb)) == unit_vec:
-                    return a, b
-        return None
+    @cached_property
+    def blocks(self) -> list[tuple[str, str] | None]:
+        """The (left, right) idempotent names of the block e E e' holding
+        each basis element, or None for an element in no single block."""
+        family = self.idempotents.items()
+        out: list[tuple[str, str] | None] = []
+        for i in range(self.dimension):
+            unit = {i: self.field.one}
+            left = next((n for n, e in family if self.multiply(e, unit) == unit), None)
+            right = next((n for n, e in family if self.multiply(unit, e) == unit), None)
+            out.append(None if left is None or right is None else (left, right))
+        return out
+
+    @cached_property
+    def cocycles0_by_left(self) -> dict[str, list[Coords]]:
+        """A basis of Z^0 grouped by the left idempotent of its block.  On a
+        block-pure basis with cocycle idempotents d keeps every block, so
+        each kernel-basis vector lies in one."""
+        idx0 = self.indices_at(0)
+        out: dict[str, list[Coords]] = {name: [] for name in self.idempotents}
+        for z in self.cohomology(0).cocycles:
+            coords = {idx0[i]: c for i, c in enumerate(z) if c}
+            out[self.blocks[min(coords)][0]].append(coords)
+        return out
 
     def __repr__(self):
         dims = self.graded_dims()
@@ -308,22 +324,25 @@ class DGAlgebra:
 
 
 def path_algebra_to_dg(algebra) -> DGAlgebra:
-    """A path algebra quotient viewed as a dg algebra in degree 0."""
-    field = algebra.field
-    unit = {algebra.idempotent_index[v]: field.one for v in algebra.quiver.vertices}
-    idempotents = {
-        v: {algebra.idempotent_index[v]: field.one} for v in algebra.quiver.vertices
-    }
-    return DGAlgebra(
-        field,
-        tuple(str(p) for p in algebra.basis),
-        (0,) * algebra.dimension,
-        algebra.products,
-        {},
-        unit,
-        idempotents,
-        provenance="path algebra",
-    )
+    """A path algebra quotient viewed as a dg algebra in degree 0, built
+    once per algebra and kept as its ``dg_view``."""
+    if algebra.dg_view is None:
+        field = algebra.field
+        unit = {algebra.idempotent_index[v]: field.one for v in algebra.quiver.vertices}
+        idempotents = {
+            v: {algebra.idempotent_index[v]: field.one} for v in algebra.quiver.vertices
+        }
+        algebra.dg_view = DGAlgebra(
+            field,
+            tuple(str(p) for p in algebra.basis),
+            (0,) * algebra.dimension,
+            algebra.products,
+            {},
+            unit,
+            idempotents,
+            provenance="path algebra",
+        )
+    return algebra.dg_view
 
 
 @dataclass(frozen=True)
@@ -353,14 +372,10 @@ class FreeModule:
         self.field = algebra.field
         self.generators: list[Generator] = list(generators)
         self.d_gens: list[dict[tuple[int, int], object]] = list(d_gens)
-        one = algebra.field.one
-        self._left_fixed = {
-            name: [
-                b for b in range(algebra.dimension)
-                if algebra.multiply(e, {b: one}) == {b: one}
-            ]
-            for name, e in algebra.idempotents.items()
-        }
+        self._left_fixed: dict[str, list[int]] = {name: [] for name in algebra.idempotents}
+        for b, block in enumerate(algebra.blocks):
+            if block:
+                self._left_fixed[block[0]].append(b)
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -419,11 +434,6 @@ def end_algebra(objects: list[FreeModule], names: list[str], provenance: str) ->
     """
     E = objects[0].algebra
     field = E.field
-    one = field.one
-    right_fixed = {
-        name: {b for b in range(E.dimension) if E.multiply({b: one}, e) == {b: one}}
-        for name, e in E.idempotents.items()
-    }
 
     entries: list[tuple[int, int, int, int, int]] = []  # (s, t, g, u, b)
     index: dict[tuple[int, int, int, int, int], int] = {}
@@ -433,9 +443,8 @@ def end_algebra(objects: list[FreeModule], names: list[str], provenance: str) ->
         for t, Y in enumerate(objects):
             block = []
             for g, gen in enumerate(X.generators):
-                fixed = right_fixed[gen.vertex]
                 for p, (u, b) in enumerate(Y.basis_pairs):
-                    if b in fixed:
+                    if E.blocks[b][1] == gen.vertex:
                         deg = Y.basis_degrees[p] - gen.degree
                         block.append((deg, gen.degree, u, g, b))
             block.sort()

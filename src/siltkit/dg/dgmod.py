@@ -8,9 +8,10 @@ top of the corner algebra e E^0 e, the corner modulo its radical, and chi
 is read off that top by ``linalg.top``, the routine the homotopy layer
 reads H^0 End through.  Each simple is resolved by a free dg module
 built by repeatedly killing cone cohomology classes until the cone is
-acyclic, within ``RESOLUTION_BOUND`` (``semifree_resolution``); and the
-endomorphism dg algebra of the direct sum of those resolutions is the
-dual algebra (``koszul_dual``).
+acyclic, within a stage cap set by the caller (``semifree_resolution``);
+and the endomorphism dg algebra of the direct sum of those resolutions is
+the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
+same routine gives the minimal projective resolutions (``core.modules``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
 when the class is not already in the span of the cone boundaries and of
@@ -30,7 +31,6 @@ is ``dga.end_algebra`` of the resolutions: the same End construction as
 
 from __future__ import annotations
 
-from ..core.modules import RESOLUTION_BOUND
 from ..errors import (
     ChainConditionViolated,
     IdempotentLiftMissing,
@@ -223,16 +223,17 @@ class SemifreeResolution(FreeModule):
                 diff[1 + p] = col
         return degrees, diff
 
-    def _cone_cohomology(self):
-        """dict degree -> (cone basis indices of that degree, their
-        ``Cohomology``), for the degrees where the cone has cohomology."""
+    def _extremal_cone_class(self, ascending: bool):
+        """(n, cone basis indices of degree n, their ``Cohomology``) for the
+        extremal degree n where the cone has cohomology, the smallest when
+        ``ascending`` and the largest otherwise; None when the cone is
+        acyclic."""
         field = self.field
         degrees, diff = self._cone_data()
         by_degree: dict[int, list[int]] = {}
         for i, n in enumerate(degrees):
             by_degree.setdefault(n, []).append(i)
-        out: dict[int, tuple[list[int], Cohomology]] = {}
-        for n in sorted(by_degree):
+        for n in sorted(by_degree, reverse=not ascending):
             src = by_degree[n]
             h = Cohomology(
                 field,
@@ -241,8 +242,8 @@ class SemifreeResolution(FreeModule):
                 differential_block(field, diff, src, by_degree.get(n + 1, [])),
             )
             if h.reps:
-                out[n] = (src, h)
-        return out
+                return n, src, h
+        return None
 
     def _cone_times(self, x: Coords, b: Coords) -> Coords:
         """x * b for cone coordinates x and a degree-0 algebra element b."""
@@ -267,9 +268,9 @@ class SemifreeResolution(FreeModule):
         return f"SemifreeResolution({shown})"
 
 
-def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
+def semifree_resolution(chi: list, E: DGAlgebra, stages: int) -> SemifreeResolution:
     """Resolve the one-dimensional dg module of the character ``chi`` by a
-    free dg module, killing cone classes.
+    free dg module, killing cone classes, in at most ``stages`` stages.
 
     Each stage picks the extremal degree n where the cone of the comparison
     map still has cohomology (smallest degree when the algebra sits in
@@ -277,13 +278,14 @@ def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
     representative into block-pure pieces x = rep * e.  Walking the pieces
     in order, a piece becomes a generator only when its class lies outside
     the span of the degree-n cone boundaries and of x' * b for the pieces x'
-    already adopted and b in a basis of the degree-0 cocycles Z^0(E).
+    already adopted and b in a basis of the degree-0 cocycles e Z^0(E), e
+    the idempotent of x' (x' * b = 0 for the rest of Z^0).
 
     One stage still kills every class of degree n: the generator g adopted
     for x has d(g * b) = -(x * b) in the cone whenever d(b) = 0, so the
     whole span becomes boundaries, and every piece lies in it.  Stages run
-    until the cone is acyclic.  A resolution of length d takes d + 2
-    stages, so one longer than ``RESOLUTION_BOUND`` raises TruncationUnsound.
+    until the cone is acyclic; a resolution that needs more than
+    ``stages`` stages raises TruncationUnsound naming the cap.
     """
     if not E.idempotents:
         raise ValueError("resolutions need an idempotent family")
@@ -294,28 +296,17 @@ def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
                 f"idempotent {name} is not a cocycle; free covers on it are "
                 f"not closed under the differential"
             )
-        for b in range(E.dimension):
-            for prod in (
-                E.multiply(e, {b: field.one}),
-                E.multiply({b: field.one}, e),
-            ):
-                if prod and prod != {b: field.one}:
-                    raise IdempotentLiftMissing(
-                        "the basis is not block-pure for the idempotent family"
-                    )
+    if None in E.blocks:
+        raise IdempotentLiftMissing("the basis is not block-pure for the idempotent family")
     res = SemifreeResolution(E, chi)
     ascending = (E.degree_range() or (0, 0))[0] >= 0
-    idx0 = E.indices_at(0)
-    cocycles0 = [
-        {idx0[i]: c for i, c in enumerate(z) if c} for z in E.cohomology(0).cocycles
-    ]
+    cocycles0 = E.cocycles0_by_left
     counter = 0
-    for _ in range(RESOLUTION_BOUND + 2):
-        classes = res._cone_cohomology()
-        if not classes:
+    for _ in range(stages):
+        found = res._extremal_cone_class(ascending)
+        if found is None:
             break
-        n = min(classes) if ascending else max(classes)
-        src, h = classes[n]
+        n, src, h = found
         position = {i: p for p, i in enumerate(src)}
 
         def local(x: Coords) -> list:
@@ -331,7 +322,7 @@ def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
                 piece = res._cone_times(rep, e)
                 if not piece or killed.contains(local(piece)):
                     continue
-                for b in cocycles0:
+                for b in cocycles0[vertex]:
                     killed.add(local(res._cone_times(piece, b)))
                 counter += 1
                 res.generators.append(Generator(f"g{counter}", n, vertex))
@@ -339,24 +330,22 @@ def semifree_resolution(chi: list, E: DGAlgebra) -> SemifreeResolution:
                 res.phi_gens.append(-piece.get(0, field.zero))
         res._rebuild()
     else:
-        raise TruncationUnsound(
-            f"semifree resolution is longer than RESOLUTION_BOUND = {RESOLUTION_BOUND}"
-        )
+        raise TruncationUnsound(f"semifree resolution needs more than {stages} stages")
     res.verify()
     return res
 
 
-def koszul_dual(E: DGAlgebra) -> DGAlgebra:
+def koszul_dual(E: DGAlgebra, stages: int) -> DGAlgebra:
     """The endomorphism dg algebra of the sum of the semifree resolutions of
     the simple dg modules of E.
 
     The basis consists of the generator-to-basis elementary maps between the
-    resolutions; multiplication is composition and is exact.  A resolution
-    longer than ``RESOLUTION_BOUND`` raises TruncationUnsound.
+    resolutions; multiplication is composition and is exact.  Each
+    resolution gets at most ``stages`` stages (``semifree_resolution``).
     """
     simples = simple_dg_modules(E)
     return end_algebra(
-        [semifree_resolution(chi, E) for chi in simples.values()],
+        [semifree_resolution(chi, E, stages) for chi in simples.values()],
         list(simples),
         f"dual of {E.provenance}" if E.provenance else "dual",
     )

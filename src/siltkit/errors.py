@@ -47,9 +47,10 @@ class ChainConditionViolated(SiltkitError):
 
 
 class TruncationUnsound(SiltkitError):
-    """A resolution did not end within ``RESOLUTION_BOUND``: the minimal
-    projective resolution of a simple, or a semifree resolution.  The
-    message names the bound; the object is refused, never cut off."""
+    """A resolution did not end within its cap: the minimal projective
+    resolution of a simple within ``RESOLUTION_BOUND``, or a semifree
+    resolution within the stages its caller allows.  The message names
+    the cap; the object is refused, never cut off."""
 
 
 class Inconclusive(SiltkitError):

@@ -13,6 +13,9 @@ from siltkit.fields import QQ
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
+#: A semifree stage cap that none of the suite's small resolutions reaches.
+STAGES = 8
+
 
 def linear_algebra_text(n: int, radical_square_zero: bool) -> str:
     """Algebra file of the linear quiver n -> ... -> 1, hereditary or with

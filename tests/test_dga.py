@@ -7,11 +7,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import STAGES
 from oracles import character_module, dense_dg_module_verify, dense_dg_verify
 from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Arrow, Quiver
-from siltkit.correspond.pipeline import graded_algebra_isomorphism, standard_pair
+from siltkit.correspond.pipeline import (
+    _blockwise_buckets,
+    graded_algebra_isomorphism,
+    standard_pair,
+)
 from siltkit.dg import (
     DGAlgebra,
     GradedAlgebraMap,
@@ -129,7 +134,7 @@ def test_cohomology_algebra_is_idempotent_on_formal_input(a2):
 
 
 def test_cohomology_of_the_doubly_dual_end(shifted_end):
-    K = koszul_dual(shifted_end)
+    K = koszul_dual(shifted_end, STAGES)
     H = cohomology_algebra(K)
     assert H.graded_dims() == {0: 2, 2: 1}
     (g,) = ({i: QQ.one} for i in H.indices_at(2))
@@ -214,7 +219,7 @@ def test_semifree_resolutions_over_the_cohomology_of_the_smc_end(smc_end):
     simples = simple_dg_modules(H)
     resolved = {}
     for name, chi in simples.items():
-        R = semifree_resolution(chi, H)
+        R = semifree_resolution(chi, H, STAGES)
         R.verify()
         resolved[name] = R
     sizes = sorted(r.dimension for r in resolved.values())
@@ -229,7 +234,7 @@ def test_semifree_resolutions_over_the_cohomology_of_the_smc_end(smc_end):
 
 def test_semifree_resolution_over_the_degree_minus_one_arrow(shifted_end):
     simples = simple_dg_modules(shifted_end)
-    resolutions = {n: semifree_resolution(chi, shifted_end) for n, chi in simples.items()}
+    resolutions = {n: semifree_resolution(chi, shifted_end, STAGES) for n, chi in simples.items()}
     for R in resolutions.values():
         R.verify()
     assert resolutions["2"].graded_dims() == {0: 1}
@@ -237,8 +242,38 @@ def test_semifree_resolution_over_the_degree_minus_one_arrow(shifted_end):
     assert [g.degree for g in resolutions["1"].generators] == [0, -2]
 
 
+@pytest.fixture
+def split_unit():
+    """k x k on the basis {e1, e1 + e2}: the idempotents e1 and
+    e2 = (e1 + e2) - e1 are a valid family, but e1 + e2 lies in no single
+    block e E e'."""
+    one = QQ.one
+    E = DGAlgebra(
+        QQ,
+        ("e1", "1"),
+        (0, 0),
+        {(0, 0): {0: one}, (0, 1): {0: one}, (1, 0): {0: one}, (1, 1): {1: one}},
+        {},
+        {1: one},
+        {"1": {0: one}, "2": {1: one, 0: -one}},
+    )
+    E.verify()
+    return E
+
+
+def test_a_basis_off_the_blocks_is_refused_by_resolutions(split_unit):
+    chi = simple_dg_modules(split_unit)["1"]
+    with pytest.raises(IdempotentLiftMissing, match="^the basis is not block-pure"):
+        semifree_resolution(chi, split_unit, STAGES)
+
+
+def test_a_basis_off_the_blocks_gets_no_block_buckets(split_unit):
+    assert _blockwise_buckets(split_unit) is None
+    assert graded_algebra_isomorphism(split_unit, split_unit, IDENTITY) is None
+
+
 def test_koszul_dual_of_the_path_algebra(a2):
-    K = koszul_dual(path_algebra_to_dg(a2))
+    K = koszul_dual(path_algebra_to_dg(a2), STAGES)
     assert K.dimension == 7
     assert K.graded_dims() == {-1: 1, 0: 4, 1: 2}
     assert K.cohomology_dims() == {0: 2, 1: 1}
@@ -247,20 +282,20 @@ def test_koszul_dual_of_the_path_algebra(a2):
 
 def test_koszul_dual_of_the_degree_one_arrow_algebra(smc_end):
     H = cohomology_algebra(smc_end)
-    K = koszul_dual(H)
+    K = koszul_dual(H, STAGES)
     assert K.graded_dims() == {0: 5, 1: 2}
     assert K.cohomology_dims() == {0: 3}
 
 
 def test_koszul_dual_of_the_degree_minus_one_arrow_algebra(shifted_end):
-    K = koszul_dual(shifted_end)
+    K = koszul_dual(shifted_end, STAGES)
     assert K.graded_dims() == {-2: 1, -1: 1, 0: 3, 1: 1, 2: 1}
     assert K.cohomology_dims() == {0: 2, 2: 1}
 
 
 def test_koszul_dual_matches_the_end_of_the_resolved_simples(a2):
     silting, smc = standard_pair(a2)
-    K = koszul_dual(dg_end(silting))
+    K = koszul_dual(dg_end(silting), STAGES)
     E = dg_end(smc)
     assert K.graded_dims() == E.graded_dims()
     assert K.cohomology_dims() == E.cohomology_dims()
@@ -270,7 +305,7 @@ def test_dual_cohomology_in_degree_zero_recovers_the_algebra(a2, smc_end):
     """Dualizing the degree-one arrow algebra twice lands back on a copy of
     the original path algebra in cohomology."""
     H = cohomology_algebra(smc_end)
-    K = koszul_dual(H)
+    K = koszul_dual(H, STAGES)
     HK = cohomology_algebra(K)
     assert HK.graded_dims() == {0: 3}
     assert graded_algebra_isomorphism(HK, path_algebra_to_dg(a2), IDENTITY) is not None
@@ -466,7 +501,7 @@ def referee_bases() -> tuple:
         Quiver(("1", "2", "3"), (Arrow("a", "2", "1"), Arrow("b", "3", "2"))), [], 3
     )
     bases = [dg_end(side) for algebra in (a2, a3) for side in standard_pair(algebra)]
-    bases.append(koszul_dual(bases[0]))
+    bases.append(koszul_dual(bases[0], STAGES))
     return tuple(bases)
 
 

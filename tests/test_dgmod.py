@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import INPUTS, linear_algebra_text
+from conftest import INPUTS, STAGES, linear_algebra_text
 from oracles import character_module, corner_eigenvalue, dense_dg_module_verify, dg_module, sym
 from siltkit.cli.parsing import parse_algebra
 from siltkit.core.algebras import build_algebra
@@ -139,7 +139,7 @@ def materialized(R):
 def test_resolution_materializes_to_a_verified_module(arrow_algebra):
     simples = simple_dg_modules(arrow_algebra)
     for chi in simples.values():
-        R = semifree_resolution(chi, arrow_algebra)
+        R = semifree_resolution(chi, arrow_algebra, STAGES)
         mod = materialized(R)
         dense_dg_module_verify(mod)
         assert Counter(mod.degrees) == R.graded_dims()
@@ -149,7 +149,7 @@ def test_resolution_materializes_to_a_verified_module(arrow_algebra):
 def test_resolution_differential_and_comparison_commute(arrow_algebra):
     big = max(
         (
-            semifree_resolution(chi, arrow_algebra)
+            semifree_resolution(chi, arrow_algebra, STAGES)
             for chi in simple_dg_modules(arrow_algebra).values()
         ),
         key=lambda r: r.dimension,
@@ -163,22 +163,39 @@ def test_resolution_differential_and_comparison_commute(arrow_algebra):
 
 def test_comparison_map_hits_the_module_generator(arrow_algebra):
     for chi in simple_dg_modules(arrow_algebra).values():
-        R = semifree_resolution(chi, arrow_algebra)
+        R = semifree_resolution(chi, arrow_algebra, STAGES)
         assert R.phi_gens[0], "first generator must map onto the module"
 
 
 def test_infinite_resolution_is_flagged_truncated(loop2):
     D = path_algebra_to_dg(loop2)
     (chi,) = simple_dg_modules(D).values()
-    with pytest.raises(TruncationUnsound, match="RESOLUTION_BOUND"):
-        semifree_resolution(chi, D)
+    with pytest.raises(TruncationUnsound, match="^semifree resolution needs more than 8 stages$"):
+        semifree_resolution(chi, D, STAGES)
+
+
+def test_the_linear_a15_simple_side_resolves_within_the_silting_cap():
+    """Over the cohomology algebra of the dg end of the linear A15 simples,
+    S_15 adopts one generator per stage, all in degree 0, at the vertices
+    15, ..., 1: sixteen stages with the one that finds the cone acyclic.
+    The cap koszul_pair_check hands it, dim H^*(silting side) + 1 = 121,
+    lets it end; one stage fewer than it needs is refused, naming the cap."""
+    silting, smc = standard_pair(parse_algebra(linear_algebra_text(15, False)))
+    H = cohomology_algebra(dg_end(smc))
+    cap = sum(dg_end(silting).cohomology_dims().values()) + 1
+    chi = simple_dg_modules(H)["15"]
+    R = semifree_resolution(chi, H, cap)
+    assert cap == 121
+    assert [(g.degree, g.vertex) for g in R.generators] == [(0, str(v)) for v in range(15, 0, -1)]
+    with pytest.raises(TruncationUnsound, match="^semifree resolution needs more than 15 stages$"):
+        semifree_resolution(chi, H, 15)
 
 
 def test_right_action_respects_the_idempotent_columns(arrow_algebra):
     E = arrow_algebra
     simples = simple_dg_modules(E)
     for name, chi in simples.items():
-        R = semifree_resolution(chi, E)
+        R = semifree_resolution(chi, E, STAGES)
         gen_vertex = R.generators[0].vertex
         assert gen_vertex == name
         # acting by the wrong idempotent annihilates the generator line
@@ -206,7 +223,7 @@ def test_resolutions_of_the_simples_are_minimal(name):
     vertex = {str(s + 1): x.summands[0][0] for s, x in enumerate(silting)}
     E = dg_end(silting)
     for s, chi in simple_dg_modules(E).items():
-        R = semifree_resolution(chi, E)
+        R = semifree_resolution(chi, E, STAGES)
         got = sorted((g.degree, vertex[g.vertex]) for g in R.generators)
         res = minimal_projective_resolution(A, vertex[s])
         want = sorted((k, v) for k, vs in res.summands.items() for v in vs)
@@ -215,4 +232,4 @@ def test_resolutions_of_the_simples_are_minimal(name):
 
 def test_the_silting_dual_of_linear_a4_has_dimension_31():
     silting, _ = standard_pair(parse_algebra(linear_algebra_text(4, False)))
-    assert koszul_dual(dg_end(silting)).dimension == 31
+    assert koszul_dual(dg_end(silting), STAGES).dimension == 31

@@ -11,8 +11,11 @@ by every 1-step script and by every 2-step script ``i l, i+1 r`` (with
 Koenig–Yang), so ``mutate`` exits 0, and ``koszul`` on the result should
 exit 0.
 
+The 2-term silting graph (``graph --window=-1..0``) of linear A2-A5 and
+D4 has as many nodes as the algebra has clusters, and n edges per node.
+
 A run that ends not-certified (exit 3) is a known miss, marked as a
-strict xfail naming the ROADMAP item that would mend it; a ``fail``
+strict xfail naming the ROADMAP item or the cap behind it; a ``fail``
 (exit 2) or an input error (exit 4) is never right.
 """
 
@@ -125,3 +128,49 @@ def test_koszul_passes_on_a_mutated_pair(tmp_path, capsys, family, n, script):
     assert code in (0, 3), lines
     if code == 3:
         raise NotCertified(next(line for line in lines if "[open]" in line))
+
+
+#: 2-term silting graphs, ``graph --window=-1..0``, with the count of
+#: their nodes from theory: 2-term silting objects match support τ-tilting
+#: modules (Adachi–Iyama–Reiten, *τ-tilting theory*, 2014), which for a
+#: Dynkin path algebra are counted by its clusters (Ingalls–Thomas 2009;
+#: Fomin–Zelevinsky, *Cluster algebras II*, 2003): Catalan(n + 1) for
+#: linear A_n and 50 for D4.  Linear A5's 132 is more than GRAPH_NODE_CAP.
+GRAPHS = {
+    "linear-a2": (2, 5),
+    "linear-a3": (3, 14),
+    "linear-a4": (4, 42),
+    "d4": (4, 50),
+    "linear-a5": (5, 132),
+}
+
+
+def graph_cases():
+    for name in GRAPHS:
+        marks = ()
+        if name == "linear-a5":
+            marks = pytest.mark.xfail(strict=True, raises=NotCertified, reason="GRAPH_NODE_CAP")
+        yield pytest.param(name, marks=marks, id=name)
+
+
+@pytest.mark.parametrize("name", graph_cases())
+def test_the_two_term_silting_graph_has_the_cluster_count(tmp_path, capsys, name):
+    """The graph closes on the counted nodes, each 2-term silting object
+    has exactly n 2-term mutations, so edges = n × nodes, and every node's
+    simple-minded partner passes."""
+    n, nodes = GRAPHS[name]
+    if name == "d4":
+        algebra = GOLDEN / "d4.alg"
+    else:
+        algebra = tmp_path / "algebra.alg"
+        algebra.write_text(linear_algebra_text(n, False), encoding="utf-8")
+    argv = ["graph", str(algebra), "--window=-1..0", "--depth", "30", "--format", "structured"]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 3), lines
+    if code == 3:
+        raise NotCertified(next(line for line in lines if "truncated" in line))
+    assert f"graph nodes {nodes} edges {n * nodes}" in lines
+    verdicts = [line for line in lines if line.startswith("verdict node")]
+    assert len(verdicts) == nodes
+    assert all(line.endswith(" smc pass") for line in verdicts)
