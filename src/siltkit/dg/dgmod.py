@@ -241,9 +241,25 @@ class SemifreeResolution(FreeModule):
                 differential_block(field, diff, by_degree.get(n - 1, []), src),
                 differential_block(field, diff, src, by_degree.get(n + 1, [])),
             )
-            if h.reps:
+            if h.dimension:
                 return n, src, h
         return None
+
+    def _pieces(self, x: Coords) -> dict[str, Coords]:
+        """The block-pure pieces x * e of cone coordinates x, keyed by the
+        idempotent e: s * e = chi(e) s, and a pair (t, a) lies in the piece
+        of the right idempotent of a."""
+        E = self.algebra
+        out: dict[str, Coords] = {}
+        for i, c in x.items():
+            if i:
+                out.setdefault(E.blocks[self.basis_pairs[i - 1][1]][1], {})[i] = c
+        if x.get(0):
+            for name, e in E.idempotents.items():
+                s = x[0] * sum((c * self.chi[k] for k, c in e.items()), self.field.zero)
+                if s:
+                    out.setdefault(name, {})[0] = s
+        return out
 
     def _cone_times(self, x: Coords, b: Coords) -> Coords:
         """x * b for cone coordinates x and a degree-0 algebra element b."""
@@ -317,9 +333,9 @@ def semifree_resolution(chi: list, E: DGAlgebra, stages: int) -> SemifreeResolut
 
         killed = h.boundaries.copy()
         for z in h.reps:
-            rep = {src[i]: c for i, c in enumerate(z) if c}
-            for vertex, e in E.idempotents.items():
-                piece = res._cone_times(rep, e)
+            pieces = res._pieces({src[i]: c for i, c in enumerate(z) if c})
+            for vertex in E.idempotents:
+                piece = pieces.get(vertex)
                 if not piece or killed.contains(local(piece)):
                     continue
                 for b in cocycles0[vertex]:
