@@ -4,13 +4,14 @@ dg algebras.
 The chain of constructions here: each idempotent e of a dg algebra E
 determines a candidate one-dimensional degree-0 module, given by its
 character chi on E^0 (``simple_dg_modules``).  E^0 acts on it through the
-top of the corner algebra e E^0 e, the corner modulo its radical, and chi
-is read off that top by ``linalg.top``, the routine the homotopy layer
-reads H^0 End through.  Each simple is resolved by a free dg module
-built by repeatedly killing cone cohomology classes until the cone is
-acyclic, within a stage cap set by the caller (``semifree_resolution``);
-and the endomorphism dg algebra of the direct sum of those resolutions is
-the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
+top of the corner algebra e E^0 e, the corner modulo its radical.  On a
+block-pure basis the corner is the degree-0 part of the (e, e) block of
+``DGAlgebra.blocks``, and chi is read off its top by ``linalg.top``, the
+routine the homotopy layer reads H^0 End through.  Each simple is
+resolved by a free dg module built by repeatedly killing cone cohomology
+classes until the cone is acyclic, within a stage cap set by the caller
+(``semifree_resolution``); and the endomorphism dg algebra of the direct
+sum of those resolutions is the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
 same routine gives the minimal projective resolutions (``core.modules``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
@@ -37,7 +38,7 @@ from ..errors import (
     SimpleNotOneDimensional,
     TruncationUnsound,
 )
-from ..linalg import Cohomology, GaussianSpan, solve, top
+from ..linalg import Cohomology, top
 from .dga import (
     Coords,
     DGAlgebra,
@@ -50,57 +51,35 @@ from .dga import (
 
 def _character(E: DGAlgebra, name: str) -> list:
     """The multiplicative character of the degree-0 part selected by the
-    named idempotent e, read off the top of the corner algebra e E^0 e:
-    with w the one functional that vanishes on the corner's radical,
-    chi(g) = w(e g e) / w(e)."""
+    named idempotent e, read off the top of the corner algebra e E^0 e.
+    On a block-pure basis the corner is spanned by the degree-0 basis
+    elements of the (e, e) block; with w the one functional that vanishes
+    on the corner's radical, chi(g) = w(g) / w(e) on the corner and 0
+    elsewhere."""
+    if None in E.blocks:
+        raise IdempotentLiftMissing("the basis is not block-pure for the idempotent family")
     field = E.field
-    e = E.idempotents[name]
-    idx0 = E.indices_at(0)
-
-    def corner(coords: Coords) -> Coords:
-        return E.multiply(e, E.multiply(coords, e))
-
-    span = GaussianSpan(field, len(idx0))
-    corner_basis: list[Coords] = []
-    for g in idx0:
-        c = corner({g: field.one})
-        if span.add(E.local_vector(0, c)):
-            corner_basis.append(c)
-    m = len(corner_basis)
-    if m == 0:
+    corner = [g for g in E.indices_at(0) if E.blocks[g] == (name, name)]
+    if not corner:
         raise IdempotentLiftMissing(f"idempotent {name} has a zero corner algebra")
-
-    basis_vecs = [E.local_vector(0, c) for c in corner_basis]
-    matrix = [[basis_vecs[j][i] for j in range(m)] for i in range(len(idx0))]
-
-    def in_corner_coords(coords: Coords) -> list:
-        sol = solve(field, matrix, E.local_vector(0, coords))
-        if sol is None:
-            raise IdempotentLiftMissing(
-                f"corner of idempotent {name} is not closed under its basis"
-            )
-        return sol
-
+    at = {g: i for i, g in enumerate(corner)}
     products = {
-        (i, j): {k: c for k, c in enumerate(in_corner_coords(E.multiply(a, b))) if c}
-        for i, a in enumerate(corner_basis)
-        for j, b in enumerate(corner_basis)
+        (at[a], at[b]): {at[k]: c for k, c in E.products[(a, b)].items()}
+        for a in corner
+        for b in corner
+        if (a, b) in E.products
     }
-    functionals = top(field, products, m)
+    functionals = top(field, products, len(corner))
     if len(functionals) != 1:
         raise SimpleNotOneDimensional(
             f"corner algebra of {name} modulo its radical has dimension "
             f"{len(functionals)}"
         )
     (w,) = functionals
-
-    def value(coords: Coords):
-        return sum((a * b for a, b in zip(w, in_corner_coords(coords)) if a), field.zero)
-
-    unit = value(e)
+    unit = sum((w[at[g]] * c for g, c in E.idempotents[name].items()), field.zero)
     chi = [field.zero] * E.dimension
-    for g in idx0:
-        chi[g] = field.div(value(corner({g: field.one})), unit)
+    for g, i in at.items():
+        chi[g] = field.div(w[i], unit)
     return chi
 
 
@@ -111,14 +90,16 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
     A simple is its character chi: a list over the basis of E, zero
     outside degree 0, with s * b = chi[b] s on the module's one basis
     vector s.  chi comes from the top of the idempotent's corner algebra,
-    and four obstructions are then checked exactly, in this order: chi
-    must separate the idempotents, it must be multiplicative on E^0, it
-    must kill the image of the differential (else the action would not be
-    a chain map), and it must kill every degree-0 product of elements of
-    opposite nonzero degrees (else the graded action could not be
-    concentrated in one degree).  A corner whose top is not the field and
-    a character that is not multiplicative raise SimpleNotOneDimensional,
-    the other failures IdempotentLiftMissing.
+    the degree-0 basis elements of its (e, e) block; a basis that is not
+    block-pure raises IdempotentLiftMissing.  Four obstructions are then
+    checked exactly, in this order: chi must separate the idempotents, it
+    must be multiplicative on E^0, it must kill the image of the
+    differential (else the action would not be a chain map), and it must
+    kill every degree-0 product of elements of opposite nonzero degrees
+    (else the graded action could not be concentrated in one degree).  A
+    corner whose top is not the field and a character that is not
+    multiplicative raise SimpleNotOneDimensional, the other failures
+    IdempotentLiftMissing.
     """
     if not E.idempotents:
         raise ValueError("the algebra carries no idempotent family")

@@ -4,7 +4,6 @@ from .compare import find_isomorphism, is_indecomposable, is_isomorphic
 from .complexes import (
     ChainMap,
     ProjComplex,
-    complex_cohomology_dims,
     cone,
     direct_sum,
     identity_map,
@@ -16,6 +15,7 @@ from .homs import (
     HomComplex,
     HomSpace,
     cartan_pairing,
+    complex_cohomology_dims,
     hom_dims,
     hom_space,
 )

@@ -6,7 +6,8 @@ has dimension d_i.  Both questions are read off the radical of H^0 End.
 
 Isomorphism.  Complete minimal models with equal keys are the same
 complex, and exact invariants (zero, graded multiplicities, cohomology
-dimensions) settle most negatives.  The rest is one test (Brooksbank–Luks,
+dimensions, the last read from the Hom table as H^k Hom(e_v A, X))
+settle most negatives.  The rest is one test (Brooksbank–Luks,
 *Testing isomorphism of modules*, 2008).  Let rad(X, Y) hold the f in
 H^0 Hom(X, Y) with [g∘f] in rad End(X) for every g in H^0 Hom(Y, X), and
 t(X, Y) = dim H^0 Hom(X, Y) − dim rad(X, Y).  For Y = ⊕ X_i^{b_i},
@@ -34,12 +35,11 @@ from ..linalg import rank, solve, sparse_combination, sparse_product, top
 from .complexes import (
     ChainMap,
     ProjComplex,
-    complex_cohomology_dims,
     component_split,
     identity_map,
     minimize,
 )
-from .homs import hom_space
+from .homs import complex_cohomology_dims, hom_space
 
 
 def find_isomorphism(

@@ -24,9 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ..core.algebras import AlgebraElement, PathAlgebra
-from ..core.modules import positions, vertex_blocks
 from ..errors import ChainConditionViolated
-from ..linalg import Cohomology
 
 
 def alg_zero_matrix(algebra: PathAlgebra, rows: int, cols: int) -> list:
@@ -464,30 +462,6 @@ def _cancel_units(x: ProjComplex) -> ProjComplex:
     return ProjComplex(
         x.algebra, cleaned_summands, cleaned_diffs, label=x.label, check=False
     )
-
-
-def complex_cohomology_dims(x: ProjComplex) -> dict[int, dict[str, int]]:
-    """Dimensions of the cohomology modules of x, vertex by vertex: the
-    differentials are spelled out on the positions of each projective sum
-    and their cohomology is taken over each vertex component."""
-    algebra = x.algebra
-    blocks = {
-        k: vertex_blocks(algebra, x.summands[k], x.summands[k + 1], mat)
-        for k, mat in x.diffs.items()
-    }
-    out: dict[int, dict[str, int]] = {}
-    for k, vs in x.summands.items():
-        widths = positions(algebra, vs)
-        per_vertex = {}
-        for v in algebra.quiver.vertices:
-            d_in = blocks[k - 1][v] if k - 1 in blocks else []
-            d_out = blocks[k][v] if k in blocks else []
-            dim = Cohomology(algebra.field, len(widths[v]), d_in, d_out).dimension
-            if dim:
-                per_vertex[v] = dim
-        if per_vertex:
-            out[k] = per_vertex
-    return out
 
 
 def component_split(x: ProjComplex) -> list[ProjComplex]:

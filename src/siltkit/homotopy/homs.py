@@ -7,7 +7,9 @@ idempotent block.  The differential is D(f) = d_Y f - (-1)^n f d_X, so
 degree-n cocycles are exactly degree-n chain maps and coboundaries are the
 null-homotopic ones.  H^n comes from ``linalg.Cohomology`` on the
 differentials into and out of degree n; ``hom_dims`` reads several
-dimensions off one Hom complex from differential ranks alone.
+dimensions off one Hom complex from differential ranks alone.  The
+cohomology of a complex is read the same way: Hom(e_v A, M) = M e_v, so
+H^k(X) e_v = H^k Hom(e_v A, X) (``complex_cohomology_dims``).
 
 The linear data of Hom(X, Y) depends only on the contents of X and Y, so
 it is built once per pair of complex keys (``ProjComplex.key``) and kept
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..linalg import Cohomology, rank, zero_vector
-from .complexes import ChainMap, ProjComplex, alg_zero_matrix
+from .complexes import ChainMap, ProjComplex, alg_zero_matrix, single_projective
 
 BasisElt = tuple[int, int, int, int]
 
@@ -207,6 +209,21 @@ def hom_dims(x: ProjComplex, y: ProjComplex, degrees: Iterable[int]) -> dict[int
         n: hom.dimension(n) - hom.differential_rank(n) - hom.differential_rank(n - 1)
         for n in degrees
     }
+
+
+def complex_cohomology_dims(x: ProjComplex) -> dict[int, dict[str, int]]:
+    """{k: {v: dim H^k(x) e_v}}, zero entries dropped.
+
+    Hom(e_v A, M) = M e_v, so H^k(x) e_v is H^k Hom(e_v A, x), read off
+    the Hom table by ``hom_dims``.
+    """
+    algebra = x.algebra
+    out: dict[int, dict[str, int]] = {}
+    for v in algebra.quiver.vertices:
+        for k, d in hom_dims(single_projective(algebra, v), x, x.degrees()).items():
+            if d:
+                out.setdefault(k, {})[v] = d
+    return out
 
 
 def cartan_pairing(algebra, class_x: dict[str, int], class_y: dict[str, int]) -> int:

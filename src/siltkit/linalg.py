@@ -7,8 +7,8 @@ is what makes rank arguments downstream sound.
 
 ``Cohomology`` is the one place cohomology is computed: cocycles,
 boundaries, class representatives and class coordinates of a cochain
-complex at one degree.  Hom complexes, dg algebras, dg module cones and
-vertex blocks of complexes all hand it their differentials.
+complex at one degree.  Hom complexes, dg algebras and dg module cones
+all hand it their differentials.
 
 ``sparse_product`` and ``sparse_combination`` are the one place sparse
 structure constants are applied: path algebras, dg algebras and dg modules

@@ -11,7 +11,6 @@ from siltkit.core.quivers import Path
 from siltkit.errors import ChainConditionViolated
 from siltkit.homotopy.complexes import (
     ProjComplex,
-    complex_cohomology_dims,
     cone,
     direct_sum,
     identity_map,
@@ -19,7 +18,7 @@ from siltkit.homotopy.complexes import (
     shift,
     single_projective,
 )
-from siltkit.homotopy.homs import hom_space
+from siltkit.homotopy.homs import complex_cohomology_dims, hom_space
 
 
 def res(algebra, v):

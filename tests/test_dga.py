@@ -262,9 +262,14 @@ def split_unit():
 
 
 def test_a_basis_off_the_blocks_is_refused_by_resolutions(split_unit):
-    chi = simple_dg_modules(split_unit)["1"]
+    """No corner is read off the blocks of such a basis, so the simples
+    and the dual are refused; a character given by hand (the one a corner
+    search would find) is refused by the resolution itself."""
+    for build in (simple_dg_modules, lambda E: koszul_dual(E, STAGES)):
+        with pytest.raises(IdempotentLiftMissing, match="^the basis is not block-pure"):
+            build(split_unit)
     with pytest.raises(IdempotentLiftMissing, match="^the basis is not block-pure"):
-        semifree_resolution(chi, split_unit, STAGES)
+        semifree_resolution([QQ.one, QQ.one], split_unit, STAGES)
 
 
 def test_a_basis_off_the_blocks_gets_no_block_buckets(split_unit):

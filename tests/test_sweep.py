@@ -35,12 +35,12 @@ GOLDEN = INPUTS.parent / "tests" / "golden" / "resolutions"
 #: algebras' cohomology algebras have blocks of dimension two, and the
 #: simples of loop2 and cycle3 have no finite projective resolution.
 STANDARD_MISSES = {
-    ("kron", "koszul"): "ROADMAP item 7",
-    ("kron3", "koszul"): "ROADMAP item 7",
-    ("loop2", "verify"): "ROADMAP item 8",
-    ("loop2", "koszul"): "ROADMAP item 8",
-    ("cycle3", "verify"): "ROADMAP item 8",
-    ("cycle3", "koszul"): "ROADMAP item 8",
+    ("kron", "koszul"): "ROADMAP item 8",
+    ("kron3", "koszul"): "ROADMAP item 8",
+    ("loop2", "verify"): "ROADMAP item 9",
+    ("loop2", "koszul"): "ROADMAP item 9",
+    ("cycle3", "verify"): "ROADMAP item 9",
+    ("cycle3", "koszul"): "ROADMAP item 9",
 }
 
 #: Scripts whose ``koszul`` ends not-certified today, per (family, n).
@@ -108,7 +108,7 @@ def cases():
         for script in scripts(n):
             marks = ()
             if script in misses:
-                marks = pytest.mark.xfail(strict=True, raises=NotCertified, reason="ROADMAP item 3")
+                marks = pytest.mark.xfail(strict=True, raises=NotCertified, reason="ROADMAP item 2")
             yield pytest.param(family, n, script, marks=marks, id=f"{family}-a{n}-{script}")
 
 
