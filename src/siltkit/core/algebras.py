@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from ..errors import MalformedRelation, NonAdmissible, UnknownVertex
 from ..fields import Field, QQ
-from ..linalg import GaussianSpan, sparse_product
+from ..linalg import Coords, GaussianSpan, sparse_combination, sparse_product
 from .quivers import Path, Quiver, deglex_key, enumerate_paths, path_from_arrows, trivial_path
 
 #: A relation is a list of (coefficient, path) terms.
@@ -270,29 +270,23 @@ def build_algebra(
     # Span coordinates run over paths in *descending* degree-lex order so that
     # elimination pivots on the largest path of each relation.
     coord_of = {p: len(paths) - 1 - i for i, p in enumerate(paths)}
-    width = len(paths)
 
-    def to_vector(terms: Iterable[tuple[object, Path]]) -> list:
-        vec = [field.zero] * width
-        for coeff, path in terms:
-            if path.length <= nilpotency_bound:
-                vec[coord_of[path]] = vec[coord_of[path]] + coeff
-        return vec
+    def to_coords(terms: Iterable[tuple[object, Path]]) -> Coords:
+        return sparse_combination(field, (
+            (coeff, {coord_of[path]: field.one})
+            for coeff, path in terms
+            if path.length <= nilpotency_bound
+        ))
 
     arrows = quiver.arrows
-    span = GaussianSpan(field, width)
-    worklist: list[list] = [to_vector(r) for r in checked]
-
-    def vector_terms(vec):
-        for c, coeff in enumerate(vec):
-            if coeff:
-                yield coeff, paths[len(paths) - 1 - c]
+    span = GaussianSpan(field)
+    worklist: list[Coords] = [to_coords(r) for r in checked]
 
     while worklist:
         vec = worklist.pop()
         if not span.add(vec):
             continue
-        terms = list(vector_terms(vec))
+        terms = [(vec[c], paths[len(paths) - 1 - c]) for c in sorted(vec)]
         for a in arrows:
             left = [
                 (coeff, Path((a.name,) + p.arrows, p.source, a.target))
@@ -300,30 +294,26 @@ def build_algebra(
                 if a.source == p.target
             ]
             if left:
-                worklist.append(to_vector(left))
+                worklist.append(to_coords(left))
             right = [
                 (coeff, Path(p.arrows + (a.name,), a.source, p.target))
                 for coeff, p in terms
                 if p.source == a.target
             ]
             if right:
-                worklist.append(to_vector(right))
+                worklist.append(to_coords(right))
 
     # Admissibility certificate: every path of full length must die.
     for p in paths:
-        if p.length == nilpotency_bound:
-            indicator = [field.zero] * width
-            indicator[coord_of[p]] = field.one
-            if not span.contains(indicator):
-                raise NonAdmissible(
-                    f"path {p} of length {nilpotency_bound} survives reduction "
-                    "modulo the relation ideal; raise the bound or add relations",
-                    witness=p,
-                )
+        if p.length == nilpotency_bound and not span.contains({coord_of[p]: field.one}):
+            raise NonAdmissible(
+                f"path {p} of length {nilpotency_bound} survives reduction "
+                "modulo the relation ideal; raise the bound or add relations",
+                witness=p,
+            )
 
-    pivot_coords = set(span.pivots())
     basis_paths = sorted(
-        (p for p in paths if coord_of[p] not in pivot_coords),
+        (p for p in paths if coord_of[p] not in span.rows),
         key=lambda p: deglex_key(quiver, p),
     )
     basis = tuple(basis_paths)
@@ -331,13 +321,9 @@ def build_algebra(
 
     normal_forms: dict[Path, dict[int, object]] = {}
     for p in paths:
-        indicator = [field.zero] * width
-        indicator[coord_of[p]] = field.one
-        residual = span.reduce(indicator)
-        nf = {}
-        for c, coeff in enumerate(residual):
-            if coeff:
-                nf[basis_pos[paths[len(paths) - 1 - c]]] = coeff
-        normal_forms[p] = nf
+        residual = span.reduce({coord_of[p]: field.one})
+        normal_forms[p] = {
+            basis_pos[paths[len(paths) - 1 - c]]: residual[c] for c in sorted(residual)
+        }
 
     return PathAlgebra(field, quiver, checked, nilpotency_bound, basis, normal_forms)

@@ -20,8 +20,9 @@ d^2 = 0, the graded Leibniz rule, associativity, unitality, and the
 idempotent axioms are checked exactly.
 
 Cohomology (dimensions, representatives, class coordinates) comes from
-``linalg.Cohomology`` on the differential matrices into and out of each
-degree.
+``linalg.Cohomology`` on the differentials of the basis elements of the
+degree below and of the degree itself, in global basis indices, and each
+degree's is kept on the algebra.
 
 Maps between dg algebras are ``GradedAlgebraMap``s, audited exactly by
 ``verify_dg_quasi_iso``.  ``find_formality_witness`` checks that the cocycle
@@ -43,19 +44,7 @@ from ..linalg import (
     sparse_apply,
     sparse_combination,
     sparse_product,
-    zero_vector,
 )
-
-
-def differential_block(field, differential: dict[int, Coords], src: list, dst: list) -> list:
-    """Matrix of a sparse differential from the span of the basis indices
-    ``src`` to the span of ``dst``, in their local order."""
-    pos = {g: i for i, g in enumerate(dst)}
-    mat = [zero_vector(field, len(src)) for _ in dst]
-    for col, g in enumerate(src):
-        for k, c in differential.get(g, {}).items():
-            mat[pos[k]][col] = c
-    return mat
 
 
 def _index(pairs) -> dict[int, list[int]]:
@@ -108,6 +97,7 @@ class DGAlgebra:
             for name, val in idempotents.items()
         }
         self.provenance = provenance
+        self._cohomology: dict[int, Cohomology] = {}
 
     # -- shape ---------------------------------------------------------
 
@@ -137,36 +127,28 @@ class DGAlgebra:
     def differentiate(self, a: Coords) -> Coords:
         return sparse_apply(self.field, self.differential, a)
 
-    # -- differential as matrices --------------------------------------
-
-    def differential_matrix(self, n: int) -> list:
-        """Matrix of d: degree-n span -> degree-(n+1) span, local indices."""
-        return differential_block(
-            self.field, self.differential, self.indices_at(n), self.indices_at(n + 1)
-        )
+    # -- cohomology ----------------------------------------------------
 
     def differential_rank(self, n: int) -> int:
-        return rank(self.field, self.differential_matrix(n))
+        return rank(self.field, self.cohomology(n).out)
 
     def cohomology(self, n: int) -> Cohomology:
-        return Cohomology(
-            self.field,
-            len(self.indices_at(n)),
-            self.differential_matrix(n - 1),
-            self.differential_matrix(n),
-        )
+        """H^n, in global basis indices, built once per degree: the
+        algebra is never changed after it is built."""
+        known = self._cohomology
+        if n not in known:
+            here, d = self.indices_at(n), self.differential
+            known[n] = Cohomology(
+                self.field,
+                here,
+                [d.get(i, {}) for i in self.indices_at(n - 1)],
+                [d.get(i, {}) for i in here],
+            )
+        return known[n]
 
     def cohomology_dims(self) -> dict[int, int]:
         dims = {n: self.cohomology(n).dimension for n in sorted(set(self.degrees))}
         return {n: d for n, d in dims.items() if d}
-
-    def local_vector(self, n: int, coords: Coords) -> list:
-        """A homogeneous degree-n element as a vector over the degree-n basis."""
-        posn = {g: i for i, g in enumerate(self.indices_at(n))}
-        vec = zero_vector(self.field, len(posn))
-        for g, c in coords.items():
-            vec[posn[g]] = c
-        return vec
 
     # -- structural verification ---------------------------------------
 
@@ -309,11 +291,9 @@ class DGAlgebra:
         """A basis of Z^0 grouped by the left idempotent of its block.  On a
         block-pure basis with cocycle idempotents d keeps every block, so
         each kernel-basis vector lies in one."""
-        idx0 = self.indices_at(0)
         out: dict[str, list[Coords]] = {name: [] for name in self.idempotents}
         for z in self.cohomology(0).cocycles:
-            coords = {idx0[i]: c for i, c in enumerate(z) if c}
-            out[self.blocks[min(coords)][0]].append(coords)
+            out[self.blocks[min(z)][0]].append(z)
         return out
 
     def __repr__(self):
@@ -581,9 +561,8 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
     reps: list[tuple[int, Coords]] = []  # (degree, E-coords), degree-ascending
     first: dict[int, int] = {}  # degree -> position of its first rep
     for n, h in cohomology.items():
-        idx = E.indices_at(n)
         first[n] = len(reps)
-        reps += [(n, {idx[i]: c for i, c in enumerate(z) if c}) for z in h.reps]
+        reps += [(n, z) for z in h.reps]
 
     def class_of(coords: Coords) -> Coords | None:
         """H-coordinates of a homogeneous cocycle, None if not a cocycle."""
@@ -593,10 +572,10 @@ def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
         if len(degs) != 1:
             return None
         n = degs.pop()
-        sol = cohomology[n].coordinates(E.local_vector(n, coords))
+        sol = cohomology[n].coordinates(coords)
         if sol is None:
             return None
-        return {first[n] + j: c for j, c in enumerate(sol) if c}
+        return {first[n] + j: c for j, c in sol.items()}
 
     products: dict[tuple[int, int], Coords] = {}
     for i, (_, ci) in enumerate(reps):
@@ -708,14 +687,8 @@ def verify_dg_quasi_iso(f: GradedAlgebraMap, diagnostics: list | None = None) ->
     # Once dimensions agree, f is bijective on H^n exactly when the classes
     # of the images of E's representatives have full rank in H^n(F).
     for n in sorted(he):
-        idx = E.indices_at(n)
         target = F.cohomology(n)
-        classes = [
-            target.coordinates(
-                F.local_vector(n, f.apply({idx[i]: c for i, c in enumerate(z) if c}))
-            )
-            for z in E.cohomology(n).reps
-        ]
+        classes = [target.coordinates(f.apply(z)) for z in E.cohomology(n).reps]
         if rank(field, classes) != he[n]:
             notes.append(f"induced map on H^{n} is not bijective")
             return False

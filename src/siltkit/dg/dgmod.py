@@ -6,12 +6,14 @@ determines a candidate one-dimensional degree-0 module, given by its
 character chi on E^0 (``simple_dg_modules``).  E^0 acts on it through the
 top of the corner algebra e E^0 e, the corner modulo its radical.  On a
 block-pure basis the corner is the degree-0 part of the (e, e) block of
-``DGAlgebra.blocks``, and chi is read off its top by ``linalg.top``, the
-routine the homotopy layer reads H^0 End through.  Each simple is
-resolved by a free dg module built by repeatedly killing cone cohomology
-classes until the cone is acyclic, within a stage cap set by the caller
-(``semifree_resolution``); and the endomorphism dg algebra of the direct
-sum of those resolutions is the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
+``DGAlgebra.blocks``, and chi is read off its top by ``linalg.top`` in
+E's own basis indices, the routine the homotopy layer reads H^0 End
+through.  Each simple is resolved by a free dg module built by
+repeatedly killing cone cohomology classes until the cone is acyclic,
+within a stage cap set by the caller (``semifree_resolution``); the
+cone's ``linalg.Cohomology`` and its classes are kept in cone indices.
+The endomorphism dg algebra of the direct sum of those resolutions is
+the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
 same routine gives the minimal projective resolutions (``core.modules``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
@@ -39,14 +41,7 @@ from ..errors import (
     TruncationUnsound,
 )
 from ..linalg import Cohomology, top
-from .dga import (
-    Coords,
-    DGAlgebra,
-    FreeModule,
-    Generator,
-    differential_block,
-    end_algebra,
-)
+from .dga import Coords, DGAlgebra, FreeModule, Generator, end_algebra
 
 
 def _character(E: DGAlgebra, name: str) -> list:
@@ -62,24 +57,20 @@ def _character(E: DGAlgebra, name: str) -> list:
     corner = [g for g in E.indices_at(0) if E.blocks[g] == (name, name)]
     if not corner:
         raise IdempotentLiftMissing(f"idempotent {name} has a zero corner algebra")
-    at = {g: i for i, g in enumerate(corner)}
     products = {
-        (at[a], at[b]): {at[k]: c for k, c in E.products[(a, b)].items()}
-        for a in corner
-        for b in corner
-        if (a, b) in E.products
+        (a, b): E.products[(a, b)] for a in corner for b in corner if (a, b) in E.products
     }
-    functionals = top(field, products, len(corner))
+    functionals = top(field, products, corner)
     if len(functionals) != 1:
         raise SimpleNotOneDimensional(
             f"corner algebra of {name} modulo its radical has dimension "
             f"{len(functionals)}"
         )
     (w,) = functionals
-    unit = sum((w[at[g]] * c for g, c in E.idempotents[name].items()), field.zero)
+    unit = sum((w.get(g, field.zero) * c for g, c in E.idempotents[name].items()), field.zero)
     chi = [field.zero] * E.dimension
-    for g, i in at.items():
-        chi[g] = field.div(w[i], unit)
+    for g, c in w.items():
+        chi[g] = field.div(c, unit)
     return chi
 
 
@@ -204,26 +195,25 @@ class SemifreeResolution(FreeModule):
                 diff[1 + p] = col
         return degrees, diff
 
-    def _extremal_cone_class(self, ascending: bool):
-        """(n, cone basis indices of degree n, their ``Cohomology``) for the
-        extremal degree n where the cone has cohomology, the smallest when
+    def _extremal_cone_class(self, ascending: bool) -> tuple[int, Cohomology] | None:
+        """(n, the cone's ``Cohomology`` in degree n) for the extremal
+        degree n where the cone has cohomology, the smallest when
         ``ascending`` and the largest otherwise; None when the cone is
         acyclic."""
-        field = self.field
         degrees, diff = self._cone_data()
         by_degree: dict[int, list[int]] = {}
         for i, n in enumerate(degrees):
             by_degree.setdefault(n, []).append(i)
         for n in sorted(by_degree, reverse=not ascending):
-            src = by_degree[n]
+            here = by_degree[n]
             h = Cohomology(
-                field,
-                len(src),
-                differential_block(field, diff, by_degree.get(n - 1, []), src),
-                differential_block(field, diff, src, by_degree.get(n + 1, [])),
+                self.field,
+                here,
+                [diff.get(i, {}) for i in by_degree.get(n - 1, [])],
+                [diff.get(i, {}) for i in here],
             )
             if h.dimension:
-                return n, src, h
+                return n, h
         return None
 
     def _pieces(self, x: Coords) -> dict[str, Coords]:
@@ -303,24 +293,16 @@ def semifree_resolution(chi: list, E: DGAlgebra, stages: int) -> SemifreeResolut
         found = res._extremal_cone_class(ascending)
         if found is None:
             break
-        n, src, h = found
-        position = {i: p for p, i in enumerate(src)}
-
-        def local(x: Coords) -> list:
-            vec = [field.zero] * len(src)
-            for i, c in x.items():
-                vec[position[i]] = c
-            return vec
-
+        n, h = found
         killed = h.boundaries.copy()
         for z in h.reps:
-            pieces = res._pieces({src[i]: c for i, c in enumerate(z) if c})
+            pieces = res._pieces(z)
             for vertex in E.idempotents:
                 piece = pieces.get(vertex)
-                if not piece or killed.contains(local(piece)):
+                if not piece or killed.contains(piece):
                     continue
                 for b in cocycles0[vertex]:
-                    killed.add(local(res._cone_times(piece, b)))
+                    killed.add(res._cone_times(piece, b))
                 counter += 1
                 res.generators.append(Generator(f"g{counter}", n, vertex))
                 res.d_gens.append({res.basis_pairs[i - 1]: c for i, c in piece.items() if i})

@@ -19,8 +19,9 @@ division algebra.  Over F_p that is decided (Wedderburn, Berlekamp; see
 :func:`is_indecomposable`).  Over Q a reducible minimal polynomial proves
 a split, and a quotient that shows none is reported Inconclusive.
 
-H^0 End is handed over as sparse structure constants, and its radical
-comes from ``linalg.radical``: the same routine reads the top of the
+H^0 End is handed over as sparse structure constants: class coordinates
+are ``linalg.Coords`` keyed by representative position, and its radical
+comes from ``linalg.radical``, the same routine that reads the top of the
 corner algebra whose character is a simple dg module in ``dg.dgmod``.
 """
 
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import reduce
 from math import isqrt, lcm
 
 from ..errors import Inconclusive
-from ..linalg import rank, solve, sparse_combination, sparse_product, top
+from ..linalg import Coords, rank, solve, sparse_combination, sparse_product, top
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -63,12 +65,10 @@ def find_isomorphism(
     one_y = end_y.class_coordinates(identity_map(my))
     for f in hom_space(mx, my, 0).representatives:
         columns = [end_x.class_coordinates(g.compose(f)) for g in backward]
-        coords = solve(mx.algebra.field, [list(r) for r in zip(*columns)], one_x)
+        coords = solve(mx.algebra.field, columns, one_x)
         if coords is None:
             continue
-        g = backward[0].scale(coords[0])
-        for c, rep in zip(coords[1:], backward[1:]):
-            g = g.add(rep.scale(c))
+        g = reduce(ChainMap.add, (backward[t].scale(c) for t, c in sorted(coords.items())))
         if end_y.class_coordinates(f.compose(g)) == one_y:
             return f, g
     return None
@@ -113,41 +113,42 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     if complex_cohomology_dims(mx) != complex_cohomology_dims(my):
         return False
     field = mx.algebra.field
-    top_x, top_y = (top(field, *_end_table(z)[:2]) for z in (mx, my))
+    (px, dx, _), (py, dy, _) = _end_table(mx), _end_table(my)
+    top_x, top_y = top(field, px, range(dx)), top(field, py, range(dy))
     end_x, forward = hom_space(mx, mx, 0), hom_space(mx, my, 0)
     products = [
         [end_x.class_coordinates(g.compose(f)) for f in forward.representatives]
         for g in hom_space(my, mx, 0).representatives
     ]
-    rows = [[_dot(w, c) for c in row] for row in products for w in top_x]
+    rows = [
+        {t: x for t, c in enumerate(row) if (x := _dot(w, c))}
+        for row in products
+        for w in top_x
+    ]
     return len(top_x) + len(top_y) == 2 * rank(field, rows)
 
 
 def _end_table(x: ProjComplex):
     """H^0 End(x) as structure constants over its representatives r
-    (``products[(i, j)]`` holds the sparse coordinates of r_i ∘ r_j), its
+    (``products[(i, j)]`` holds the sparse coordinates of r_i ∘ r_j), their
     dimension and the sparse coordinates of the identity.  The table is
     kept on x, so each complex builds it once."""
     if x._end_table is None:
         space = hom_space(x, x, 0)
         reps = space.representatives
         products = {
-            (i, j): _sparse(space.class_coordinates(a.compose(b)))
+            (i, j): space.class_coordinates(a.compose(b))
             for i, a in enumerate(reps)
             for j, b in enumerate(reps)
         }
         x._end_table = (
-            products, len(reps), _sparse(space.class_coordinates(identity_map(x)))
+            products, len(reps), space.class_coordinates(identity_map(x))
         )
     return x._end_table
 
 
-def _sparse(vector: list) -> dict:
-    return {k: c for k, c in enumerate(vector) if c}
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v) if a and b), 0)
+def _dot(u: Coords, v: Coords):
+    return sum((c * v[k] for k, c in u.items() if k in v), 0)
 
 
 def is_indecomposable(x: ProjComplex) -> bool:
@@ -174,12 +175,12 @@ def _is_local(field, products, dim: int, one) -> bool:
     """Whether the unital algebra with these structure constants, of
     dimension ``dim`` and with identity coordinates ``one``, is local, as
     :func:`is_indecomposable` decides it."""
-    functionals = top(field, products, dim)
+    functionals = top(field, products, range(dim))
     if len(functionals) == 1:
         return True
 
-    def modulo_rad(v):
-        return [sum((w[k] * c for k, c in v.items()), field.zero) for w in functionals]
+    def modulo_rad(v: Coords) -> Coords:
+        return {i: x for i, w in enumerate(functionals) if (x := _dot(w, v))}
 
     units = [{k: field.one} for k in range(dim)]
     p = field.characteristic
@@ -187,7 +188,7 @@ def _is_local(field, products, dim: int, one) -> bool:
         for i in range(dim):
             for j in range(i):
                 ij, ji = products.get((i, j)), products.get((j, i))
-                if any(modulo_rad(sparse_combination(field, [(1, ij), (-1, ji)]))):
+                if modulo_rad(sparse_combination(field, [(1, ij), (-1, ji)])):
                     return False
 
         def frobenius(a):
@@ -221,9 +222,9 @@ def _minimal_polynomial(field, products, a, one, modulo_rad) -> list:
     images, power = [modulo_rad(one)], one
     while True:
         power = sparse_product(field, products, power, a)
-        coords = solve(field, [list(row) for row in zip(*images)], modulo_rad(power))
+        coords = solve(field, images, modulo_rad(power))
         if coords is not None:
-            return [-c for c in coords] + [field.one]
+            return [-coords.get(t, field.zero) for t in range(len(images))] + [field.one]
         images.append(modulo_rad(power))
 
 
@@ -232,8 +233,8 @@ def _has_repeated_factor(field, poly: list) -> bool:
     constant term up) shares a factor with its derivative: exactly when
     their Sylvester matrix is singular."""
     slope, m = [k * c for k, c in enumerate(poly)][1:], len(poly) - 1
-    rows = [[0] * i + poly + [0] * (m - 2 - i) for i in range(m - 1)]
-    rows += [[0] * i + slope + [0] * (m - 1 - i) for i in range(m)]
+    rows = [{i + k: c for k, c in enumerate(poly) if c} for i in range(m - 1)]
+    rows += [{i + k: c for k, c in enumerate(slope) if c} for i in range(m)]
     return rank(field, rows) < 2 * m - 1
 
 

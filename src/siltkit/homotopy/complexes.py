@@ -27,7 +27,7 @@ from ..core.algebras import AlgebraElement, PathAlgebra
 from ..errors import ChainConditionViolated
 
 
-def alg_zero_matrix(algebra: PathAlgebra, rows: int, cols: int) -> list:
+def alg_mat_zero(algebra: PathAlgebra, rows: int, cols: int) -> list:
     return [[algebra.zero() for _ in range(cols)] for _ in range(rows)]
 
 
@@ -100,7 +100,7 @@ class ProjComplex:
             cols = len(self.summands[k])
             mat = diffs.get(k)
             if mat is None:
-                mat = alg_zero_matrix(algebra, rows, cols)
+                mat = alg_mat_zero(algebra, rows, cols)
             self.diffs[k] = mat
         self.label = label
         #: The result of ``minimize(self)``, once it has been asked for.
@@ -187,7 +187,7 @@ class ProjComplex:
     def differential(self, k: int) -> list:
         rows = len(self.summands.get(k + 1, ()))
         cols = len(self.summands.get(k, ()))
-        return self.diffs.get(k, alg_zero_matrix(self.algebra, rows, cols))
+        return self.diffs.get(k, alg_mat_zero(self.algebra, rows, cols))
 
     def __repr__(self):
         if self.is_zero():
@@ -245,7 +245,7 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
         xk1, yk1 = len(x.summands.get(k + 1, ())), len(y.summands.get(k + 1, ()))
         dx = x.differential(k)
         dy = y.differential(k)
-        mat = alg_zero_matrix(algebra, xk1 + yk1, xk + yk)
+        mat = alg_mat_zero(algebra, xk1 + yk1, xk + yk)
         for r in range(xk1):
             for c in range(xk):
                 mat[r][c] = dx[r][c]
@@ -283,13 +283,13 @@ class ChainMap:
             cols = len(source.summands[k])
             mat = components.get(k)
             if mat is None:
-                mat = alg_zero_matrix(algebra, rows, cols)
+                mat = alg_mat_zero(algebra, rows, cols)
             self.components[k] = mat
 
     def component(self, k: int) -> list:
         rows = len(self.target.summands.get(k + self.degree, ()))
         cols = len(self.source.summands.get(k, ()))
-        return self.components.get(k, alg_zero_matrix(self.source.algebra, rows, cols))
+        return self.components.get(k, alg_mat_zero(self.source.algebra, rows, cols))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other; degrees add."""
@@ -319,7 +319,7 @@ def identity_map(x: ProjComplex) -> ChainMap:
     algebra = x.algebra
     components = {}
     for k, vs in x.summands.items():
-        mat = alg_zero_matrix(algebra, len(vs), len(vs))
+        mat = alg_mat_zero(algebra, len(vs), len(vs))
         for i, v in enumerate(vs):
             mat[i][i] = algebra.idempotent(v)
         components[k] = mat
@@ -346,7 +346,7 @@ def cone(f: ChainMap) -> ProjComplex:
             continue
         yk, xk1 = len(y.summands.get(k, ())), len(x.summands.get(k + 1, ()))
         yk1, xk2 = len(y.summands.get(k + 1, ())), len(x.summands.get(k + 2, ()))
-        mat = alg_zero_matrix(algebra, yk1 + xk2, yk + xk1)
+        mat = alg_mat_zero(algebra, yk1 + xk2, yk + xk1)
         dy = y.differential(k)
         for r in range(yk1):
             for c in range(yk):

@@ -5,11 +5,13 @@ basis elements are tuples (k, r, c, q): component degree, target summand,
 source summand, and an algebra basis path supported on the matching
 idempotent block.  The differential is D(f) = d_Y f - (-1)^n f d_X, so
 degree-n cocycles are exactly degree-n chain maps and coboundaries are the
-null-homotopic ones.  H^n comes from ``linalg.Cohomology`` on the
-differentials into and out of degree n; ``hom_dims`` reads several
-dimensions off one Hom complex from differential ranks alone.  The
-cohomology of a complex is read the same way: Hom(e_v A, M) = M e_v, so
-H^k(X) e_v = H^k Hom(e_v A, X) (``complex_cohomology_dims``).
+null-homotopic ones.  The differential in degree n is kept as the images
+of the degree-n basis, each a ``Coords`` over the degree-(n+1) positions,
+and H^n comes from ``linalg.Cohomology`` on the images into and out of
+degree n; ``hom_dims`` reads several dimensions off one Hom complex from
+differential ranks alone.  The cohomology of a complex is read the same
+way: Hom(e_v A, M) = M e_v, so H^k(X) e_v = H^k Hom(e_v A, X)
+(``complex_cohomology_dims``).
 
 The linear data of Hom(X, Y) depends only on the contents of X and Y, so
 it is built once per pair of complex keys (``ProjComplex.key``) and kept
@@ -28,17 +30,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..linalg import Cohomology, rank, zero_vector
-from .complexes import ChainMap, ProjComplex, alg_zero_matrix, single_projective
+from ..linalg import Coords, Cohomology, rank
+from .complexes import ChainMap, ProjComplex, alg_mat_zero, single_projective
 
 BasisElt = tuple[int, int, int, int]
 
 
 class _HomData:
-    """The linear data of Hom(X, Y): basis, index, differential matrices,
-    and each degree's rank and Cohomology once asked for.  It depends on
-    the contents of X and Y only, so one copy serves every pair of
-    complexes with the same keys."""
+    """The linear data of Hom(X, Y): basis, index, the differential as the
+    images of each degree's basis, and each degree's rank and Cohomology
+    once asked for.  It depends on the contents of X and Y only, so one
+    copy serves every pair of complexes with the same keys."""
 
     __slots__ = ("basis", "index", "diff", "ranks", "cohomology")
 
@@ -59,27 +61,30 @@ class _HomData:
         self.index = {
             n: {e: i for i, e in enumerate(es)} for n, es in self.basis.items()
         }
-        self.diff: dict[int, list] = {}
+        self.diff: dict[int, list[Coords]] = {}
+        zero = field.zero
         for n, elts in self.basis.items():
-            rows = len(self.basis.get(n + 1, ()))
-            mat = [zero_vector(field, len(elts)) for _ in range(rows)]
+            up = self.index.get(n + 1, {})
             sign = -1 if n % 2 else 1
-            for col, (k, r, c, q) in enumerate(elts):
+            images = []
+            for k, r, c, q in elts:
+                image: Coords = {}
                 pq = algebra.basis_element(q)
                 for r2, dy_row in enumerate(target.diffs.get(k + n, ())):
                     if not dy_row[r]:
                         continue
                     for qi, coeff in (dy_row[r] * pq).coeffs.items():
-                        row = self.index[n + 1][(k, r2, c, qi)]
-                        mat[row][col] = mat[row][col] + coeff
+                        key = up[(k, r2, c, qi)]
+                        image[key] = image.get(key, zero) + coeff
                 dx = source.diffs.get(k - 1)
                 for c2, dx_entry in enumerate(dx[c] if dx else ()):
                     if not dx_entry:
                         continue
                     for qi, coeff in (pq * dx_entry).coeffs.items():
-                        row = self.index[n + 1][(k - 1, r, c2, qi)]
-                        mat[row][col] = mat[row][col] - sign * coeff
-            self.diff[n] = mat
+                        key = up[(k - 1, r, c2, qi)]
+                        image[key] = image.get(key, zero) - sign * coeff
+                images.append({key: x for key, x in image.items() if x})
+            self.diff[n] = images
         self.ranks: dict[int, int] = {}
         self.cohomology: dict[int, Cohomology] = {}
 
@@ -113,13 +118,14 @@ class HomComplex:
     def dimension(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
-    def differential_matrix(self, n: int) -> list:
+    def differential(self, n: int) -> list[Coords]:
+        """The images of the degree-n basis, in degree-(n+1) positions."""
         return self._data.diff.get(n, [])
 
     def differential_rank(self, n: int) -> int:
         ranks = self._data.ranks
         if n not in ranks:
-            ranks[n] = rank(self.field, self.differential_matrix(n))
+            ranks[n] = rank(self.field, self.differential(n))
         return ranks[n]
 
     def cohomology(self, n: int) -> Cohomology:
@@ -127,40 +133,37 @@ class HomComplex:
         if n not in known:
             known[n] = Cohomology(
                 self.field,
-                self.dimension(n),
-                self.differential_matrix(n - 1),
-                self.differential_matrix(n),
+                range(self.dimension(n)),
+                self.differential(n - 1),
+                self.differential(n),
             )
         return known[n]
 
     # -- conversions ---------------------------------------------------
 
-    def vector_to_map(self, n: int, vec: list) -> ChainMap:
+    def vector_to_map(self, n: int, vec: Coords) -> ChainMap:
         components: dict[int, list] = {}
-        for i, coeff in enumerate(vec):
-            if not coeff:
-                continue
+        for i in sorted(vec):
             k, r, c, q = self.basis[n][i]
             if k not in components:
-                components[k] = alg_zero_matrix(
+                components[k] = alg_mat_zero(
                     self.algebra,
                     len(self.target.summands[k + n]),
                     len(self.source.summands[k]),
                 )
-            components[k][r][c] = components[k][r][c] + self.algebra.basis_element(q).scale(coeff)
+            components[k][r][c] = components[k][r][c] + self.algebra.basis_element(q).scale(vec[i])
         return ChainMap(self.source, self.target, components, degree=n)
 
-    def map_to_vector(self, f: ChainMap) -> list:
-        if f.degree not in self.basis:
-            return []
-        vec = zero_vector(self.field, self.dimension(f.degree))
+    def map_to_vector(self, f: ChainMap) -> Coords:
+        """f in the positions of its degree; every position is a distinct
+        (component, entry, path), so no two terms meet."""
+        index = self.index.get(f.degree)
+        vec: Coords = {}
         for k, mat in f.components.items():
             for r, row in enumerate(mat):
                 for c, entry in enumerate(row):
                     for q, coeff in entry.coeffs.items():
-                        vec[self.index[f.degree][(k, r, c, q)]] = (
-                            vec[self.index[f.degree][(k, r, c, q)]] + coeff
-                        )
+                        vec[index[(k, r, c, q)]] = coeff
         return vec
 
 
@@ -177,12 +180,13 @@ class HomSpace:
         ]
         self.dimension = len(self.representatives)
 
-    def class_coordinates(self, f: ChainMap) -> list:
-        """Coordinates of [f] in the representative basis (f must be a
-        cocycle of the right degree)."""
+    def class_coordinates(self, f: ChainMap) -> Coords:
+        """Coordinates of [f] in the representative basis, keyed by
+        representative position (f must be a cocycle of the right
+        degree)."""
         vec = self.complex.map_to_vector(f)
         if not vec:
-            return []
+            return {}
         coords = self.cohomology.coordinates(vec)
         if coords is None:
             raise ValueError("map is not a cocycle modulo boundaries")

@@ -1,14 +1,22 @@
-"""Dense exact linear algebra over an arbitrary coefficient field.
+"""Exact sparse linear algebra over an arbitrary coefficient field.
 
-Matrices are lists of row lists; vectors are plain lists.  Everything is
-deterministic: pivots are always the first usable position, free variables
-are enumerated in ascending column order.  Exactness (no epsilon anywhere)
-is what makes rank arguments downstream sound.
+A vector is ``Coords``: a dict from basis key to nonzero coefficient, so
+``==`` and truthiness are exact (``any`` on a ``Coords`` tests its keys,
+and key 0 is falsy).  A matrix is a list of ``Coords``, read as rows or as
+columns as each function says.  Every caller works in its own basis keys
+(global indices of a dg algebra, Hom positions, cone indices, path
+coordinates) and nobody re-indexes.  Columns run in ascending key order,
+so a reduced row echelon form is unique, pivots are always the smallest
+usable key and free variables are enumerated in the caller's key order.
+Exactness (no epsilon anywhere) is what makes rank arguments downstream
+sound.
 
-``Cohomology`` is the one place cohomology is computed: cocycles,
-boundaries, class representatives and class coordinates of a cochain
-complex at one degree.  Hom complexes, dg algebras and dg module cones
-all hand it their differentials.
+``Cohomology(field, here, into, out)`` is the one place cohomology is
+computed: cocycles, boundaries, class representatives and class
+coordinates of a cochain complex at one degree, from the degree-n keys
+``here``, the images ``into`` of the degree-(n-1) basis and the images
+``out`` of ``here``.  Hom complexes, dg algebras and dg module cones all
+hand it their differentials, and get everything back in their own keys.
 
 ``sparse_product`` and ``sparse_combination`` are the one place sparse
 structure constants are applied: path algebras, dg algebras and dg modules
@@ -25,28 +33,12 @@ read their top (the algebra modulo its radical) through ``top``.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from .fields import Field
 
-Vector = list
-Matrix = list
-#: Sparse coordinates over a basis: basis index -> nonzero coefficient.
+#: Sparse coordinates over a basis: basis key -> nonzero coefficient.
 Coords = dict[int, object]
-
-
-def zero_vector(field: Field, n: int) -> Vector:
-    return [field.zero] * n
-
-
-def zero_matrix(field: Field, rows: int, cols: int) -> Matrix:
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-def identity_matrix(field: Field, n: int) -> Matrix:
-    m = zero_matrix(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
 
 
 def sparse_product(
@@ -100,84 +92,72 @@ def sparse_apply(field: Field, table: dict[int, Coords], x: Coords) -> Coords:
     return sparse_combination(field, ((xi, table.get(i)) for i, xi in x.items()))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+def _subtract(v: Coords, factor, row: Coords, zero) -> None:
+    """v -= factor * row in place.  A field has no zero divisors, so an
+    entry that cancels was already in v, and is dropped."""
+    for k, c in row.items():
+        acc = v.get(k, zero) - factor * c
+        if acc:
+            v[k] = acc
+        else:
+            del v[k]
 
 
-def rref(field: Field, rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.div(field.one, work[r][c])
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+def _as_rows(columns: Iterable[tuple[int, Coords]]) -> list[Coords]:
+    """The rows of the matrix whose columns are the (key, vector) pairs
+    given; row order does not change the reduced echelon form."""
+    rows: dict[int, Coords] = {}
+    for t, column in columns:
+        for k, c in column.items():
+            rows.setdefault(k, {})[t] = c
+    return list(rows.values())
 
 
-def rank(field: Field, a: Matrix) -> int:
-    if not a or not a[0]:
+def rref(field: Field, rows: list[Coords]) -> tuple[list[Coords], list[int]]:
+    """Reduced row echelon form of sparse rows, columns in ascending key
+    order.  Returns (nonzero rows, pivot keys), both in pivot order."""
+    span = GaussianSpan(field)
+    for row in rows:
+        if row:
+            span.add(row)
+    pivots = sorted(span.rows)
+    return [span.rows[p] for p in pivots], pivots
+
+
+def rank(field: Field, vectors: list[Coords]) -> int:
+    """The rank of sparse vectors, read as rows or as columns alike."""
+    if not any(vectors):
         return 0
-    _, pivots = rref(field, a)
-    return len(pivots)
+    return len(rref(field, vectors)[1])
 
 
-def kernel_basis(field: Field, a: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel {x : a @ x = 0}, free columns in ascending order.
-
-    Pass ``ncols`` explicitly when the matrix may have zero rows: an empty
-    list of rows carries no width information.
-    """
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    if ncols == 0:
-        return []
-    if not a:
-        return [row[:] for row in identity_matrix(field, ncols)]
-    reduced, pivots = rref(field, a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def kernel_basis(field: Field, rows: list[Coords], columns: Iterable[int]) -> list[Coords]:
+    """A basis of the x over the keys ``columns`` with row . x = 0 for every
+    row: one vector per free column, in the order of ``columns``, with 1
+    there and minus that column's reduced entries at the pivots."""
+    one = field.one
+    if not any(rows):
+        return [{c: one} for c in columns]
+    reduced, pivots = rref(field, rows)
     basis = []
-    for fc in free:
-        v = zero_vector(field, ncols)
-        v[fc] = field.one
-        for prow, pc in zip(reduced, pivots):
-            v[pc] = -prow[fc]
-        basis.append(v)
+    for fc in columns:
+        if fc not in pivots:
+            v = {fc: one}
+            for row, pc in zip(reduced, pivots):
+                if fc in row:
+                    v[pc] = -row[fc]
+            basis.append(v)
     return basis
 
 
-def solve(field: Field, a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a @ x = b (free variables set to zero), or None."""
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    if not aug:
-        return None if any(b) else []
-    reduced, pivots = rref(field, aug)
-    for prow, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None  # a pivot in the constants column: inconsistent
-    x = zero_vector(field, ncols)
-    for prow, pc in zip(reduced, pivots):
-        x[pc] = prow[ncols]
-    return x
+def solve(field: Field, columns: Sequence[Coords], b: Coords) -> Coords | None:
+    """One x with sum x_t * columns[t] = b (free variables set to zero),
+    keyed by position in ``columns``, or None."""
+    n = len(columns)
+    reduced, pivots = rref(field, _as_rows([*enumerate(columns), (n, b)]))
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the constants column: inconsistent
+    return {pc: row[n] for row, pc in zip(reduced, pivots) if n in row}
 
 
 class GaussianSpan:
@@ -188,80 +168,83 @@ class GaussianSpan:
     the canonical normal form modulo the span.
     """
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field):
         self.field = field
-        self.width = width
-        self.rows: dict[int, Vector] = {}  # pivot column -> normalized row
+        #: pivot key -> row with 1 at its pivot and 0 at every other pivot
+        self.rows: dict[int, Coords] = {}
 
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vector: Vector) -> Vector:
-        v = list(vector)
-        for pivot in sorted(self.rows):
-            if v[pivot]:
-                factor = v[pivot]
-                row = self.rows[pivot]
-                v = [x - factor * y for x, y in zip(v, row)]
+    def reduce(self, vector: Coords) -> Coords:
+        """Clearing a pivot leaves every other pivot entry alone, so one
+        pass over the pivots of ``vector`` reduces it."""
+        v = dict(vector)
+        rows = self.rows
+        if rows:
+            zero = self.field.zero
+            for p in [k for k in v if k in rows]:
+                _subtract(v, v[p], rows[p], zero)
         return v
 
-    def add(self, vector: Vector) -> bool:
+    def add(self, vector: Coords) -> bool:
         v = self.reduce(vector)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        if not v:
             return False
-        inv = self.field.div(self.field.one, v[pivot])
-        v = [x * inv for x in v]
+        pivot = min(v)
+        one = self.field.one
+        if v[pivot] != one:
+            inv = self.field.div(one, v[pivot])
+            v = {k: c * inv for k, c in v.items()}
         # Back-substitute into existing rows to stay fully reduced.
-        for p, row in self.rows.items():
-            if row[pivot]:
-                factor = row[pivot]
-                self.rows[p] = [x - factor * y for x, y in zip(row, v)]
-        self.rows[pivot] = v
+        rows, zero = self.rows, self.field.zero
+        for p, row in rows.items():
+            factor = row.get(pivot)
+            if factor:
+                row = dict(row)
+                _subtract(row, factor, v, zero)
+                rows[p] = row
+        rows[pivot] = v
         return True
 
     def copy(self) -> "GaussianSpan":
-        out = GaussianSpan(self.field, self.width)
+        out = GaussianSpan(self.field)
         out.rows = dict(self.rows)  # add() replaces rows, never edits them
         return out
 
-    def contains(self, vector: Vector) -> bool:
-        return not any(self.reduce(vector))
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
+    def contains(self, vector: Coords) -> bool:
+        return not self.reduce(vector)
 
 
 class Cohomology:
-    """H^n of a cochain complex, from the dense matrices of d^{n-1}
-    (``d_in``, ``width`` rows) and d^n (``d_out``, ``width`` columns).
+    """H^n of a cochain complex, in the caller's keys: ``here`` holds the
+    degree-n keys in ascending order, ``into`` the images of the
+    degree-(n-1) basis and ``out`` the images of ``here``.
 
     Every part is computed on first use.  ``dimension`` comes from ranks
     alone unless the representatives are already known, so callers that
     need only dimensions never pick representatives.
     """
 
-    def __init__(self, field: Field, width: int, d_in: Matrix, d_out: Matrix):
+    def __init__(
+        self, field: Field, here: Sequence[int], into: list[Coords], out: list[Coords]
+    ):
         self.field = field
-        self.width = width
-        self.d_in = d_in
-        self.d_out = d_out
+        self.here = here
+        self.into = into
+        self.out = out
 
     @cached_property
-    def cocycles(self) -> list[Vector]:
-        return kernel_basis(self.field, self.d_out, ncols=self.width)
+    def cocycles(self) -> list[Coords]:
+        return kernel_basis(self.field, _as_rows(zip(self.here, self.out)), self.here)
 
     @cached_property
     def boundaries(self) -> GaussianSpan:
-        """The span of the columns of d^{n-1}; never extended afterwards."""
-        span = GaussianSpan(self.field, self.width)
-        for column in transpose(self.d_in):
-            span.add(column)
+        """The span of the images of d^{n-1}; never extended afterwards."""
+        span = GaussianSpan(self.field)
+        for image in self.into:
+            span.add(image)
         return span
 
     @cached_property
-    def reps(self) -> list[Vector]:
+    def reps(self) -> list[Coords]:
         """Cocycles independent modulo the boundaries, chosen greedily in
         kernel-basis order."""
         span = self.boundaries.copy()
@@ -271,42 +254,50 @@ class Cohomology:
     def dimension(self) -> int:
         if "reps" in self.__dict__:
             return len(self.reps)
-        return self.width - rank(self.field, self.d_out) - rank(self.field, self.d_in)
+        return len(self.here) - rank(self.field, self.out) - rank(self.field, self.into)
 
     @cached_property
-    def _elimination(self) -> tuple[Matrix, list[int]]:
-        """Representatives reduced modulo the boundaries, each followed by
-        its own unit coordinate vector, in reduced row echelon form: one
-        elimination shared by every ``coordinates`` call."""
-        units = identity_matrix(self.field, len(self.reps))
-        rows = [self.boundaries.reduce(z) + e for z, e in zip(self.reps, units)]
-        return rref(self.field, rows)
+    def _elimination(self) -> tuple[int, list[Coords], list[int]]:
+        """(offset, rows, pivots): the representatives reduced modulo the
+        boundaries, the j-th followed by its unit vector at key
+        offset + j past every key of ``here``, in reduced row echelon
+        form: one elimination shared by every ``coordinates`` call."""
+        offset = max(self.here, default=-1) + 1
+        rows = []
+        for j, z in enumerate(self.reps):
+            row = self.boundaries.reduce(z)
+            row[offset + j] = self.field.one
+            rows.append(row)
+        return (offset, *rref(self.field, rows))
 
-    def coordinates(self, vector: Vector) -> Vector | None:
+    def coordinates(self, vector: Coords) -> Coords | None:
         """Coordinates of the class of a cocycle in the representative
-        basis, or None if ``vector`` is not a cocycle modulo boundaries.
+        basis, keyed by representative position, or None if ``vector`` is
+        not a cocycle modulo boundaries.
 
         The reduced representatives are independent, so every row of the
-        elimination has its pivot among the first ``width`` columns, and
-        clearing those pivots leaves the coordinates in the last ones.
+        elimination has its pivot in ``here``, and clearing those pivots
+        leaves minus the coordinates past the offset.
         """
         residual = self.boundaries.reduce(vector)
-        coords = zero_vector(self.field, len(self.reps))
-        for row, pivot in zip(*self._elimination):
-            factor = residual[pivot]
+        offset, rows, pivots = self._elimination
+        zero = self.field.zero
+        for row, pivot in zip(rows, pivots):
+            factor = residual.get(pivot)
             if factor:
-                residual = [x - factor * y for x, y in zip(residual, row)]
-                coords = [x + factor * y for x, y in zip(coords, row[self.width:])]
-        return None if any(residual) else coords
+                _subtract(residual, factor, row, zero)
+        if any(k < offset for k in residual):
+            return None
+        return {k - offset: -c for k, c in residual.items()}
 
 
 def radical(
-    field: Field, products: dict[tuple[int, int], Coords], dim: int
-) -> list[Vector]:
-    """A basis, as coordinate vectors, of the Jacobson radical of the
-    unital algebra with basis e_0 .. e_{dim-1} and structure constants
-    ``products`` (``products[(i, j)]`` holds the sparse coordinates of
-    e_i e_j; missing pairs are 0).
+    field: Field, products: dict[tuple[int, int], Coords], basis: Sequence[int]
+) -> list[Coords]:
+    """A basis of the Jacobson radical of the unital algebra with basis
+    keys ``basis`` (ascending) and structure constants ``products``
+    (``products[(i, j)]`` holds the sparse coordinates of e_i e_j; missing
+    pairs are 0).
 
     Step 0 is the kernel I_0 of the trace form tr(L_a L_b) = tr(L_ab) of
     the left regular representation L.  That is the radical in
@@ -318,46 +309,48 @@ def radical(
     the form of Cohen–Ivanyos–Wales, 1997).
     """
     zero, one = field.zero, field.one
-
-    def dot(u, v):
-        return sum((a * b for a, b in zip(u, v) if a and b), zero)
-
-    traces = [
-        sum((products.get((k, j), {}).get(j, zero) for j in range(dim)), zero)
-        for k in range(dim)
-    ]
-    gram = [
-        [sum((c * traces[k] for k, c in products.get((i, j), {}).items()), zero)
-         for j in range(dim)]
-        for i in range(dim)
-    ]
-    ideal = kernel_basis(field, gram, dim)
+    traces = {
+        k: sum((products.get((k, j), {}).get(j, zero) for j in basis), zero) for k in basis
+    }
+    gram = []
+    for i in basis:
+        row = {}
+        for j in basis:
+            x = sum((c * traces[k] for k, c in products.get((i, j), {}).items()), zero)
+            if x:
+                row[j] = x
+        gram.append(row)
+    ideal = kernel_basis(field, gram, basis)
+    dim = len(basis)
     p = power = field.characteristic
     if not 0 < p <= dim:
         return ideal
     while power <= dim and ideal:
         modulus = power * p
-        rows = [[] for _ in range(dim)]
-        for u in ideal:
-            a = {k: c for k, c in enumerate(u) if c}
-            for b, row in enumerate(rows):
+        rows: list[Coords] = [{} for _ in basis]
+        for u, a in enumerate(ideal):
+            for b, row in zip(basis, rows):
                 ab = sparse_product(field, products, a, {b: one})
-                columns = [sparse_product(field, products, ab, {c: one}) for c in range(dim)]
-                lift = [[col[r].value if r in col else 0 for col in columns] for r in range(dim)]
-                row.append(field.coerce(_power_trace(lift, power, modulus) // power))
+                columns = [sparse_product(field, products, ab, {c: one}) for c in basis]
+                lift = [[col[r].value if r in col else 0 for col in columns] for r in basis]
+                g = field.coerce(_power_trace(lift, power, modulus) // power)
+                if g:
+                    row[u] = g
         ideal = [
-            [dot(c, column) for column in zip(*ideal)]
-            for c in kernel_basis(field, rows, len(ideal))
+            sparse_combination(field, ((c, ideal[u]) for u, c in combination.items()))
+            for combination in kernel_basis(field, rows, range(len(ideal)))
         ]
         power = modulus
     return ideal
 
 
-def top(field: Field, products: dict[tuple[int, int], Coords], dim: int) -> list[Vector]:
+def top(
+    field: Field, products: dict[tuple[int, int], Coords], basis: Sequence[int]
+) -> list[Coords]:
     """A basis of the functionals whose common kernel is the radical of
     the algebra with these structure constants, one per dimension of the
     algebra modulo its radical."""
-    return kernel_basis(field, radical(field, products, dim), dim)
+    return kernel_basis(field, radical(field, products, basis), basis)
 
 
 def _power_trace(mat: list, exponent: int, modulus: int) -> int:

@@ -12,7 +12,8 @@ F_p as integers and take their ranks over GF(p), so they work in any
 characteristic; the rest assume characteristic zero, except the radical oracle, which
 enumerates a whole algebra over F_p.  Products of basis
 paths are recomputed by concatenation against an explicit list of
-forbidden subwords, which covers every monomial algebra in the test suite.
+forbidden subwords and of binomial relations (a word equal to a multiple
+of another word), which covers every algebra in the test suite.
 """
 
 from __future__ import annotations
@@ -73,11 +74,16 @@ def contains_forbidden(word: tuple[str, ...], forbidden) -> bool:
     return False
 
 
-def path_product(algebra, i: int, j: int, forbidden=()) -> int | None:
-    """Index of basis[i] * basis[j], or None when the product is zero.
+def path_product(
+    algebra, i: int, j: int, forbidden=(), binomials=None
+) -> tuple[int, Fraction] | None:
+    """(index, coefficient) with basis[i] * basis[j] = coefficient *
+    basis[index], or None when the product is zero.
 
     Recomputed by concatenating arrow words and killing anything that is
-    too long or contains a forbidden subword; never consults the library's
+    too long or contains a forbidden subword.  A whole word that is no
+    basis path is rewritten by ``binomials``, a dict from a word w to
+    (c, w') for a relation w = c w'; never consults the library's
     multiplication table.
     """
     p, q = algebra.basis[i], algebra.basis[j]
@@ -88,21 +94,50 @@ def path_product(algebra, i: int, j: int, forbidden=()) -> int | None:
         return None
     if contains_forbidden(word, forbidden):
         return None
-    for k, r in enumerate(algebra.basis):
-        if r.arrows == word and r.source == q.source and r.target == p.target:
-            return k
+
+    def basis_index(w):
+        for k, r in enumerate(algebra.basis):
+            if r.arrows == w and r.source == q.source and r.target == p.target:
+                return k
+        return None
+
+    k = basis_index(word)
+    if k is not None:
+        return k, Fraction(1)
+    if binomials and word in binomials:
+        c, other = binomials[word]
+        k = basis_index(other)
+        if k is not None:
+            return k, Fraction(c)
     return None
 
 
-def element_product(algebra, x: dict, y: dict, forbidden=()) -> dict:
+def relation_words(algebra) -> tuple[tuple, dict]:
+    """(forbidden, binomials) for :func:`path_product`, read off the
+    relations of a rational algebra as parsed from its file: the word of
+    each one-term relation is forbidden, and a two-term relation
+    c w + c' w' = 0 rewrites w as -c'/c w' and w' as -c/c' w."""
+    forbidden, binomials = [], {}
+    for relation in algebra.relations:
+        if len(relation) == 1:
+            forbidden.append(relation[0][1].arrows)
+            continue
+        (c, w), (c2, w2) = relation
+        binomials[w.arrows] = (-Fraction(c2) / Fraction(c), w2.arrows)
+        binomials[w2.arrows] = (-Fraction(c) / Fraction(c2), w.arrows)
+    return tuple(forbidden), binomials
+
+
+def element_product(algebra, x: dict, y: dict, forbidden=(), binomials=None) -> dict:
     """Product of two sparse elements (basis-index -> Fraction) using
     :func:`path_product` only."""
     out: dict[int, Fraction] = {}
     for i, c in x.items():
         for j, d in y.items():
-            k = path_product(algebra, i, j, forbidden)
-            if k is not None:
-                out[k] = out.get(k, Fraction(0)) + c * d
+            hit = path_product(algebra, i, j, forbidden, binomials)
+            if hit is not None:
+                k, scale = hit
+                out[k] = out.get(k, Fraction(0)) + c * d * scale
     return {k: v for k, v in out.items() if v}
 
 
@@ -141,7 +176,7 @@ def hom_cochain_coordinates(algebra, x, y, n: int):
     return coords
 
 
-def hom_differential_matrix(algebra, x, y, n: int, forbidden=()):
+def hom_differential_matrix(algebra, x, y, n: int, forbidden=(), binomials=None):
     """The scalar matrix of d : Hom^n -> Hom^{n+1} over the coordinates of
     :func:`hom_cochain_coordinates`, built entirely from raw summand and
     differential data."""
@@ -157,7 +192,7 @@ def hom_differential_matrix(algebra, x, y, n: int, forbidden=()):
         if dy is not None:
             for r in range(len(y.summands.get(k + n + 1, ()))):
                 prod = element_product(
-                    algebra, _entry_coeffs(dy[r][tpos]), f_elt, forbidden
+                    algebra, _entry_coeffs(dy[r][tpos]), f_elt, forbidden, binomials
                 )
                 for idx, c in prod.items():
                     matrix[row_of[(k, r, spos, idx)]][col] += c
@@ -167,24 +202,24 @@ def hom_differential_matrix(algebra, x, y, n: int, forbidden=()):
         if dx is not None:
             for s in range(len(x.summands.get(k - 1, ()))):
                 prod = element_product(
-                    algebra, f_elt, _entry_coeffs(dx[spos][s]), forbidden
+                    algebra, f_elt, _entry_coeffs(dx[spos][s]), forbidden, binomials
                 )
                 for idx, c in prod.items():
                     matrix[row_of[(k - 1, tpos, s, idx)]][col] -= sign * c
     return matrix, len(rows_coords), len(cols_coords)
 
 
-def hom_cohomology_dimension(algebra, x, y, n: int, forbidden=()) -> int:
+def hom_cohomology_dimension(algebra, x, y, n: int, forbidden=(), binomials=None) -> int:
     """dim H^n of the Hom complex, via two sympy ranks."""
     p = algebra.field.characteristic
-    d_n, rows_n, cols_n = hom_differential_matrix(algebra, x, y, n, forbidden)
-    d_prev, _, _ = hom_differential_matrix(algebra, x, y, n - 1, forbidden)
+    d_n, rows_n, cols_n = hom_differential_matrix(algebra, x, y, n, forbidden, binomials)
+    d_prev, _, _ = hom_differential_matrix(algebra, x, y, n - 1, forbidden, binomials)
     rank_n = sym_rank(d_n, p) if rows_n and cols_n else 0
     rank_prev = sym_rank(d_prev, p) if d_prev and d_prev[0] else 0
     return cols_n - rank_n - rank_prev
 
 
-def hom_cohomology_dims(algebra, x, y, forbidden=()) -> dict[int, int]:
+def hom_cohomology_dims(algebra, x, y, forbidden=(), binomials=None) -> dict[int, int]:
     """All nonzero cohomology dimensions of the Hom complex."""
     if not x.summands or not y.summands:
         return {}
@@ -192,7 +227,7 @@ def hom_cohomology_dims(algebra, x, y, forbidden=()) -> dict[int, int]:
     hi = max(y.summands) - min(x.summands)
     out = {}
     for n in range(lo, hi + 1):
-        d = hom_cohomology_dimension(algebra, x, y, n, forbidden)
+        d = hom_cohomology_dimension(algebra, x, y, n, forbidden, binomials)
         if d:
             out[n] = d
     return out

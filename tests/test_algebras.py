@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FORBIDDEN
-from oracles import path_product
+from conftest import FORBIDDEN, INPUTS
+from oracles import path_product, relation_words
+from siltkit.cli.parsing import parse_algebra
 from siltkit.core.algebras import build_algebra
 from siltkit.core.quivers import Arrow, Path, Quiver
 from siltkit.errors import MalformedRelation, NonAdmissible, UnknownVertex
@@ -61,7 +62,20 @@ def test_products_match_the_path_oracle(fixture, request):
         if expected is None:
             assert product.is_zero(), (i, j)
         else:
-            assert product.coeffs == {expected: QQ.one}, (i, j)
+            k, c = expected
+            assert product.coeffs == {k: c}, (i, j)
+
+
+def test_square_products_match_the_path_oracle():
+    """On the commutative square, d c is no basis path; the oracle
+    rewrites it by the file's relation b a = d c."""
+    square = INPUTS.parent / "tests" / "golden" / "resolutions" / "square.alg"
+    algebra = parse_algebra(square.read_text(encoding="utf-8"))
+    forbidden, binomials = relation_words(algebra)
+    for i, j in itertools.product(range(len(algebra.basis)), repeat=2):
+        expected = path_product(algebra, i, j, forbidden, binomials)
+        product = algebra.basis_element(i) * algebra.basis_element(j)
+        assert product.coeffs == ({} if expected is None else dict([expected])), (i, j)
 
 
 def test_associativity_on_all_basis_triples(a3rel):

@@ -73,6 +73,19 @@ def test_end_of_the_resolved_simples_is_seven_dimensional(smc_end):
     smc_end.verify()
 
 
+def test_each_degree_keeps_its_cohomology(smc_end):
+    """A DGAlgebra never changes once built, so each degree's Cohomology
+    is built on the first request and handed out again after that, in
+    the algebra's global basis indices."""
+    for n in (-2, -1, 0, 1, 2):
+        assert smc_end.cohomology(n) is smc_end.cohomology(n)
+        assert list(smc_end.cohomology(n).here) == smc_end.indices_at(n)
+    assert smc_end.cohomology_dims() == {0: 2, 1: 1}
+    assert all(
+        set(z) <= set(smc_end.indices_at(0)) for z in smc_end.cohomology(0).cocycles
+    )
+
+
 def test_end_of_the_projectives_recovers_the_algebra(a2):
     E = dg_end(stalks(a2))
     assert E.dimension == 3

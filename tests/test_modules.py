@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from conftest import FORBIDDEN, INPUTS, linear_algebra_text
-from oracles import hom_cohomology_dims
+from oracles import hom_cohomology_dims, relation_words
 from siltkit.cli.parsing import parse_algebra
 from siltkit.core.modules import RESOLUTION_BOUND, minimal_projective_resolution
 from siltkit.correspond.pipeline import standard_pair
@@ -183,12 +183,12 @@ def test_the_oracle_sees_each_resolution_as_its_simple(request, name):
             assert seen == ({0: 1} if u == v else {}), (u, v)
 
 
-def _oracle_cohomology(algebra, x, forbidden):
+def _oracle_cohomology(algebra, x, forbidden, binomials=None):
     """{k: {v: dim}} from the sympy oracle's H^k Hom(P_v, x)."""
     out = {}
     for v in algebra.quiver.vertices:
         p = single_projective(algebra, v)
-        for k, d in hom_cohomology_dims(algebra, p, x, forbidden).items():
+        for k, d in hom_cohomology_dims(algebra, p, x, forbidden, binomials).items():
             out.setdefault(k, {})[v] = d
     return out
 
@@ -199,21 +199,20 @@ def _oracle_cohomology(algebra, x, forbidden):
     ids=lambda p: p.stem,
 )
 def test_the_cohomology_of_each_resolution_is_its_simple(path):
-    """H(res v) is S_v, read from the Hom table; on a monomial algebra
-    the sympy oracle reads the same from raw path products (its forbidden
-    subwords are the relations).  Refused resolutions have nothing to
+    """H(res v) is S_v, read from the Hom table, and the sympy oracle reads
+    the same from raw path products: its forbidden subwords and binomial
+    rewrites are the file's relations, so the commutative square
+    (b a = d c) is refereed too.  Refused resolutions have nothing to
     read."""
     algebra = parse_algebra(path.read_text(encoding="utf-8"))
-    monomial = all(len(r) == 1 for r in algebra.relations)
-    forbidden = tuple(r[0][1].arrows for r in algebra.relations)
+    forbidden, binomials = relation_words(algebra)
     for v in algebra.quiver.vertices:
         try:
             r = res(algebra, v)
         except TruncationUnsound:
             continue
         assert complex_cohomology_dims(r) == {0: {v: 1}}
-        if monomial:
-            assert _oracle_cohomology(algebra, r, forbidden) == {0: {v: 1}}
+        assert _oracle_cohomology(algebra, r, forbidden, binomials) == {0: {v: 1}}
 
 
 #: The 1-step scripts and the 2-step scripts ``i l, i+1 r`` on linear A3,
