@@ -8,18 +8,18 @@ mutation graph), and ``replay`` (byte-exact certificate re-runs).
 Exit codes: 0 all verdicts pass, 2 some verdict fails, 3 nothing fails
 but something is not certified (a resolution longer than
 ``RESOLUTION_BOUND`` included: it is refused, not cut off, and stderr
-names the bound), 4 unusable input (an input file, or a command-line
-option reported by name).  With ``--format structured``
-the output is line-oriented with a stable key order, so a re-run with
-the same configuration is byte-identical.
+names the bound), 4 unusable input: ``input error:`` for an input file,
+``option error:`` for a malformed command line, naming the option or
+argument.  ``-h`` or ``--help`` prints usage and exits 0.
+
+With ``--format structured`` the output is line-oriented with a stable
+key order, so a re-run with the same configuration is byte-identical.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -75,11 +75,8 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """A command's outcome: verdicts, rendered lines, and exit code."""
+    """A command's outcome: rendered lines and exit code."""
 
-    command: str
-    inputs_hash: str
-    verdicts: dict[str, str]
     lines: list[str]
     exit_code: int
 
@@ -148,7 +145,7 @@ def _finish(
         lines.append("")
         lines.extend(f"verdict {k}: {verdicts[k]}" for k in sorted(verdicts))
         lines.append(f"exit {code}")
-    return Report(command, inputs_hash, verdicts, lines, code)
+    return Report(lines, code)
 
 
 def _write_out(config: RunConfig, name: str, content: str, notes: list[str]) -> None:
@@ -381,13 +378,9 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
     edges: list[tuple[int, int, str, int]] = []
     capped = False
 
-    def verdict_of(smc) -> str:
-        # --depth bounds the mutation search here.  Nodes mutated from the
-        # standard pair carry their generation by provenance; any other
-        # node falls back to the checker's own closure depth.
-        return check_smc(smc).verdict
-
-    nodes.append({"silting": silting0, "smc": smc0, "verdict": verdict_of(smc0)})
+    # --depth bounds the mutation search here, not the smc checks: nodes
+    # carry their generation by provenance.
+    nodes.append({"silting": silting0, "smc": smc0, "verdict": check_smc(smc0).verdict})
     frontier = [0]
     level = 0
     while frontier and level < config.depth:
@@ -409,13 +402,8 @@ def cmd_graph(config: RunConfig, algebra_path: str) -> Report:
                         if len(nodes) >= GRAPH_NODE_CAP:
                             capped = True
                             continue
-                        nodes.append(
-                            {
-                                "silting": mutated,
-                                "smc": partner,
-                                "verdict": verdict_of(partner),
-                            }
-                        )
+                        verdict = check_smc(partner).verdict
+                        nodes.append({"silting": mutated, "smc": partner, "verdict": verdict})
                         target = len(nodes) - 1
                         next_frontier.append(target)
                     edges.append((src, index, side, target))
@@ -519,15 +507,10 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
         return _finish(
             config, "replay", inputs, algebra, {"replay": "pass"}, body, body
         )
+    old, new = original.splitlines(), replayed.splitlines()
     first_diff = next(
-        (
-            n
-            for n, (a, b) in enumerate(
-                zip(original.splitlines(), replayed.splitlines()), start=1
-            )
-            if a != b
-        ),
-        min(len(original.splitlines()), len(replayed.splitlines())) + 1,
+        (n for n, (a, b) in enumerate(zip(old, new), start=1) if a != b),
+        min(len(old), len(new)) + 1,
     )
     body = [f"replayed certificate differs from the original at line {first_diff}"]
     return _finish(
@@ -540,174 +523,190 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code."""
+#: Options every command takes: name -> (RunConfig field, metavar, help).
+_SHARED = {
+    "char": ("characteristic", "P", "override the coefficient characteristic"),
+    "seed": ("seed", "N", "seed recorded in reports and certificates (default 0)"),
+    "depth": ("depth", "N", "closure/graph search depth (default 3)"),
+    "window": ("window", "A..B", "degree window for graph bounds (default -5..5)"),
+    "format": ("fmt", "table|structured", "output format (default table)"),
+    "out": ("out", "DIR", "directory for emitted certificates and files"),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(4)
+#: Commands: name -> (summary, positionals, flags).  ``verify`` takes
+#: exactly one of its flags, and ``mutate`` takes steps besides.
+_COMMANDS = {
+    "verify": ("check a collection or a pattern pair",
+               ("ALG", "COLLECTION"), ("silting", "smc", "pattern")),
+    "mutate": ("mutate a certified pair in lockstep; --force skips the check "
+               "of the input pair", ("ALG", "PAIR"), ("force",)),
+    "dgend": ("print the dg endomorphism algebra of a collection",
+              ("ALG", "COLLECTION"), ()),
+    "koszul": ("compare the two sides of a pair through Koszul duality",
+               ("ALG", "PAIR"), ()),
+    "graph": ("enumerate the silting mutation graph", ("ALG",), ()),
+    "replay": ("re-verify a certificate byte-for-byte", ("ALG", "CERT"), ()),
+}
 
 
-def _extract_steps(argv: list[str]) -> tuple[list[tuple[int, str]], list[str]]:
-    """Pull the ordered ``--at N --left/--right [--then N ...]`` step
-    syntax out of the argument list before argparse sees it."""
+class _Help(Exception):
+    """``-h`` or ``--help`` was given; the message is the usage text."""
+
+
+def _usage(commands) -> str:
+    """Usage of ``commands``, built from the tables the parser reads."""
+    lines = ["usage:"]
+    for name in commands:
+        summary, positionals, flags = _COMMANDS[name]
+        words = ["siltkit", name, *positionals]
+        if name == "verify":
+            words.append("|".join(f"--{flag}" for flag in flags))
+        elif name == "mutate":
+            words.append("--at N --left|--right [--then N --left|--right ...] [--force]")
+        lines += [f"  {' '.join(words)} [OPTIONS]", f"      {summary}"]
+    lines += ["", "OPTIONS, each as --opt value or --opt=value:"]
+    lines += [f"  {f'--{name} {meta}':<28}{text}" for name, (_, meta, text) in _SHARED.items()]
+    lines.append(f"  {'-h, --help':<28}print this help")
+    return "\n".join(lines)
+
+
+def _is_option(token: str) -> bool:
+    """Whether ``token`` names an option; ``-`` and a token such as ``-1``
+    or ``-1..0`` are values."""
+    return token.startswith("-") and token != "-" and not token[1:2].isdigit()
+
+
+def _parse(argv: list[str]):
+    """The command, its positionals, flags and steps, and the RunConfig of
+    ``argv``, in one pass.  An option is written ``--opt value`` or
+    ``--opt=value`` anywhere after the command, a unique prefix names it,
+    and the last value given wins."""
+    if argv and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+        raise _Help(_usage(_COMMANDS))
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise _OptionError(f"the command comes first, one of {', '.join(_COMMANDS)}{got}")
+    command, rest = argv[0], argv[1:]
+    _, wanted, flag_names = _COMMANDS[command]
+    options = [f"--{name}" for name in (*_SHARED, *flag_names, "help")] + ["-h"]
+    values: dict[str, str] = {}
+    positionals: list[str] = []
+    flags: list[str] = []
     steps: list[tuple[int, str]] = []
-    rest: list[str] = []
     i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in ("--at", "--then"):
-            if i + 1 >= len(argv) or not re.fullmatch(r"\d+", argv[i + 1]):
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":
+            positionals += rest[i:]
+            break
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        if command == "mutate" and token in ("--at", "--then"):
+            index = rest[i] if i < len(rest) else ""
+            if not (index.isascii() and index.isdigit()):
                 raise _OptionError(f"{token} needs a positive index")
-            index = int(argv[i + 1])
-            if i + 2 >= len(argv) or argv[i + 2] not in ("--left", "--right"):
-                raise _OptionError(f"expected --left or --right after {token} {index}")
-            steps.append((index, argv[i + 2][2:]))
-            i += 3
-        else:
-            rest.append(token)
+            side = rest[i + 1] if i + 1 < len(rest) else None
+            if side not in ("--left", "--right"):
+                raise _OptionError(f"expected --left or --right after {token} {int(index)}")
+            steps.append((int(index), side[2:]))
+            i += 2
+            continue
+        option, eq, value = token.partition("=")
+        matches = [option] if option in options else [
+            known for known in options if known.startswith(option)
+        ]
+        if len(matches) != 1:
+            raise _OptionError(
+                f"{option} is ambiguous for {command}: {', '.join(matches)}"
+                if matches else f"{command} has no option {option}"
+            )
+        if matches[0] in ("-h", "--help"):
+            raise _Help(_usage([command]))
+        name = matches[0][2:]
+        if name in flag_names:
+            if eq:
+                raise _OptionError(f"--{name} takes no value")
+            flags.append(name)
+            continue
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                raise _OptionError(f"--{name} needs a value")
+            value = rest[i]
             i += 1
-    return steps, rest
+        values[name] = value
+    if len(positionals) != len(wanted):
+        raise _OptionError(f"{command} takes {' '.join(wanted)}, got {positionals}")
+    if command == "verify" and len(set(flags)) != 1:
+        raise _OptionError(
+            f"verify takes exactly one of --silting, --smc, --pattern, got {len(set(flags))}"
+        )
+    if command == "mutate" and not steps:
+        raise _OptionError("mutate needs at least one --at N --left/--right step")
+    return command, positionals, flags, steps, _config_from(values)
 
 
-def _build_parser() -> _ArgumentParser:
-    shared = _ArgumentParser(add_help=False)
-    shared.add_argument("--char", type=int, default=None, metavar="P",
-                        help="override the coefficient characteristic")
-    shared.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed recorded in reports and certificates")
-    shared.add_argument("--depth", type=int, default=3, metavar="N",
-                        help="closure/graph search depth")
-    shared.add_argument("--window", type=str, default="-5..5", metavar="A..B",
-                        help="degree window for graph bounds")
-    shared.add_argument("--format", dest="fmt", choices=("table", "structured"),
-                        default="table", help="output format")
-    shared.add_argument("--out", type=str, default=None, metavar="DIR",
-                        help="directory for emitted certificates and files")
-
-    parser = _ArgumentParser(
-        prog="siltkit",
-        description="verify, mutate, and compare silting and simple-minded "
-        "collections over finite-dimensional path algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[shared],
-                       help="check a collection or a pattern pair")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--silting", action="store_true")
-    group.add_argument("--smc", action="store_true")
-    group.add_argument("--pattern", action="store_true")
-    p.add_argument("algebra")
-    p.add_argument("collection")
-
-    p = sub.add_parser(
-        "mutate", parents=[shared],
-        help="mutate a certified pair in lockstep",
-        epilog="steps: --at N --left|--right, then optionally "
-               "--then N --left|--right, repeated",
-    )
-    p.add_argument("--force", action="store_true",
-                   help="skip the input-pair certification check")
-    p.add_argument("algebra")
-    p.add_argument("pair")
-
-    p = sub.add_parser("dgend", parents=[shared],
-                       help="print the dg endomorphism algebra of a collection")
-    p.add_argument("algebra")
-    p.add_argument("collection")
-
-    p = sub.add_parser("koszul", parents=[shared],
-                       help="compare the two sides of a pair through Koszul duality")
-    p.add_argument("algebra")
-    p.add_argument("pair")
-
-    p = sub.add_parser("graph", parents=[shared],
-                       help="enumerate the silting mutation graph")
-    p.add_argument("algebra")
-
-    p = sub.add_parser("replay", parents=[shared],
-                       help="re-verify a certificate byte-for-byte")
-    p.add_argument("algebra")
-    p.add_argument("certificate")
-
-    return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", ns.window)
-    if not m:
-        raise _OptionError(f"--window expects A..B, got {ns.window!r}")
-    window = (int(m.group(1)), int(m.group(2)))
-    if window[0] > window[1]:
-        raise _OptionError(f"--window bounds are reversed: {ns.window}")
-    if ns.depth < 0:
+def _config_from(values: dict[str, str]) -> RunConfig:
+    """The RunConfig of the last value given to each shared option."""
+    config = RunConfig()
+    for name, text in values.items():
+        value = text
+        if name in ("char", "seed", "depth"):
+            try:
+                value = int(text)
+            except ValueError:
+                raise _OptionError(f"--{name} expects an integer, got {text!r}") from None
+        elif name == "format" and text not in ("table", "structured"):
+            raise _OptionError(f"--format expects table or structured, got {text!r}")
+        elif name == "window":
+            lo, _, hi = text.partition("..")
+            if not all(b.removeprefix("-").isdecimal() for b in (lo, hi)):
+                raise _OptionError(f"--window expects A..B, got {text!r}")
+            if int(lo) > int(hi):
+                raise _OptionError(f"--window bounds are reversed: {text}")
+            value = (int(lo), int(hi))
+        setattr(config, _SHARED[name][0], value)
+    if config.depth < 0:
         raise _OptionError("--depth must be nonnegative")
-    if ns.char is not None:
+    if config.characteristic is not None:
         try:
-            field_of_characteristic(ns.char)
+            field_of_characteristic(config.characteristic)
         except ValueError as exc:
             raise _OptionError(f"--char: {exc}") from exc
-    return RunConfig(
-        characteristic=ns.char,
-        seed=ns.seed,
-        depth=ns.depth,
-        window=window,
-        fmt=ns.fmt,
-        out=ns.out,
-    )
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        # Window bounds may start with "-"; glue the value onto the flag
-        # so argparse does not mistake it for an option.
-        if argv[i] == "--window" and i + 1 < len(argv):
-            merged.append(f"--window={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    argv = merged
     try:
-        steps: list[tuple[int, str]] = []
-        if argv and argv[0] == "mutate":
-            steps, rest = _extract_steps(argv[1:])
-            argv = ["mutate"] + rest
-        ns = _build_parser().parse_args(argv)
-        if ns.command == "mutate" and not steps:
-            raise _OptionError("mutate needs at least one --at N --left/--right step")
-        config = _config_from(ns)
-        if ns.command == "verify":
-            kind = "silting" if ns.silting else "smc" if ns.smc else "pattern"
-            report = cmd_verify(config, ns.algebra, ns.collection, kind)
-        elif ns.command == "mutate":
-            report = cmd_mutate(config, ns.algebra, ns.pair, steps, ns.force)
-        elif ns.command == "dgend":
-            report = cmd_dgend(config, ns.algebra, ns.collection)
-        elif ns.command == "koszul":
-            report = cmd_koszul(config, ns.algebra, ns.pair)
-        elif ns.command == "graph":
-            report = cmd_graph(config, ns.algebra)
+        command, args, flags, steps, config = _parse(
+            sys.argv[1:] if argv is None else argv
+        )
+        if command == "verify":
+            report = cmd_verify(config, *args, flags[0])
+        elif command == "mutate":
+            report = cmd_mutate(config, *args, steps, "force" in flags)
+        elif command == "dgend":
+            report = cmd_dgend(config, *args)
+        elif command == "koszul":
+            report = cmd_koszul(config, *args)
+        elif command == "graph":
+            report = cmd_graph(config, *args)
         else:
-            report = cmd_replay(config, ns.algebra, ns.certificate)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 4
+            report = cmd_replay(config, *args)
+    except _Help as exc:
+        print(exc)
+        return 0
     except _OptionError as exc:
         print(f"option error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 4
     except TruncationUnsound as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 3
-    except (ChainConditionViolated, MalformedRelation, NonAdmissible, UnknownVertex) as exc:
+    except (
+        ParseError, OSError, ChainConditionViolated, MalformedRelation, NonAdmissible,
+        UnknownVertex,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     for line in report.lines:

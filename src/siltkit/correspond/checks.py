@@ -25,7 +25,6 @@ with the full table and the index bijection, into a replayable
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -458,8 +457,7 @@ class CorrespondenceCertificate:
     Carries both collections, the index bijection, the full Hom table
     over the support windows, the sub-check verdicts, and the run's
     recorded seed.  ``serialize`` emits a canonical text form
-    that replays byte-identically; the creation timestamp is an
-    attribute only and deliberately never serialized.
+    that replays byte-identically.
     """
 
     def __init__(
@@ -480,7 +478,6 @@ class CorrespondenceCertificate:
         self.verdicts = dict(verdicts)
         self.seed = seed
         self.characteristic = algebra.field.characteristic
-        self.timestamp = datetime.datetime.now(datetime.timezone.utc)
 
     def serialize(self) -> str:
         lines = ["certificate pattern"]

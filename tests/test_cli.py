@@ -174,6 +174,109 @@ def test_a_bad_option_is_named_without_a_file_position(argv, message, capsys):
     assert captured.err == f"option error: {message}\n"
 
 
+KOSZUL_A2 = ["koszul", "{in}/a2.alg", "{in}/std.pair"]
+MUTATE_A2 = ["mutate", "{in}/a2.alg", "{in}/std.pair", "--at", "1", "--left"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["bogus", "{in}/a2.alg"], "'bogus'"),
+        (KOSZUL_A2 + ["--bogus"], "--bogus"),
+        (["koszul", "{in}/a2.alg"], "PAIR"),
+        (KOSZUL_A2 + ["extra"], "'extra'"),
+        (KOSZUL_A2 + ["--seed"], "--seed"),
+        (KOSZUL_A2 + ["--char", "x"], "--char"),
+        (KOSZUL_A2 + ["--seed=x"], "--seed"),
+        (KOSZUL_A2 + ["--depth", "1.5"], "--depth"),
+        (KOSZUL_A2 + ["--format", "xml"], "--format"),
+        (KOSZUL_A2 + ["--force"], "--force"),
+        (["verify", "{in}/a2.alg", "{in}/std.pair"], "--pattern"),
+        (["verify", "--silting", "--smc", "{in}/a2.alg", "{in}/std.pair"], "--smc"),
+        (MUTATE_A2 + ["--f", "structured"], "--f"),
+        (MUTATE_A2 + ["--force=yes"], "--force"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-option", "missing-positional",
+         "extra-positional", "no-value", "char", "seed", "depth", "format",
+         "force-outside-mutate", "verify-no-kind", "verify-two-kinds",
+         "ambiguous-prefix", "flag-with-value"],
+)
+def test_a_malformed_command_line_returns_the_option_error_code(argv, named, capsys):
+    code = main([a.format(**{"in": INPUTS}) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("option error: ")
+    assert named in line
+
+
+def run_line(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(**{"in": INPUTS}) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+GRAPH_KRON = ["graph", "{in}/kron.alg", "--format", "structured"]
+
+
+@pytest.mark.parametrize(
+    "one, other, line",
+    [
+        (GRAPH_KRON + ["--seed", "7", "--depth", "1"],
+         GRAPH_KRON + ["--seed=7", "--depth=1"], "seed 7"),
+        (GRAPH_KRON + ["--se", "7", "--dep", "1"],
+         GRAPH_KRON + ["--seed", "7", "--depth", "1"], "depth 1"),
+        (KOSZUL_A2 + ["--form", "structured"],
+         KOSZUL_A2 + ["--format", "structured"], "command koszul"),
+        (["graph", "--depth", "1", "--format", "structured", "{in}/kron.alg"],
+         GRAPH_KRON + ["--depth", "1"], "depth 1"),
+        (["verify", "{in}/a2.alg", "{in}/std.pair", "--pattern", "--format", "structured"],
+         ["verify", "--pattern", "{in}/a2.alg", "{in}/std.pair", "--format", "structured"],
+         "verdict pattern pass"),
+        (["mutate", "--at", "1", "--left", "{in}/a2.alg", "{in}/std.pair", "--format",
+          "structured"], MUTATE_A2 + ["--format", "structured"], "verdict step1 pass"),
+        (GRAPH_KRON + ["--window", "-1..0", "--depth", "1"],
+         GRAPH_KRON + ["--window=-1..0", "--depth", "1"], "window -1..0"),
+        (GRAPH_KRON + ["--seed", "3", "--depth", "2", "--seed", "7", "--depth", "1"],
+         GRAPH_KRON + ["--seed", "7", "--depth", "1"], "seed 7"),
+    ],
+    ids=["equals-sign", "prefix", "format-prefix", "options-first", "kind-last",
+         "steps-first", "negative-window", "last-wins"],
+)
+def test_each_spelling_of_an_option_gives_the_same_output(one, other, line):
+    got = run_line(one)
+    assert got == run_line(other)
+    assert got[0] == 0
+    assert line in got[1].splitlines()
+
+
+COMMAND_OPTIONS = {
+    "verify": ["--silting", "--smc", "--pattern"],
+    "mutate": ["--at", "--then", "--left", "--right", "--force"],
+    "dgend": [],
+    "koszul": [],
+    "graph": [],
+    "replay": [],
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_zero(command, flag):
+    code, out, err = run_line([command, flag] if command else [flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage:\n")
+    shown = [command] if command else list(COMMAND_OPTIONS)
+    usages = [line.split()[1] for line in out.splitlines() if line.startswith("  siltkit ")]
+    assert usages == shown
+    shared = ["--char", "--seed", "--depth", "--window", "--format", "--out"]
+    assert all(option in out for name in shown for option in shared + COMMAND_OPTIONS[name])
+
+
 def _without_hash(cert):
     text = cert.read_text(encoding="utf-8")
     cert.write_text(text.replace("algebra-hash ", "hash "), encoding="utf-8")
@@ -316,23 +419,15 @@ def test_python_dash_m_runs_the_command_line():
     assert (done.returncode, done.stdout) == (0, golden("verify-pattern-std")[0])
 
 
-def table_output(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of a run in the default table format."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main([a.format(**{"in": INPUTS}) for a in argv])
-    return code, buffer.getvalue()
-
-
 def test_table_output_marks_a_soft_miss_open():
-    code, stdout = table_output(["koszul", "{in}/kron.alg", "{in}/std.pair"])
+    code, stdout, _ = run_line(["koszul", "{in}/kron.alg", "{in}/std.pair"])
     assert code == 3
     assert "[open]" in stdout
     assert "[FAIL]" not in stdout
 
 
 def test_table_output_marks_a_hard_failure_fail():
-    code, stdout = table_output(["verify", "--smc", "{in}/a2.alg", "{in}/bad.smc"])
+    code, stdout, _ = run_line(["verify", "--smc", "{in}/a2.alg", "{in}/bad.smc"])
     assert code == 2
     assert "[FAIL]" in stdout
 
