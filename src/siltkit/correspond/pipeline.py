@@ -9,14 +9,14 @@ it from a pair read from a file, and ``standard_pair`` gives the pair
 an algebra starts from.
 
 ``koszul_pair_check`` compares the two sides' dg endomorphism algebras
-through Koszul duality: each side's dual (computed directly from its
-simple dg modules when they exist, otherwise through a formality
-witness) must have the cohomology of the opposite side; a resolution
-that needs more than dim H^*(opposite side) + 1 stages leaves it not
-certified.  The cohomology
-algebras are compared through the pattern's bijection: silting member i
-and simple member σ(i) name matching idempotents, so no matching is
-searched for, and only one-dimensional blocks are matched.
+through Koszul duality: the dual of each side's one-sided model, the
+smart truncation of the silting side or the positive model of the
+simple-minded side, must have the cohomology of the opposite side.  A
+refused model, or a resolution that needs more than
+dim H^*(opposite side) + 1 stages, leaves the check not certified.  The
+cohomology algebras are compared through the pattern's bijection:
+silting member i and simple member σ(i) name matching idempotents, so no
+matching is searched for, and only one-dimensional blocks are matched.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from ..dg import (
     DGAlgebra,
     GradedAlgebraMap,
     cohomology_algebra,
-    find_formality_witness,
     koszul_dual,
+    positive_model,
+    smart_truncation,
     verify_dg_quasi_iso,
 )
 from ..errors import (
@@ -91,28 +92,6 @@ def lockstep_walk(
 # ---------------------------------------------------------------------------
 # Koszul duality between the two sides
 # ---------------------------------------------------------------------------
-
-
-def _koszul_dual_route(E: DGAlgebra, stages: int) -> tuple[DGAlgebra | None, str]:
-    """Compute a Koszul dual of E with at most ``stages`` stages per
-    resolution, directly when its simple dg modules exist, else through a
-    formality witness; (None, reason) if neither route lands."""
-    try:
-        return koszul_dual(E, stages), "direct"
-    except (SimpleNotOneDimensional, IdempotentLiftMissing):
-        pass
-    except TruncationUnsound as exc:
-        return None, f"{exc} (dim H^*(opposite) + 1)"
-    try:
-        witness = find_formality_witness(E)
-    except Inconclusive as exc:
-        return None, f"no formality witness: {exc}"
-    try:
-        return koszul_dual(witness.source, stages), "formality"
-    except (SimpleNotOneDimensional, IdempotentLiftMissing) as exc:
-        return None, f"cohomology algebra has no usable simples ({exc})"
-    except TruncationUnsound as exc:
-        return None, f"{exc} (dim H^*(opposite) + 1)"
 
 
 def _blockwise_buckets(h: DGAlgebra) -> dict[tuple[int, str, str], list[int]] | None:
@@ -245,14 +224,18 @@ def koszul_pair_check(
     pairs with simple member ``bijection[i]`` (0-based), as in
     ``CorrespondenceCertificate.bijection``.
 
-    For each side, the dg endomorphism algebra's Koszul dual must have
-    the cohomology of the opposite side's dg endomorphism algebra: equal
-    cohomology dimensions (a hard condition) and an isomorphism of
+    For each side, the Koszul dual of the dg endomorphism algebra must
+    have the cohomology of the opposite side's dg endomorphism algebra:
+    equal cohomology dimensions (a hard condition) and an isomorphism of
     cohomology algebras that matches the idempotents through the
     bijection (pass when ``graded_algebra_isomorphism`` finds one,
     not-certified otherwise: it matches one-dimensional blocks only).
-    Each resolution of a dual gets dim H^*(opposite side) + 1 stages on
-    either route: a minimal resolution of S_s has one generator per basis
+
+    E is dualized through its smart truncation and F through its positive
+    model.  Both exist when the pattern holds and every simple-minded
+    member has scalar endomorphisms; a refused model is a soft miss naming
+    why.  Each resolution of a dual gets dim H^*(opposite side) + 1
+    stages: a minimal resolution of S_s has one generator per basis
     element of Ext(S_s, ⊕S), which Koszul duality identifies with
     H^*(opposite side) e_s, and each stage but the last adopts one or
     more.  One that needs more stages is a soft miss naming the cap.
@@ -260,14 +243,18 @@ def koszul_pair_check(
     forward = {str(i + 1): str(j + 1) for i, j in enumerate(bijection)}
     backward = {j: i for i, j in forward.items()}
     rep = _Reporter("koszul duality")
-    for label, source, opposite, sigma in (
-        ("dual of the silting side", E, F, forward),
-        ("dual of the simple side", F, E, backward),
+    for label, source, opposite, sigma, model, route in (
+        ("dual of the silting side", E, F, forward, smart_truncation, "smart truncation"),
+        ("dual of the simple side", F, E, backward, positive_model, "positive model"),
     ):
         opp_h = opposite.cohomology_dims()
-        dual, route = _koszul_dual_route(source, sum(opp_h.values()) + 1)
-        if dual is None:
-            rep.soft(f"{label} computed", False, route)
+        try:
+            dual = koszul_dual(model(source), sum(opp_h.values()) + 1)
+        except TruncationUnsound as exc:
+            rep.soft(f"{label} computed", False, f"{exc} (dim H^*(opposite) + 1)")
+            continue
+        except (Inconclusive, SimpleNotOneDimensional, IdempotentLiftMissing) as exc:
+            rep.soft(f"{label} computed", False, str(exc))
             continue
         rep.hard(f"{label} computed", True, f"route: {route}")
         dual_h = dual.cohomology_dims()

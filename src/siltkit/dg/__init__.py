@@ -7,6 +7,8 @@ from .dga import (
     dg_end,
     find_formality_witness,
     path_algebra_to_dg,
+    positive_model,
+    smart_truncation,
     verify_dg_quasi_iso,
 )
 from .dgmod import (
@@ -25,7 +27,9 @@ __all__ = [
     "find_formality_witness",
     "koszul_dual",
     "path_algebra_to_dg",
+    "positive_model",
     "semifree_resolution",
     "simple_dg_modules",
+    "smart_truncation",
     "verify_dg_quasi_iso",
 ]

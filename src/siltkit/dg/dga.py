@@ -4,10 +4,12 @@ A DGAlgebra is a graded basis with integer degrees, a multiplication table,
 a degree +1 differential, a unit, and a distinguished family of orthogonal
 idempotents.  Elements are sparse coordinate dictionaries over the basis.
 
-The two constructors that matter are ``end_algebra`` (the endomorphism dg
+The constructors that matter are ``end_algebra`` (the endomorphism dg
 algebra of a family of free dg modules, with composition as product) and
-``cohomology_algebra`` (the induced graded algebra on chosen cocycle
-representatives).  Free modules are kept in generator form
+the algebras E induces on chosen vectors, recorded as ``section_reps``:
+``cohomology_algebra`` on cocycle representatives, and the one-sided
+models the Koszul check dualizes, ``smart_truncation`` and
+``positive_model``.  Free modules are kept in generator form
 (``FreeModule``): a generator ``g`` of degree ``n`` attached to idempotent
 ``e`` spans ``g * (e E)``, and every map out of a free module is fixed by
 its generator images, which makes the End finite and exact.  ``dg_end``
@@ -26,8 +28,7 @@ degree's is kept on the algebra.
 
 Maps between dg algebras are ``GradedAlgebraMap``s, audited exactly by
 ``verify_dg_quasi_iso``.  ``find_formality_witness`` checks that the cocycle
-section H^*(E) -> E is a quasi-isomorphism, which the Koszul check needs
-when E has no simple dg modules of its own; when it is not, it names the
+section H^*(E) -> E is a quasi-isomorphism; when it is not, it names the
 first violation.
 """
 
@@ -545,74 +546,132 @@ def dg_end(collection, provenance: str = "") -> DGAlgebra:
     )
 
 
+def _induced_algebra(
+    E: DGAlgebra, vectors: list[Coords], labels: list[str], kind: str, read=None
+) -> DGAlgebra:
+    """The dg algebra on ``vectors``, homogeneous E-coordinates, with E's
+    product, differential, unit and idempotents taken onto them and read
+    back by ``read``, or else exactly on the span: on the largest key of
+    each vector, which must hold 1 there and be in no other vector.  A
+    result that cannot be read back raises ChainConditionViolated.  An
+    idempotent read back as zero is dropped, and the result carries the
+    vectors as ``section_reps``.  Only pairs whose supports compose are
+    multiplied, as in ``verify``; every other product is 0."""
+    if read is None:
+        owner = {max(v): t for t, v in enumerate(vectors)}
+
+        def read(x: Coords) -> Coords | None:
+            out = {owner[k]: c for k, c in x.items() if k in owner}
+            span = sparse_combination(E.field, ((c, vectors[t]) for t, c in out.items()))
+            return out if span == x else None
+
+    def back(x: Coords, what: str) -> Coords:
+        out = read(x) if x else {}
+        if out is None:
+            raise ChainConditionViolated(f"{what} leaves the span of the chosen vectors")
+        return out
+
+    holders = _index((k, t) for t, v in enumerate(vectors) for k in v)
+    by_left = _index(E.products)
+    products: dict[tuple[int, int], Coords] = {}
+    differential: dict[int, Coords] = {}
+    for i, vi in enumerate(vectors):
+        for j in sorted(_factors(holders, _factors(by_left, vi))):
+            prod = back(E.multiply(vi, vectors[j]), f"{labels[i]} * {labels[j]}")
+            if prod:
+                products[(i, j)] = prod
+        dv = back(E.differentiate(vi), f"d({labels[i]})")
+        if dv:
+            differential[i] = dv
+    idempotents = {name: back(e, f"idempotent {name}") for name, e in E.idempotents.items()}
+    out = DGAlgebra(
+        E.field,
+        tuple(labels),
+        tuple(E.degrees[min(v)] for v in vectors),
+        products,
+        differential,
+        back(E.unit, "the unit"),
+        {name: e for name, e in idempotents.items() if e},
+        provenance=f"{kind} of {E.provenance}" if E.provenance else kind,
+    )
+    out.section_reps = vectors
+    return out
+
+
 def cohomology_algebra(E: DGAlgebra) -> DGAlgebra:
     """H^*(E) with zero differential and the induced multiplication.
 
     Representatives are the first cocycle basis vectors completing the
     boundaries, in the fixed basis order, so the construction is
     deterministic and idempotent: on a zero-differential algebra it returns
-    the algebra itself with identical structure constants.
-
-    The result carries ``section_reps`` (E-coordinates of the chosen
-    representatives) for ``find_formality_witness``.
+    the algebra itself with identical structure constants.  Results are
+    read back as classes.
     """
-    field = E.field
     cohomology = {n: E.cohomology(n) for n in sorted(set(E.degrees))}
-    reps: list[tuple[int, Coords]] = []  # (degree, E-coords), degree-ascending
+    vectors: list[Coords] = []
+    labels: list[str] = []
     first: dict[int, int] = {}  # degree -> position of its first rep
     for n, h in cohomology.items():
-        first[n] = len(reps)
-        reps += [(n, z) for z in h.reps]
+        first[n] = len(vectors)
+        vectors += h.reps
+        labels += [f"h{n}:{k}" for k in range(len(h.reps))]
 
     def class_of(coords: Coords) -> Coords | None:
         """H-coordinates of a homogeneous cocycle, None if not a cocycle."""
-        if not coords:
-            return {}
         degs = {E.degrees[i] for i in coords}
         if len(degs) != 1:
             return None
         n = degs.pop()
         sol = cohomology[n].coordinates(coords)
-        if sol is None:
-            return None
-        return {first[n] + j: c for j, c in sol.items()}
+        return None if sol is None else {first[n] + j: c for j, c in sol.items()}
 
-    products: dict[tuple[int, int], Coords] = {}
-    for i, (_, ci) in enumerate(reps):
-        for j, (_, cj) in enumerate(reps):
-            prod = E.multiply(ci, cj)
-            if not prod:
-                continue
-            cls = class_of(prod)
-            if cls is None:
-                raise ChainConditionViolated(
-                    "product of cocycle representatives is not a cocycle"
-                )
-            if cls:
-                products[(i, j)] = cls
+    return _induced_algebra(E, vectors, labels, "cohomology", class_of)
 
-    unit_cls = class_of(E.unit)
-    if unit_cls is None:
-        raise ChainConditionViolated("the unit is not a cocycle")
-    idempotents: dict[str, Coords] = {}
-    for name, e in E.idempotents.items():
-        cls = class_of(e)
-        if cls:
-            idempotents[name] = cls
 
-    labels = tuple(f"h{n}:{k}" for n, h in cohomology.items() for k in range(h.dimension))
-    H = DGAlgebra(
-        field,
-        labels,
-        tuple(n for n, _ in reps),
-        products,
-        {},
-        unit_cls,
-        idempotents,
-        provenance=f"cohomology of {E.provenance}" if E.provenance else "cohomology",
-    )
-    H.section_reps = [coords for _, coords in reps]
-    return H
+def smart_truncation(E: DGAlgebra) -> DGAlgebra:
+    """The sub dg algebra of E on its basis elements of negative degree
+    and the kernel basis of d on E^0, whose largest key is its free
+    column.  Its inclusion is a quasi-isomorphism when H^{>0}(E) = 0, the
+    presilting condition; otherwise Inconclusive is raised.  Its degree-0
+    part Z^0 acts on each simple through H^0(E) (Koenig–Yang)."""
+    for n in sorted(set(E.degrees)):
+        if n > 0 and E.cohomology(n).dimension:
+            raise Inconclusive(
+                f"H^{n} has dimension {E.cohomology(n).dimension}, so the smart "
+                f"truncation is not quasi-isomorphic to the algebra"
+            )
+    negative = [i for i, n in enumerate(E.degrees) if n < 0]
+    cocycles = E.cohomology(0).cocycles
+    vectors = [{i: E.field.one} for i in negative] + cocycles
+    labels = [E.labels[i] for i in negative] + [f"z0:{k}" for k in range(len(cocycles))]
+    return _induced_algebra(E, vectors, labels, "truncation")
+
+
+def positive_model(F: DGAlgebra) -> DGAlgebra:
+    """The sub dg algebra of F on its idempotents, the degree-1 basis
+    elements off the pivots of B^1 (a block-pure complement of B^1 in F^1)
+    and the basis elements of degree 2 or more.  Its inclusion is a
+    quasi-isomorphism when H^{<0}(F) = 0 and the idempotent classes are a
+    basis of H^0(F), the simple-minded conditions with scalar
+    endomorphisms; otherwise Inconclusive is raised (Keller–Nicolás)."""
+    for n in sorted(set(F.degrees)):
+        if n < 0 and F.cohomology(n).dimension:
+            raise Inconclusive(
+                f"H^{n} has dimension {F.cohomology(n).dimension}, so the "
+                f"positive model is not quasi-isomorphic to the algebra"
+            )
+    h0 = F.cohomology(0)
+    classes = [h0.coordinates(e) for e in F.idempotents.values()]
+    if None in classes or not h0.dimension == len(classes) == rank(F.field, classes):
+        raise Inconclusive(
+            f"H^0 has dimension {h0.dimension} and is not spanned by the "
+            f"classes of the {len(classes)} idempotents"
+        )
+    pivots = F.cohomology(1).boundaries.rows
+    kept = [i for i, n in enumerate(F.degrees) if n > 1 or (n == 1 and i not in pivots)]
+    vectors = [*F.idempotents.values(), *({i: F.field.one} for i in kept)]
+    labels = [f"e{name}" for name in F.idempotents] + [F.labels[i] for i in kept]
+    return _induced_algebra(F, vectors, labels, "positive model")
 
 
 class GradedAlgebraMap:

@@ -13,8 +13,11 @@ repeatedly killing cone cohomology classes until the cone is acyclic,
 within a stage cap set by the caller (``semifree_resolution``); the
 cone's ``linalg.Cohomology`` and its classes are kept in cone indices.
 The endomorphism dg algebra of the direct sum of those resolutions is
-the dual algebra (``koszul_dual``).  Over a path algebra in degree 0 the
-same routine gives the minimal projective resolutions (``core.modules``).
+the dual algebra (``koszul_dual``).  The Koszul check hands it a one-sided
+model (``dga.smart_truncation``, ``dga.positive_model``), whose degree-0
+part is Z^0, acting on a simple through H^0, or the idempotents alone.
+Over a path algebra in degree 0 the same routine gives the minimal
+projective resolutions (``core.modules``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
 when the class is not already in the span of the cone boundaries and of
@@ -125,8 +128,9 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
         for a in sorted(set(E.degrees)):
             if a == 0:
                 continue
+            opposite = E.indices_at(-a)
             for i in E.indices_at(a):
-                for j in E.indices_at(-a):
+                for j in opposite:
                     if chi_of(E.products.get((i, j), {})):
                         raise IdempotentLiftMissing(
                             f"character of {name} sees the degree-{a} part "

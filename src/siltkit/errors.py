@@ -55,11 +55,12 @@ class TruncationUnsound(SiltkitError):
 
 class Inconclusive(SiltkitError):
     """A procedure could not decide: indecomposability over the rationals
-    when End modulo its radical shows no split, or
-    ``dg.find_formality_witness`` when the cocycle section is not a
-    quasi-isomorphism, naming its first violation.  Deliberately distinct
-    from a ``False`` answer: callers must not treat this as "decomposable"
-    or "not formal".
+    when End modulo its radical shows no split, a one-sided model
+    (``dg.smart_truncation``, ``dg.positive_model``) whose cohomology
+    condition fails, or ``dg.find_formality_witness`` when the cocycle
+    section is not a quasi-isomorphism, naming its first violation.
+    Deliberately distinct from a ``False`` answer: callers must not treat
+    this as "decomposable" or "not formal".
     """
 
 

@@ -99,7 +99,6 @@ class FpElement:
 
 
 Rational = Union[int, Fraction]
-FieldScalar = Union[Rational, FpElement]
 
 
 def _is_prime(n: int) -> bool:

@@ -124,21 +124,21 @@ def test_koszul_check_on_the_standard_pair(a2):
     report = koszul_pair_check(*map(dg_end, standard_pair(a2)), (0, 1))
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
-    assert routes == ["route: direct", "route: formality"]
+    assert routes == ["route: smart truncation", "route: positive model"]
 
 
 def test_koszul_check_on_the_left_mutated_pair(a2):
     report = koszul_of_walk(a2, [(2, "left")])
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
-    assert routes == ["route: formality", "route: direct"]
+    assert routes == ["route: smart truncation", "route: positive model"]
 
 
 def test_koszul_check_on_the_right_mutated_pair(a2):
     report = koszul_of_walk(a2, [(2, "right")])
     assert report.verdict == "pass"
     routes = [item.detail for item in report.items if "computed" in item.name]
-    assert routes == ["route: direct", "route: formality"]
+    assert routes == ["route: smart truncation", "route: positive model"]
 
 
 def test_koszul_check_never_overclaims_on_wide_arrow_spaces(kronecker):
@@ -169,35 +169,31 @@ def test_koszul_check_matches_idempotents_through_the_bijection(a3rel):
 
 def test_an_unending_resolution_is_not_certified_and_names_the_bound(loop2):
     """Over the dual numbers the simple dg module has an infinite
-    resolution, so neither dual can be built: the verdict names the bound
-    and no dimension witness is taken from a truncated dual."""
+    resolution, so the silting side's dual is refused naming the bound,
+    and no dimension witness is taken from a truncated dual.  On the
+    simple side H^0 is two-dimensional, more than the idempotent classes
+    span, so no positive model exists."""
     D = path_algebra_to_dg(loop2)
     report = koszul_pair_check(D, D, (0,))
     assert report.verdict == "not-certified"
     computed = [item for item in report.items if "computed" in item.name]
-    assert len(computed) == 2
     assert [item.detail for item in computed] == [
-        "semifree resolution needs more than 3 stages (dim H^*(opposite) + 1)"
-    ] * 2
+        "semifree resolution needs more than 3 stages (dim H^*(opposite) + 1)",
+        "H^0 has dimension 2 and is not spanned by the classes of the 1 idempotents",
+    ]
     assert not any(item.ok for item in computed)
 
 
-#: The first product the cocycle section of linear A3 after `2l` / `2r` fails on.
-FIRST_MISS = {"left": "h0:1 * h0:3", "right": "h0:3 * h0:2"}
-
-
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_a_formality_miss_names_where_it_stopped(a3, side):
-    """After one mutation at 2 over linear A3 the silting side has no
-    simple dg modules, and its cocycle section is not multiplicative: the
-    detail names the first product it fails on."""
+def test_koszul_check_on_a_mutated_linear_a3_pair(a3, side):
+    """After one mutation at 2 over linear A3 the silting side's degree-0
+    part holds chain maps that are not cocycles, so E has no simple dg
+    modules of its own; its smart truncation has them, and both duals
+    match."""
     report = koszul_of_walk(a3, [(2, side)])
-    (miss,) = [item for item in report.items if not item.ok]
-    assert miss.name == "dual of the silting side computed"
-    assert miss.detail == (
-        f"no formality witness: the cocycle section fails: multiplicativity fails on {FIRST_MISS[side]}"
-    )
-    assert report.verdict == "not-certified"
+    assert report.verdict == "pass"
+    routes = [item.detail for item in report.items if "computed" in item.name]
+    assert routes == ["route: smart truncation", "route: positive model"]
 
 
 #: The idempotent matching of two algebras over the vertices 1 and 2.

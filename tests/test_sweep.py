@@ -4,7 +4,7 @@ The standard pair of every algebra in ``inputs/`` and
 ``tests/golden/resolutions/`` satisfies the pattern (Koenig–Yang,
 arXiv:1203.5657), and by Koszul duality ``koszul`` on it should exit 0.
 
-Over linear and radical-square-zero A3/A4, the standard pair is mutated
+Over linear and radical-square-zero A3-A5, the standard pair is mutated
 by every 1-step script and by every 2-step script ``i l, i+1 r`` (with
 ``n l, 1 r`` closing the cycle).  Lockstep mutation keeps a pair a pair
 (Aihara–Iyama, *Silting mutation in triangulated categories*, 2012;
@@ -12,7 +12,8 @@ Koenig–Yang), so ``mutate`` exits 0, and ``koszul`` on the result should
 exit 0.
 
 The 2-term silting graph (``graph --window=-1..0``) of linear A2-A5 and
-D4 has as many nodes as the algebra has clusters, and n edges per node.
+D4 has as many nodes as the algebra has clusters, and n edges per node;
+the Kronecker algebra's is a bi-infinite line.
 
 A run that ends not-certified (exit 3) is a known miss, marked as a
 strict xfail naming the ROADMAP item or the cap behind it; a ``fail``
@@ -43,13 +44,9 @@ STANDARD_MISSES = {
     ("cycle3", "koszul"): "ROADMAP item 9",
 }
 
-#: Scripts whose ``koszul`` ends not-certified today, per (family, n).
-MISSES = {
-    ("linear", 3): {"2l", "2r", "1l-2r", "2l-3r", "3l-1r"},
-    ("rsz", 3): {"3l"},
-    ("linear", 4): {"2l", "2r", "3l", "3r", "1l-2r", "2l-3r", "3l-4r"},
-    ("rsz", 4): {"3l", "4l", "3l-4r", "4l-1r"},
-}
+#: The (family, n) whose standard pair is mutated: linear or
+#: radical-square-zero A_n.
+FAMILIES = [(family, n) for n in (3, 4, 5) for family in ("linear", "rsz")]
 
 
 class NotCertified(Exception):
@@ -104,12 +101,9 @@ def scripts(n: int) -> list[str]:
 
 
 def cases():
-    for (family, n), misses in MISSES.items():
+    for family, n in FAMILIES:
         for script in scripts(n):
-            marks = ()
-            if script in misses:
-                marks = pytest.mark.xfail(strict=True, raises=NotCertified, reason="ROADMAP item 2")
-            yield pytest.param(family, n, script, marks=marks, id=f"{family}-a{n}-{script}")
+            yield pytest.param(family, n, script, id=f"{family}-a{n}-{script}")
 
 
 @pytest.mark.parametrize("family, n, script", cases())
@@ -171,6 +165,24 @@ def test_the_two_term_silting_graph_has_the_cluster_count(tmp_path, capsys, name
     if code == 3:
         raise NotCertified(next(line for line in lines if "truncated" in line))
     assert f"graph nodes {nodes} edges {n * nodes}" in lines
+    verdicts = [line for line in lines if line.startswith("verdict node")]
+    assert len(verdicts) == nodes
+    assert all(line.endswith(" smc pass") for line in verdicts)
+
+
+@pytest.mark.parametrize("depth", [4, 8])
+def test_the_kronecker_two_term_silting_graph_is_a_line(capsys, depth):
+    """2-term silting objects of an acyclic quiver match its clusters
+    (Adachi–Iyama–Reiten 2014), and the Kronecker cluster algebra's
+    exchange graph is a bi-infinite path (Fomin–Zelevinsky, *Cluster
+    algebras I*, 2002).  So depth d from the standard pair reaches the
+    2d + 1 nodes at distance at most d, and the 2d - 1 nodes it expands
+    each list their n = 2 mutations."""
+    argv = ["graph", str(INPUTS / "kron.alg"), "--window=-1..0", "--depth", str(depth)]
+    assert main([*argv, "--format", "structured"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    nodes = 2 * depth + 1
+    assert f"graph nodes {nodes} edges {2 * (2 * depth - 1)}" in lines
     verdicts = [line for line in lines if line.startswith("verdict node")]
     assert len(verdicts) == nodes
     assert all(line.endswith(" smc pass") for line in verdicts)
