@@ -10,7 +10,8 @@ but something is not certified (a resolution longer than
 ``RESOLUTION_BOUND`` included: it is refused, not cut off, and stderr
 names the bound), 4 unusable input: ``input error:`` for an input file,
 ``option error:`` for a malformed command line, naming the option or
-argument.  ``-h`` or ``--help`` prints usage and exits 0.
+argument.  ``-h`` or ``--help`` prints usage and exits 0.  A reader that
+closes stdout early gets no traceback: the exit code is the verdicts'.
 
 With ``--format structured`` the output is line-oriented with a stable
 key order, so a re-run with the same configuration is byte-identical.
@@ -709,6 +710,14 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    for line in report.lines:
-        print(line)
+    try:
+        for line in report.lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone and the verdict stands.  Point stdout at
+        # devnull so the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code

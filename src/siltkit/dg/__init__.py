@@ -13,6 +13,7 @@ from .dga import (
 )
 from .dgmod import (
     SemifreeResolution,
+    ext_algebra,
     koszul_dual,
     semifree_resolution,
     simple_dg_modules,
@@ -24,6 +25,7 @@ __all__ = [
     "SemifreeResolution",
     "cohomology_algebra",
     "dg_end",
+    "ext_algebra",
     "find_formality_witness",
     "koszul_dual",
     "path_algebra_to_dg",

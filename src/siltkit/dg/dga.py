@@ -17,9 +17,11 @@ reads each complex of projectives as a free dg module over the path
 algebra, one generator per summand, and ``dgmod.koszul_dual`` takes the
 End of the semifree resolutions of the simple dg modules, which adopt a
 generator only for a cone class the earlier ones have not killed; both
-are ``end_algebra``.  Everything a constructor emits passes ``verify``:
-d^2 = 0, the graded Leibniz rule, associativity, unitality, and the
-idempotent axioms are checked exactly.
+are ``end_algebra``.  The Koszul check builds no dual: it reads the
+dual's cohomology as Ext of the simples (``dgmod.ext_algebra``), and
+``koszul_dual`` is the referee for that.  Everything a constructor emits
+passes ``verify``: d^2 = 0, the graded Leibniz rule, associativity,
+unitality, and the idempotent axioms are checked exactly.
 
 Cohomology (dimensions, representatives, class coordinates) comes from
 ``linalg.Cohomology`` on the differentials of the basis elements of the

@@ -13,10 +13,14 @@ repeatedly killing cone cohomology classes until the cone is acyclic,
 within a stage cap set by the caller (``semifree_resolution``); the
 cone's ``linalg.Cohomology`` and its classes are kept in cone indices.
 The endomorphism dg algebra of the direct sum of those resolutions is
-the dual algebra (``koszul_dual``).  The Koszul check hands it a one-sided
+the dual algebra (``koszul_dual``).  Its cohomology is Ext of the
+simples, read off the small complex Hom(Q, S) of resolutions into
+simples, whose classes lift to chain maps Q -> Q and compose
+(``ext_algebra``).  The Koszul check hands ``ext_algebra`` a one-sided
 model (``dga.smart_truncation``, ``dga.positive_model``), whose degree-0
-part is Z^0, acting on a simple through H^0, or the idempotents alone.
-Over a path algebra in degree 0 the same routine gives the minimal
+part is Z^0, acting on a simple through H^0, or the idempotents alone;
+``koszul_dual`` is kept as the referee the tests check it against.  Over
+a path algebra in degree 0 the same resolution routine gives the minimal
 projective resolutions (``core.modules``).
 
 A resolution adopts a block-pure piece of a cone class as a generator only
@@ -24,7 +28,10 @@ when the class is not already in the span of the cone boundaries and of
 the earlier adopted pieces times degree-0 cocycles of the algebra: a
 generator kills its piece times every such cocycle, so one stage per kill
 degree still kills every class there, and each generator stands for a
-class no earlier one accounts for.
+class no earlier one accounts for.  That does not make the resolution
+minimal: a piece adopted first can lie in the span of pieces adopted after
+it (the commutative square's S_4 gets six generators for four Ext
+classes), so Hom(Q, S) can have a nonzero differential.
 
 A simple is its character, and no module object is built: the simples
 are correct by construction once their character passes the checks in
@@ -32,7 +39,8 @@ are correct by construction once their character passes the checks in
 with a comparison map to the module of its character; ``verify`` checks
 d^2 = 0 and the chain condition of that map on every generator.  The dual
 is ``dga.end_algebra`` of the resolutions: the same End construction as
-``dg_end``.
+``dg_end``.  ``ext_algebra`` builds no End: it checks its lifts by the
+solves that make them and runs ``verify`` on the small result.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from ..errors import (
     SimpleNotOneDimensional,
     TruncationUnsound,
 )
-from ..linalg import Cohomology, top
+from ..linalg import Cohomology, solve, sparse_combination, top
 from .dga import Coords, DGAlgebra, FreeModule, Generator, end_algebra
 
 
@@ -325,6 +333,8 @@ def koszul_dual(E: DGAlgebra, stages: int) -> DGAlgebra:
     The basis consists of the generator-to-basis elementary maps between the
     resolutions; multiplication is composition and is exact.  Each
     resolution gets at most ``stages`` stages (``semifree_resolution``).
+    The Koszul check reads its cohomology through ``ext_algebra``; this
+    algebra is the referee for that route.
     """
     simples = simple_dg_modules(E)
     return end_algebra(
@@ -332,3 +342,144 @@ def koszul_dual(E: DGAlgebra, stages: int) -> DGAlgebra:
         list(simples),
         f"dual of {E.provenance}" if E.provenance else "dual",
     )
+
+
+def _after(field, phi: Coords, chi: list, images) -> Coords:
+    """phi ∘ f, keyed by generators, for phi: Q -> S keyed by the
+    generators of Q, with chi the character of S, and a map f into Q given
+    by its generator images in Q's basis pairs: phi(u * b) = phi(u) chi(b)."""
+    zero = field.zero
+    out: Coords = {}
+    for g, image in enumerate(images):
+        x = sum((c * phi.get(u, zero) * chi[b] for (u, b), c in image.items()), zero)
+        if x:
+            out[g] = x
+    return out
+
+
+def _lift(
+    Q: SemifreeResolution, R: SemifreeResolution, phi: Coords, n: int
+) -> list[dict[tuple[int, int], object]]:
+    """A chain map Phi: Q -> R of degree n with eps_R ∘ Phi = phi, for a
+    cocycle phi of Hom(Q, S) of degree n keyed by the generators of Q: the
+    images of Q's generators, keyed by R's basis pairs.
+
+    Generators are lifted in adoption order, so d(g) meets only generators
+    already lifted, and Phi(g) is one solve of d Phi(g) = (-1)^n Phi(d g)
+    and eps_R(Phi(g)) = phi(g) over R's pairs of degree |g| + n in the right
+    block of g: each pair's column is d of it in R's pair indices, with its
+    comparison scalar at key -1.  As eps_R is a surjective
+    quasi-isomorphism a solution exists; a missing one raises
+    ChainConditionViolated.
+    """
+    field, blocks = Q.field, Q.algebra.blocks
+    images: list[dict[tuple[int, int], object]] = []
+    for g, gen in enumerate(Q.generators):
+        pairs, columns = [], []
+        for p, (u, b) in enumerate(R.basis_pairs):
+            if R.basis_degrees[p] == gen.degree + n and blocks[b][1] == gen.vertex:
+                column = {R.pair_index[key]: c for key, c in R.d_pair(u, b).items()}
+                if R.phi_pair(u, b):
+                    column[-1] = R.phi_pair(u, b)
+                pairs.append((u, b))
+                columns.append(column)
+        image_of_d = sparse_combination(
+            field, ((c, R.act(images[u], b)) for (u, b), c in Q.d_gens[g].items())
+        )
+        rhs = {R.pair_index[k]: -c if n % 2 else c for k, c in image_of_d.items()}
+        if phi.get(g):
+            rhs[-1] = phi[g]
+        sol = solve(field, columns, rhs)
+        if sol is None:
+            raise ChainConditionViolated(
+                f"a class of Hom(resolution, simple) does not lift on generator {gen.label}"
+            )
+        images.append({pairs[k]: c for k, c in sol.items()})
+    return images
+
+
+def ext_algebra(E: DGAlgebra, stages: int) -> DGAlgebra:
+    """H^*(``koszul_dual(E, stages)``), built without the dual: the Ext
+    algebra of the simple dg modules of E, with zero differential.
+
+    Each simple S_s is resolved as in ``koszul_dual``, by Q_s.  The complex
+    Hom(Q_s, S_t) has one basis vector per generator of Q_s attached to t,
+    of minus its degree, and the differential phi -> phi∘d; Q_s need not
+    be minimal, so its cohomology is taken, not its generators counted.
+    H^*(End(⊕Q)) -> H^*(Hom(Q, ⊕S)), [Phi] -> [eps∘Phi], is an
+    isomorphism, so each representative phi lifts to a chain map Phi
+    (``_lift``), and e_i e_j = [phi_i ∘ Phi_j], the composition order of
+    ``dga.end_algebra``.  The idempotent of s is the class of the
+    augmentation eps_s.  The basis runs by degree, then source s, then
+    target t, in the order of the simples; the lift of each basis element,
+    one image per generator keyed by basis pairs, is kept as ``lifts``.
+    """
+    simples = simple_dg_modules(E)
+    names = list(simples)
+    resolutions = [semifree_resolution(chi, E, stages) for chi in simples.values()]
+    field = E.field
+
+    classes: dict[tuple[int, int, int], Cohomology] = {}  # (degree, s, t)
+    for s, Q in enumerate(resolutions):
+        d = [
+            _after(field, {u: field.one}, simples[gen.vertex], Q.d_gens)
+            for u, gen in enumerate(Q.generators)
+        ]
+        groups: dict[tuple[str, int], list[int]] = {}
+        for g, gen in enumerate(Q.generators):
+            groups.setdefault((gen.vertex, -gen.degree), []).append(g)
+        for (t, m), here in groups.items():
+            classes[(m, s, names.index(t))] = Cohomology(
+                field, here, [d[g] for g in groups.get((t, m - 1), ())], [d[g] for g in here]
+            )
+
+    basis: list[tuple[int, int, int, Coords]] = []  # (degree, s, t, phi)
+    first: dict[tuple[int, int, int], int] = {}
+    labels: list[str] = []
+    for key in sorted(classes):
+        m, s, t = key
+        first[key] = len(basis)
+        for k, phi in enumerate(classes[key].reps):
+            basis.append((m, s, t, phi))
+            labels.append(f"[{names[s]}->{names[t]}]{m}:{k}")
+
+    def class_of(vector: Coords, key) -> Coords:
+        sol = classes[key].coordinates(vector) if key in classes else None
+        if sol is None:
+            raise ChainConditionViolated(
+                f"a composite into Hom({names[key[1]]}, {names[key[2]]}) is not a cocycle"
+            )
+        return {first[key] + k: c for k, c in sol.items()}
+
+    lifts = [_lift(resolutions[s], resolutions[t], phi, m) for m, s, t, phi in basis]
+    by_source: dict[int, list[int]] = {}
+    for i, (_, s, _, _) in enumerate(basis):
+        by_source.setdefault(s, []).append(i)
+    products: dict[tuple[int, int], Coords] = {}
+    for j, (mj, s, t, _) in enumerate(basis):
+        for i in by_source.get(t, ()):
+            mi, _, r, phi = basis[i]
+            composite = _after(field, phi, simples[names[r]], lifts[j])
+            if composite:
+                products[(i, j)] = class_of(composite, (mi + mj, s, r))
+
+    idempotents: dict[str, Coords] = {}
+    unit: Coords = {}
+    for s, Q in enumerate(resolutions):
+        eps = {g: c for g, c in enumerate(Q.phi_gens) if c}
+        idempotents[names[s]] = class_of(eps, (0, s, s))
+        unit.update(idempotents[names[s]])
+
+    out = DGAlgebra(
+        field,
+        tuple(labels),
+        tuple(m for m, _, _, _ in basis),
+        products,
+        {},
+        unit,
+        idempotents,
+        provenance=f"Ext of {E.provenance}" if E.provenance else "Ext",
+    )
+    out.verify()
+    out.lifts = lifts
+    return out

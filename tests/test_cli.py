@@ -419,6 +419,28 @@ def test_python_dash_m_runs_the_command_line():
     assert (done.returncode, done.stdout) == (0, golden("verify-pattern-std")[0])
 
 
+def test_a_closed_stdout_ends_quietly_with_the_verdict_exit_code():
+    """A reader that has gone away, as after ``| head -1``, gets no
+    traceback: the verdict is decided before the first line is written."""
+    src = str(pathlib.Path(siltkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["graph", "inputs/kron.alg", "--window=-1..0", "--depth", "2", "--format", "structured"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "siltkit", *argv],
+            cwd=INPUTS.parent,
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_table_output_marks_a_soft_miss_open():
     code, stdout, _ = run_line(["koszul", "{in}/kron.alg", "{in}/std.pair"])
     assert code == 3

@@ -13,16 +13,22 @@ from siltkit.core.modules import minimal_projective_resolution
 from siltkit.core.quivers import Arrow, Path, Quiver
 from siltkit.correspond.pipeline import standard_pair
 from siltkit.dg import (
+    GradedAlgebraMap,
     cohomology_algebra,
     dg_end,
+    ext_algebra,
     koszul_dual,
     path_algebra_to_dg,
+    positive_model,
     semifree_resolution,
     simple_dg_modules,
+    smart_truncation,
+    verify_dg_quasi_iso,
 )
 from siltkit.errors import ChainConditionViolated, TruncationUnsound
 from siltkit.fields import QQ, field_of_characteristic
 from siltkit.homotopy.complexes import single_projective
+from siltkit.homotopy.mutation import silting_mutate, smc_mutate
 
 
 @pytest.fixture
@@ -233,3 +239,103 @@ def test_resolutions_of_the_simples_are_minimal(name):
 def test_the_silting_dual_of_linear_a4_has_dimension_31():
     silting, _ = standard_pair(parse_algebra(linear_algebra_text(4, False)))
     assert koszul_dual(dg_end(silting), STAGES).dimension == 31
+
+
+#: (algebra, one-step lockstep mutation or None): the standard pair and
+#: every one-step mutated pair of linear and radical-square-zero A3 and A4,
+#: and the standard pair of the commutative square.
+REFEREE_PAIRS = [
+    (f"{family}-a{n}", step)
+    for family in ("linear", "rsz")
+    for n in (3, 4)
+    for step in [None, *((i, side) for i in range(n) for side in ("left", "right"))]
+] + [("square", None)]
+
+
+def one_sided_model(name, step, side):
+    """The model the Koszul check dualizes on one side of a pair: the
+    smart truncation of the silting side's dg end, or the positive model
+    of the simple side's."""
+    if name == "square":
+        text = (INPUTS.parent / "tests" / "golden" / "resolutions" / "square.alg").read_text(
+            encoding="utf-8"
+        )
+    else:
+        family, n = name.split("-a")
+        text = linear_algebra_text(int(n), family == "rsz")
+    silting, smc = standard_pair(parse_algebra(text))
+    if step is not None:
+        silting, smc = silting_mutate(silting, *step), smc_mutate(smc, *step)
+    if side == "silting":
+        return smart_truncation(dg_end(silting))
+    return positive_model(dg_end(list(smc)))
+
+
+def end_index(objects):
+    """The basis index of ``end_algebra(objects, ...)`` of each map
+    (s, t, g, u, b) sending generator g of objects[s] to the pair (u, b) of
+    objects[t]: blocks run by s, then t, and within a block by degree,
+    then the degree of g, then u, g and b."""
+    E = objects[0].algebra
+    index = {}
+    for s, X in enumerate(objects):
+        for t, Y in enumerate(objects):
+            block = sorted(
+                (Y.basis_degrees[p] - gen.degree, gen.degree, u, g, b)
+                for g, gen in enumerate(X.generators)
+                for p, (u, b) in enumerate(Y.basis_pairs)
+                if E.blocks[b][1] == gen.vertex
+            )
+            for _, _, u, g, b in block:
+                index[(s, t, g, u, b)] = len(index)
+    return index
+
+
+def pair_id(pair):
+    name, step = pair
+    return f"{name}-std" if step is None else f"{name}-{step[0] + 1}{step[1][0]}"
+
+
+@pytest.mark.parametrize("side", ["silting", "smc"])
+@pytest.mark.parametrize("name, step", REFEREE_PAIRS, ids=map(pair_id, REFEREE_PAIRS))
+def test_ext_classes_go_to_the_classes_of_their_lifts_in_the_dual(name, step, side):
+    """koszul_dual is the referee of ext_algebra: sending each Ext class
+    [phi] to the class of its lift Phi in H(koszul_dual) is a verified
+    quasi-isomorphism onto cohomology_algebra(koszul_dual)."""
+    model = one_sided_model(name, step, side)
+    ext = ext_algebra(model, STAGES)
+    dual = koszul_dual(model, STAGES)
+    H = cohomology_algebra(dual)
+    names = list(model.idempotents)
+    index = end_index(
+        [semifree_resolution(chi, model, STAGES) for chi in simple_dg_modules(model).values()]
+    )
+    images = []
+    for i, lift in enumerate(ext.lifts):
+        t, s = (names.index(v) for v in ext.blocks[i])
+        n = ext.degrees[i]
+        Phi = {
+            index[(s, t, g, u, b)]: c
+            for g, image in enumerate(lift)
+            for (u, b), c in image.items()
+        }
+        classes = dual.cohomology(n).coordinates(Phi)
+        assert classes is not None, f"the lift of {ext.labels[i]} is not a cocycle"
+        images.append({H.degrees.index(n) + k: c for k, c in classes.items()})
+    assert verify_dg_quasi_iso(GradedAlgebraMap(ext, H, images))
+
+
+def test_ext_reads_cohomology_where_the_resolution_is_not_minimal():
+    """Over the smart truncation of the square's silting side, S_4 adopts
+    the piece of the long path before the arrow pieces: six generators,
+    while Ext(S_4, ⊕S) has dimension 4.  ext_algebra takes the cohomology
+    of Hom(Q_4, S) and gets the dual's cohomology at vertex 4."""
+    model = one_sided_model("square", None, "silting")
+    R = semifree_resolution(simple_dg_modules(model)["4"], model, STAGES)
+    assert len(R.generators) == 6
+
+    def at_4(A):
+        return Counter(A.degrees[i] for i, (_, source) in enumerate(A.blocks) if source == "4")
+
+    ext = ext_algebra(model, STAGES)
+    assert at_4(ext) == at_4(cohomology_algebra(koszul_dual(model, STAGES))) == {0: 1, 1: 2, 2: 1}
