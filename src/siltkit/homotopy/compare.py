@@ -23,13 +23,14 @@ H^0 End is handed over as sparse structure constants: class coordinates
 are ``linalg.Coords`` keyed by representative position, and its radical
 comes from ``linalg.radical``, the same routine that reads the top of the
 corner algebra whose character is a simple dg module in ``dg.dgmod``.
+Every composite is taken in Hom coordinates (``HomSpace.composites``);
+the only chain maps here are the pair :func:`find_isomorphism` returns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import reduce
 from math import isqrt, lcm
 
 from ..errors import Inconclusive
@@ -59,18 +60,20 @@ def find_isomorphism(
     if mx.is_zero() or my.is_zero():
         ident = identity_map(mx)
         return (ident, ident) if mx.is_zero() and my.is_zero() else None
-    backward = hom_space(my, mx, 0).representatives
+    forward, backward = hom_space(mx, my, 0), hom_space(my, mx, 0)
     end_x, end_y = hom_space(mx, mx, 0), hom_space(my, my, 0)
-    one_x = end_x.class_coordinates(identity_map(mx))
-    one_y = end_y.class_coordinates(identity_map(my))
-    for f in hom_space(mx, my, 0).representatives:
-        columns = [end_x.class_coordinates(g.compose(f)) for g in backward]
-        coords = solve(mx.algebra.field, columns, one_x)
+    field = mx.algebra.field
+    table = backward.composites(forward, end_x)
+    one_x, one_y = _unit(end_x), _unit(end_y)
+    reps = backward.cohomology.reps
+    for j, f in enumerate(forward.cohomology.reps):
+        coords = solve(field, [row[j] for row in table], one_x)
         if coords is None:
             continue
-        g = reduce(ChainMap.add, (backward[t].scale(c) for t, c in sorted(coords.items())))
-        if end_y.class_coordinates(f.compose(g)) == one_y:
-            return f, g
+        g = sparse_combination(field, [(c, reps[t]) for t, c in sorted(coords.items())])
+        fg = forward.complex.compose(f, 0, backward.complex, g, 0, end_y.complex)
+        if end_y.cohomology.coordinates(fg) == one_y:
+            return forward.representatives[j], backward.complex.vector_to_map(0, g)
     return None
 
 
@@ -115,11 +118,7 @@ def is_isomorphic(x: ProjComplex, y: ProjComplex) -> bool:
     field = mx.algebra.field
     (px, dx, _), (py, dy, _) = _end_table(mx), _end_table(my)
     top_x, top_y = top(field, px, range(dx)), top(field, py, range(dy))
-    end_x, forward = hom_space(mx, mx, 0), hom_space(mx, my, 0)
-    products = [
-        [end_x.class_coordinates(g.compose(f)) for f in forward.representatives]
-        for g in hom_space(my, mx, 0).representatives
-    ]
+    products = hom_space(my, mx, 0).composites(hom_space(mx, my, 0), hom_space(mx, mx, 0))
     rows = [
         {t: x for t, c in enumerate(row) if (x := _dot(w, c))}
         for row in products
@@ -135,16 +134,15 @@ def _end_table(x: ProjComplex):
     kept on x, so each complex builds it once."""
     if x._end_table is None:
         space = hom_space(x, x, 0)
-        reps = space.representatives
-        products = {
-            (i, j): space.class_coordinates(a.compose(b))
-            for i, a in enumerate(reps)
-            for j, b in enumerate(reps)
-        }
-        x._end_table = (
-            products, len(reps), space.class_coordinates(identity_map(x))
-        )
+        table = space.composites(space, space)
+        products = {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row)}
+        x._end_table = (products, space.dimension, _unit(space))
     return x._end_table
+
+
+def _unit(end) -> Coords:
+    """The class of the identity in an H^0 End space."""
+    return end.cohomology.coordinates(end.complex.identity())
 
 
 def _dot(u: Coords, v: Coords):

@@ -50,16 +50,8 @@ def alg_mat_mul(a: list, b: list) -> list:
     return out
 
 
-def alg_mat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def alg_mat_neg(a: list) -> list:
     return [[-x for x in row] for row in a]
-
-
-def alg_mat_scale(a: list, scalar) -> list:
-    return [[x.scale(scalar) for x in row] for row in a]
 
 
 def alg_mat_is_zero(a: list) -> bool:
@@ -261,7 +253,9 @@ class ChainMap:
     f^k: X^k -> Y^{k+n} of algebra elements.
 
     Callers build only maps with d_Y f = (-1)^n f d_X, i.e. cocycles of the
-    Hom complex; the condition is not re-checked here.
+    Hom complex; the condition is not re-checked here.  A chain map only
+    feeds :func:`cone`: maps are composed in Hom coordinates
+    (``HomComplex.compose``).
     """
 
     def __init__(
@@ -290,29 +284,6 @@ class ChainMap:
         rows = len(self.target.summands.get(k + self.degree, ()))
         cols = len(self.source.summands.get(k, ()))
         return self.components.get(k, alg_mat_zero(self.source.algebra, rows, cols))
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other; degrees add."""
-        n = self.degree + other.degree
-        components = {}
-        for k in other.source.summands:
-            a = self.component(k + other.degree)
-            b = other.component(k)
-            if a and b:
-                components[k] = alg_mat_mul(a, b)
-        return ChainMap(other.source, self.target, components, degree=n)
-
-    def add(self, other: "ChainMap") -> "ChainMap":
-        if other.degree != self.degree:
-            raise ValueError("cannot add maps of different degrees")
-        components = {}
-        for k in self.source.summands:
-            components[k] = alg_mat_add(self.component(k), other.component(k))
-        return ChainMap(self.source, self.target, components, degree=self.degree)
-
-    def scale(self, scalar) -> "ChainMap":
-        components = {k: alg_mat_scale(m, scalar) for k, m in self.components.items()}
-        return ChainMap(self.source, self.target, components, degree=self.degree)
 
 
 def identity_map(x: ProjComplex) -> ChainMap:

@@ -18,9 +18,14 @@ it is built once per pair of complex keys (``ProjComplex.key``) and kept
 in ``hom_data``, a dict owned by the algebra: it lasts as long as the
 algebra, and two algebras never share it.  With it go each degree's
 differential rank and ``Cohomology``, so representatives and class
-coordinates are also found once per pair of keys.  A ``HomComplex``
-still wraps the caller's own complexes, and the chain maps it returns run
-between them.
+coordinates are also found once per pair of keys.
+
+Composition lives in these coordinates: ``HomComplex.compose`` multiplies
+two Hom vectors entry by entry through ``algebra.products`` into the
+positions of a third Hom complex, and ``HomSpace.composites`` reads the
+classes of the composites of two spaces' representatives.  A
+``HomComplex`` still wraps the caller's own complexes; the chain maps it
+returns (``vector_to_map``) run between them and only feed cones.
 
 Both complexes are bounded (no truncated complex exists), so every degree
 of every Hom complex is answered.
@@ -28,10 +33,11 @@ of every Hom complex is answered.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from ..linalg import Coords, Cohomology, rank
-from .complexes import ChainMap, ProjComplex, alg_mat_zero, single_projective
+from .complexes import ChainMap, ProjComplex, single_projective
 
 BasisElt = tuple[int, int, int, int]
 
@@ -142,55 +148,86 @@ class HomComplex:
     # -- conversions ---------------------------------------------------
 
     def vector_to_map(self, n: int, vec: Coords) -> ChainMap:
-        components: dict[int, list] = {}
+        f = ChainMap(self.source, self.target, {}, degree=n)
         for i in sorted(vec):
             k, r, c, q = self.basis[n][i]
-            if k not in components:
-                components[k] = alg_mat_zero(
-                    self.algebra,
-                    len(self.target.summands[k + n]),
-                    len(self.source.summands[k]),
-                )
-            components[k][r][c] = components[k][r][c] + self.algebra.basis_element(q).scale(vec[i])
-        return ChainMap(self.source, self.target, components, degree=n)
+            row = f.components[k][r]
+            row[c] = row[c] + self.algebra.basis_element(q).scale(vec[i])
+        return f
 
-    def map_to_vector(self, f: ChainMap) -> Coords:
-        """f in the positions of its degree; every position is a distinct
-        (component, entry, path), so no two terms meet."""
-        index = self.index.get(f.degree)
-        vec: Coords = {}
-        for k, mat in f.components.items():
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    for q, coeff in entry.coeffs.items():
-                        vec[index[(k, r, c, q)]] = coeff
-        return vec
+    def identity(self) -> Coords:
+        """The identity of End^0 (source and target have the same key)."""
+        index, e = self.index[0], self.algebra.idempotent_index
+        return {
+            index[(k, i, i, e[v])]: self.field.one
+            for k, vs in self.source.summands.items()
+            for i, v in enumerate(vs)
+        }
+
+    def compose(
+        self, g: Coords, m: int, inner: "HomComplex", f: Coords, n: int, into: "HomComplex"
+    ) -> Coords:
+        """g ∘ f in the degree-(m+n) positions of ``into`` = Hom(X, Z), for
+        g in degree m of this Hom(Y, Z) and f in degree n of ``inner`` =
+        Hom(X, Y).
+
+        At X^k, entry (r2, c) of g∘f is the sum over r of g(r2, r)·f(r, c),
+        each product read off ``algebra.products``.
+        """
+        after: dict[tuple[int, int], list] = {}
+        for i, b in g.items():
+            k, r2, r, q = self.basis[m][i]
+            after.setdefault((k, r), []).append((r2, q, b))
+        products = self.algebra.products
+        index = into.index.get(m + n, {})
+        zero = self.field.zero
+        out: Coords = {}
+        for i, a in f.items():
+            k, r, c, q = inner.basis[n][i]
+            for r2, qg, b in after.get((k + n, r), ()):
+                ab = b * a
+                for p, x in products.get((qg, q), {}).items():
+                    key = index[(k, r2, c, p)]
+                    out[key] = out.get(key, zero) + ab * x
+        return {key: x for key, x in out.items() if x}
 
 
 class HomSpace:
-    """H^n of a Hom complex, with chain-map representatives and coordinates
-    for arbitrary cocycles modulo boundaries."""
+    """H^n of a Hom complex: classes are coordinates over the
+    representative cocycles ``cohomology.reps``."""
 
     def __init__(self, hom: HomComplex, degree: int):
         self.complex = hom
         self.degree = degree
         self.cohomology = hom.cohomology(degree)
-        self.representatives = [
-            hom.vector_to_map(degree, v) for v in self.cohomology.reps
-        ]
-        self.dimension = len(self.representatives)
+        self.dimension = len(self.cohomology.reps)
 
-    def class_coordinates(self, f: ChainMap) -> Coords:
-        """Coordinates of [f] in the representative basis, keyed by
-        representative position (f must be a cocycle of the right
-        degree)."""
-        vec = self.complex.map_to_vector(f)
-        if not vec:
-            return {}
-        coords = self.cohomology.coordinates(vec)
-        if coords is None:
-            raise ValueError("map is not a cocycle modulo boundaries")
-        return coords
+    @cached_property
+    def representatives(self) -> list[ChainMap]:
+        """The representatives as chain maps, for the callers that make
+        cones of them."""
+        return [self.complex.vector_to_map(self.degree, v) for v in self.cohomology.reps]
+
+    def composites(self, inner: "HomSpace", into: "HomSpace") -> list[list[Coords]]:
+        """The class table [g_i ∘ f_j] in ``into``, for the representatives
+        g_i of this space and f_j of ``inner``; one ``compose`` per pair.
+
+        Raises ValueError on a composite that is not a cocycle modulo
+        boundaries.
+        """
+        compose, hom = self.complex.compose, inner.complex
+        m, n = self.degree, inner.degree
+        table = []
+        for g in self.cohomology.reps:
+            row = []
+            for f in inner.cohomology.reps:
+                vec = compose(g, m, hom, f, n, into.complex)
+                coords = into.cohomology.coordinates(vec) if vec else {}
+                if coords is None:
+                    raise ValueError("composite is not a cocycle modulo boundaries")
+                row.append(coords)
+            table.append(row)
+        return table
 
 
 def hom_space(x: ProjComplex, y: ProjComplex, n: int) -> HomSpace:

@@ -7,6 +7,13 @@ restricted map still induces surjections Hom(E', G) -> Hom(X, G) for every
 generator G.  Because dropped copies only ever shrink the available maps, a
 single forward pass lands on a genuinely minimal approximation.
 
+H^0 Hom out of (or into) a sum is the sum of the Hom spaces of its parts,
+so the image of Hom(E', G) -> Hom(X, G) is the union of the images of the
+kept copies.  Each copy's image is read once, in Hom coordinates, from the
+generators' own Hom spaces (``HomSpace.composites``); no trial builds a
+sum or a Hom complex of one.  The chain map of the kept copies is stacked
+only at the end, to feed ``cone``.
+
 Mutation at a chosen index replaces that summand by a cone construction and
 keeps everything else.  Simple-minded mutation does not verify its output;
 callers check the result (``check_pattern`` runs ``check_smc``).  It passes
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..linalg import rank
+from ..linalg import Coords, rank
 from .complexes import (
     ChainMap,
     Generated,
@@ -29,7 +36,7 @@ from .complexes import (
     minimize,
     shift,
 )
-from .homs import hom_space
+from .homs import HomComplex, hom_space
 
 
 @dataclass
@@ -39,7 +46,6 @@ class Approximation:
 
     map: ChainMap
     multiplicities: dict[int, int]
-    side: str
 
 
 def _assemble_sum(parts: list[ProjComplex], algebra) -> ProjComplex:
@@ -49,58 +55,29 @@ def _assemble_sum(parts: list[ProjComplex], algebra) -> ProjComplex:
     return total
 
 
-def _stack_to_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap]) -> ChainMap:
-    """Column-stack maps X -> parts[t] into a single map X -> ⊕ parts."""
-    algebra = x.algebra
-    total = _assemble_sum(parts, algebra)
-    components: dict[int, list] = {}
-    for k in x.summands:
-        cols = len(x.summands[k])
-        rows_blocks = []
-        for t, part in enumerate(parts):
-            block_rows = len(part.summands.get(k, ()))
-            mat = maps[t].component(k)
-            for r in range(block_rows):
-                rows_blocks.append([mat[r][c] for c in range(cols)])
-        if rows_blocks:
-            components[k] = rows_blocks
-    return ChainMap(x, total, components, degree=0)
-
-
-def _stack_from_sum(x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap]) -> ChainMap:
-    """Row-stack maps parts[t] -> X into a single map ⊕ parts -> X."""
-    algebra = x.algebra
-    total = _assemble_sum(parts, algebra)
-    components: dict[int, list] = {}
-    for k in total.summands:
-        rows = len(x.summands.get(k, ()))
-        if rows == 0:
-            continue
-        mat = [[] for _ in range(rows)]
-        for t, part in enumerate(parts):
-            block_cols = len(part.summands.get(k, ()))
-            sub = maps[t].component(k)
-            for r in range(rows):
-                for c in range(block_cols):
-                    mat[r].append(sub[r][c])
-        components[k] = mat
-    return ChainMap(total, x, components, degree=0)
-
-
-def _covers_target(space, compositions) -> bool:
-    """Whether the classes of the given maps span the whole hom space."""
-    classes = [space.class_coordinates(comp) for comp in compositions]
-    return rank(space.complex.field, classes) == space.dimension
-
-
-def _universal(
-    x: ProjComplex, parts: list[ProjComplex], maps: list[ChainMap], side: str
-) -> ChainMap:
+def _universal(x: ProjComplex, maps: list[tuple[HomComplex, Coords]], side: str) -> ChainMap:
     """The stacked map X -> ⊕ parts on the left side, ⊕ parts -> X on the
-    right side."""
-    if side == "left":
-        return _stack_to_sum(x, parts, maps)
-    return _stack_from_sum(x, parts, maps)
+    right side, from one (Hom complex, degree-0 vector) pair per part.
+
+    Each term (k, r, c, q) moves past the summands of the earlier parts in
+    degree k: on the row on the left side, on the column on the right.
+    """
+    parts = [hom.target if side == "left" else hom.source for hom, _ in maps]
+    total = _assemble_sum(parts, x.algebra)
+    f = ChainMap(x, total, {}) if side == "left" else ChainMap(total, x, {})
+    offsets: dict[int, int] = {}
+    for part, (hom, vec) in zip(parts, maps):
+        for i in sorted(vec):
+            k, r, c, q = hom.basis[0][i]
+            if side == "left":
+                r += offsets.get(k, 0)
+            else:
+                c += offsets.get(k, 0)
+            row = f.components[k][r]
+            row[c] = row[c] + x.algebra.basis_element(q).scale(vec[i])
+        for k, vs in part.summands.items():
+            offsets[k] = offsets.get(k, 0) + len(vs)
+    return f
 
 
 def _hom_0(x: ProjComplex, g: ProjComplex, side: str):
@@ -112,30 +89,32 @@ def _approximation(x: ProjComplex, generators: list[ProjComplex], side: str) -> 
     """The minimal left (X -> E) or right (E -> X) approximation of X with
     E in the additive closure of the generators."""
     spaces = [_hom_0(x, g, side) for g in generators]
-    copies: list[tuple[int, ChainMap]] = []
-    for u, space in enumerate(spaces):
-        for rep in space.representatives:
-            copies.append((u, rep))
 
-    def stacked(kept: list[tuple[int, ChainMap]]) -> ChainMap:
-        return _universal(x, [generators[u] for u, _ in kept], [rep for _, rep in kept], side)
+    def images(u: int, w: int) -> list[list[Coords]]:
+        """Per copy j of G_u, the classes in spaces[w] of its composites
+        with H^0 Hom(G_u, G_w) on the left side (h ∘ f_j), or with
+        H^0 Hom(G_w, G_u) on the right side (f_j ∘ h)."""
+        if not spaces[u].dimension:
+            return []
+        if side == "right":
+            return spaces[u].composites(hom_space(generators[w], generators[u], 0), spaces[w])
+        table = hom_space(generators[u], generators[w], 0).composites(spaces[u], spaces[w])
+        return [[row[j] for row in table] for j in range(spaces[u].dimension)]
 
-    def is_approximation(kept: list[tuple[int, ChainMap]]) -> bool:
-        f = stacked(kept)
-        total = f.target if side == "left" else f.source
-        for g, target_space in zip(generators, spaces):
-            if target_space.dimension == 0:
-                continue
-            reps = _hom_0(total, g, side).representatives
-            if side == "left":
-                comps = [h.compose(f) for h in reps]
-            else:
-                comps = [f.compose(h) for h in reps]
-            if not _covers_target(target_space, comps):
-                return False
-        return True
+    reach = {
+        w: [images(u, w) for u in range(len(generators))]
+        for w, space in enumerate(spaces)
+        if space.dimension
+    }
+    field = x.algebra.field
 
-    kept = list(copies)
+    def is_approximation(kept: list[tuple[int, int]]) -> bool:
+        return all(
+            rank(field, [c for u, j in kept for c in copies[u][j]]) == spaces[w].dimension
+            for w, copies in reach.items()
+        )
+
+    kept = [(u, j) for u, space in enumerate(spaces) for j in range(space.dimension)]
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1 :]
@@ -147,7 +126,8 @@ def _approximation(x: ProjComplex, generators: list[ProjComplex], side: str) -> 
     mults: dict[int, int] = {u: 0 for u in range(len(generators))}
     for u, _ in kept:
         mults[u] += 1
-    return Approximation(map=stacked(kept), multiplicities=mults, side=side)
+    maps = [(spaces[u].complex, spaces[u].cohomology.reps[j]) for u, j in kept]
+    return Approximation(map=_universal(x, maps, side), multiplicities=mults)
 
 
 def left_approximation(x: ProjComplex, generators: list[ProjComplex]) -> Approximation:
@@ -195,8 +175,7 @@ def _power_map(x: ProjComplex, g: ProjComplex, degree_shift: int, side: str) -> 
     space = _hom_0(x, other, side)
     if space.dimension == 0:
         return None
-    parts = [other for _ in space.representatives]
-    return _universal(x, parts, list(space.representatives), side)
+    return _universal(x, [(space.complex, v) for v in space.cohomology.reps], side)
 
 
 def smc_mutate(

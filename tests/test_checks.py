@@ -262,12 +262,12 @@ def test_canonical_cover_of_the_top(a2_cast):
     cert = check_pattern(a2_cast["silting"], a2_cast["smc"])
     assert cert.bijection[0] == 0
     space = hom_space(a2_cast["p1"], a2_cast["smc"][0], 0)
-    assert space.class_coordinates(space.representatives[0]) == {0: 1}
+    assert space.cohomology.coordinates(space.cohomology.reps[0]) == {0: 1}
 
 
 def test_zero_map_is_no_cover(a2_cast):
     space = hom_space(a2_cast["p1"], a2_cast["smc"][0], 0)
-    assert space.class_coordinates(space.representatives[0].scale(0)) == {}
+    assert space.cohomology.coordinates({}) == {}
 
 
 def test_decomposable_source_is_no_cover(a2_cast):

@@ -68,19 +68,15 @@ def test_dg_end_blocks_are_the_hom_complexes(name, mutated, request):
                 ]
                 assert images == hom.differential(n)
 
-        def chain_map(key):
-            s, t, n, loc = key
-            return homs[(s, t)].vector_to_map(n, {loc: field.one})
-
         for (s1, t1, n1, l1), i in index.items():
-            f = chain_map((s1, t1, n1, l1))
             for (s2, t2, n2, l2), j in index.items():
                 got = E.products.get((i, j), {})
                 if t2 != s1:
                     assert got == {}
                     continue
-                composite = f.compose(chain_map((s2, t2, n2, l2)))
-                vec = homs[(s2, t1)].map_to_vector(composite)
+                vec = homs[(s1, t1)].compose(
+                    {l1: field.one}, n1, homs[(s2, t2)], {l2: field.one}, n2, homs[(s2, t1)]
+                )
                 assert got == {index[(s2, t1, n1 + n2, k)]: c for k, c in vec.items()}
 
 

@@ -1,13 +1,19 @@
 """Hom complexes between complexes of projectives and the Euler pairing."""
 
+from fractions import Fraction
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FORBIDDEN, INPUTS
 from oracles import (
+    element_product,
     euler_pairing,
     hom_cochain_coordinates,
     hom_cohomology_dims,
     hom_differential_matrix,
+    relation_words,
 )
 from siltkit.cli.parsing import parse_algebra
 from siltkit.core.modules import minimal_projective_resolution
@@ -131,7 +137,7 @@ def test_representatives_are_chain_maps_spanning_the_space(a2):
     assert space.dimension == len(space.representatives) == 1
     f = space.representatives[0]
     assert f.degree == 0
-    assert space.class_coordinates(f) == {0: 1}
+    assert space.cohomology.coordinates(space.cohomology.reps[0]) == {0: 1}
 
 
 def test_boundary_detection(a2):
@@ -145,8 +151,8 @@ def test_boundary_detection(a2):
     cocycles = space.cohomology.cocycles
     assert cocycles
     for z in cocycles:
-        # A boundary has zero coordinates; a non-boundary would raise.
-        assert space.class_coordinates(space.complex.vector_to_map(0, z)) == {}
+        # A boundary has zero coordinates; a non-cocycle would read None.
+        assert space.cohomology.coordinates(z) == {}
 
 
 def test_euler_pairing_equals_cartan_pairing(a2, a3rel):
@@ -215,3 +221,80 @@ def test_two_algebras_from_one_file_never_share_hom_data():
     for n in a.basis:
         assert a.differential(n) is not b.differential(n)
         assert a.differential(n) == b.differential(n)
+
+
+COMPOSE_FILES = {
+    "a2": INPUTS / "a2.alg",
+    "a3rel": INPUTS / "a3rel.alg",
+    "kron": INPUTS / "kron.alg",
+    "square": INPUTS.parent / "tests" / "golden" / "resolutions" / "square.alg",
+}
+COMPOSE_CASES = [(name, p) for name in COMPOSE_FILES for p in (0, 3)]
+
+
+@cache
+def compose_case(name: str, characteristic: int):
+    """The algebra at this characteristic, the oracle's relation words
+    (read off the rational algebra) and the complexes to compose between:
+    every projective stalk in degrees 0 and 1 and every resolved simple,
+    also shifted."""
+    text = COMPOSE_FILES[name].read_text(encoding="utf-8")
+    algebra = parse_algebra(text, characteristic)
+    words = relation_words(parse_algebra(text))
+    objects = []
+    for v in algebra.quiver.vertices:
+        objects += [single_projective(algebra, v, 0), single_projective(algebra, v, 1)]
+        objects += [res(algebra, v), shift(res(algebra, v), 1)]
+    return algebra, words, objects
+
+
+def draw_cochain(data, hom: HomComplex, n: int) -> dict:
+    """A random degree-n cochain of hom, not necessarily a cocycle."""
+    if not hom.dimension(n):
+        return {}
+    coefficient = st.integers(min_value=-2, max_value=2).filter(bool)
+    drawn = data.draw(
+        st.dictionaries(st.integers(0, hom.dimension(n) - 1), coefficient, max_size=4)
+    )
+    return {i: hom.field.coerce(c) for i, c in drawn.items()}
+
+
+def entries(hom: HomComplex, n: int, vec: dict) -> dict:
+    """{(k, r, c): {path: coefficient}}: the matrix entries of a cochain,
+    residues of F_p read as integers."""
+    out: dict = {}
+    for i, c in vec.items():
+        k, r, col, q = hom.basis[n][i]
+        out.setdefault((k, r, col), {})[q] = Fraction(getattr(c, "value", c))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(COMPOSE_CASES), st.data())
+def test_compose_is_the_entrywise_product_of_matrices(case, data):
+    """At X^k, entry (r2, c) of g∘f is the sum over r of g(r2, r)·f(r, c),
+    with each product of algebra elements taken by the path oracle."""
+    name, p = case
+    algebra, (forbidden, binomials), objects = compose_case(name, p)
+    x, y, z = (data.draw(st.sampled_from(objects)) for _ in range(3))
+    m, n = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+    outer, inner, into = HomComplex(y, z), HomComplex(x, y), HomComplex(x, z)
+    g, f = draw_cochain(data, outer, m), draw_cochain(data, inner, n)
+    gs, fs = entries(outer, m, g), entries(inner, n, f)
+    expected: dict = {}
+    for (k, r, c), f_entry in fs.items():
+        for r2 in range(len(z.summands.get(k + n + m, ()))):
+            g_entry = gs.get((k + n, r2, r))
+            if g_entry is None:
+                continue
+            product = element_product(algebra, g_entry, f_entry, forbidden, binomials)
+            for path, coeff in product.items():
+                key = (k, r2, c, path)
+                expected[key] = expected.get(key, Fraction(0)) + coeff
+    if p:
+        expected = {key: c % p for key, c in expected.items()}
+    expected = {key: c for key, c in expected.items() if c}
+    got = outer.compose(g, m, inner, f, n, into)
+    assert {
+        into.basis[m + n][i]: Fraction(getattr(c, "value", c)) for i, c in got.items()
+    } == expected

@@ -2,8 +2,11 @@
 
 import pytest
 
+from conftest import linear_algebra_text
+from siltkit.cli.parsing import parse_algebra
 from siltkit.core.modules import minimal_projective_resolution
 from siltkit.correspond.checks import check_pattern
+from siltkit.correspond.pipeline import standard_pair
 from siltkit.errors import PatternFailed
 from siltkit.homotopy.compare import is_isomorphic
 from siltkit.homotopy.complexes import Generated, shift, single_projective
@@ -119,6 +122,22 @@ def test_right_approximation_of_p1_from_p2(a2):
     p2 = single_projective(a2, "2", 0)
     approx = right_approximation(p1, [p2])
     assert approx.map.target is p1
+
+
+@pytest.mark.parametrize(
+    "side, order", [("left", (3, 2, 1, 0)), ("right", (0, 1, 2, 3))], ids=["left", "right"]
+)
+def test_trimming_builds_no_hom_complex_of_a_sum(side, order):
+    """An approximation judges its copies from the members' own Hom
+    spaces: along a four-step walk on a fresh linear A4, every Hom complex
+    built runs between members of the collections mutated."""
+    algebra = parse_algebra(linear_algebra_text(4, False))
+    walk = [list(standard_pair(algebra)[0])]
+    for index in order:
+        walk.append(silting_mutate(walk[-1], index, side))
+    keys = {x.key for collection in walk[:-1] for x in collection}
+    assert algebra.hom_data
+    assert all(s in keys and t in keys for s, t in algebra.hom_data)
 
 
 def test_mutation_preserves_size_and_the_other_members(a2, std_silting):
