@@ -509,6 +509,20 @@ def cmd_replay(config: RunConfig, algebra_path: str, cert_path: str) -> Report:
             config, "replay", inputs, algebra, {"replay": "pass"}, body, body
         )
     old, new = original.splitlines(), replayed.splitlines()
+    # A verdict that passed and now only misses its certificate (a closure
+    # search stopped by --depth, say) is no witness against the original.
+    changed = [(a, b) for a, b in zip(old, new) if a != b]
+    lost = [a.split()[1] for a, b in changed if a.startswith("verdict ")
+            and a.endswith(" pass") and b == a[: -len("pass")] + "not-certified"]
+    if len(old) == len(new) and changed and len(lost) == len(changed):
+        body = [
+            f"{name} is not certified on replay at --depth {config.depth}, "
+            f"where the certificate reads pass"
+            for name in lost
+        ]
+        return _finish(
+            config, "replay", inputs, algebra, {"replay": "not-certified"}, body, body
+        )
     first_diff = next(
         (n for n, (a, b) in enumerate(zip(old, new), start=1) if a != b),
         min(len(old), len(new)) + 1,

@@ -101,14 +101,33 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
     (else the graded action could not be concentrated in one degree).  A
     corner whose top is not the field and a character that is not
     multiplicative raise SimpleNotOneDimensional, the other failures
-    IdempotentLiftMissing.
+    IdempotentLiftMissing.  The two checks on pairs visit only the pairs
+    where a side can be nonzero: the pairs of elements chi does not kill,
+    and the products whose support chi does not kill.  They visit them in
+    the order of a check of every pair, so the first failure is the same.
     """
     if not E.idempotents:
         raise ValueError("the algebra carries no idempotent family")
     field = E.field
+    degrees = E.degrees
+    # The products of two degree-0 elements and those of two elements of
+    # opposite nonzero degrees, (degree, i, j) by each basis element of
+    # their support: chi sees a product only through its support.
+    products0: dict[int, list] = {}
+    opposite: dict[int, list] = {}
+    for (i, j), val in E.products.items():
+        if degrees[i] == degrees[j] == 0:
+            into = products0
+        elif degrees[i] and degrees[i] == -degrees[j]:
+            into = opposite
+        else:
+            continue
+        for g in val:
+            into.setdefault(g, []).append((degrees[i], i, j))
     out: dict[str, list] = {}
     for name in E.idempotents:
         chi = _character(E, name)
+        support = [g for g, c in enumerate(chi) if c]  # all of degree 0
 
         def chi_of(coords: Coords):
             return sum((c * chi[g] for g, c in coords.items()), field.zero)
@@ -119,31 +138,27 @@ def simple_dg_modules(E: DGAlgebra) -> dict[str, list]:
                 raise IdempotentLiftMissing(
                     f"character of {name} does not separate idempotent {other}"
                 )
-        idx0 = E.indices_at(0)
-        for i in idx0:
-            for j in idx0:
-                left = chi_of(E.products.get((i, j), {}))
-                if left != chi[i] * chi[j]:
-                    raise SimpleNotOneDimensional(
-                        f"character of {name} is not multiplicative on "
-                        f"{E.labels[i]} * {E.labels[j]}"
-                    )
+        pairs = {(i, j) for i in support for j in support}
+        pairs.update((i, j) for g in support for _, i, j in products0.get(g, ()))
+        for i, j in sorted(pairs):
+            left = chi_of(E.products.get((i, j), {}))
+            if left != chi[i] * chi[j]:
+                raise SimpleNotOneDimensional(
+                    f"character of {name} is not multiplicative on "
+                    f"{E.labels[i]} * {E.labels[j]}"
+                )
         for i, di in E.differential.items():
             if E.degrees[i] == -1 and chi_of(di):
                 raise IdempotentLiftMissing(
                     f"character of {name} does not vanish on d({E.labels[i]})"
                 )
-        for a in sorted(set(E.degrees)):
-            if a == 0:
-                continue
-            opposite = E.indices_at(-a)
-            for i in E.indices_at(a):
-                for j in opposite:
-                    if chi_of(E.products.get((i, j), {})):
-                        raise IdempotentLiftMissing(
-                            f"character of {name} sees the degree-{a} part "
-                            f"through {E.labels[i]} * {E.labels[j]}"
-                        )
+        seen = sorted({t for g in support for t in opposite.get(g, ())})
+        for a, i, j in seen:
+            if chi_of(E.products[(i, j)]):
+                raise IdempotentLiftMissing(
+                    f"character of {name} sees the degree-{a} part "
+                    f"through {E.labels[i]} * {E.labels[j]}"
+                )
         out[name] = chi
     return out
 

@@ -21,8 +21,10 @@ hand it their differentials, and get everything back in their own keys.
 ``sparse_product`` and ``sparse_combination`` are the one place sparse
 structure constants are applied: path algebras, dg algebras and dg modules
 multiply through the first; dg differentials and algebra maps act through
-the second (as ``sparse_apply``), and ``DGAlgebra.verify`` multiplies by a
-basis element through it.
+the second (as ``sparse_apply``).  ``DGAlgebra.verify`` and
+``DGAlgebra.blocks`` read a table by rows (``product_rows``), k -> e_m e_k
+for fixed m, and sum through the second only the row entries with several
+terms or a coefficient other than 1.
 
 ``radical`` is the one place the Jacobson radical of a finite algebra is
 computed, from the same sparse structure constants: H^0 End of a complex
@@ -90,6 +92,89 @@ def sparse_apply(field: Field, table: dict[int, Coords], x: Coords) -> Coords:
     """The linear image sum x_i * table[i] of sparse coordinates, for a map
     given by its sparse columns ``table`` (missing columns are 0)."""
     return sparse_combination(field, ((xi, table.get(i)) for i, xi in x.items()))
+
+
+# -- a structure-constant table read by rows --------------------------------
+#
+# A row is the table at one left (or right) factor m: k -> e_m e_k.  Whole
+# rows are compared and combined as dicts, so a check over the table costs
+# the nonzero products it reads.  Entries are shared with the table, never
+# copied or scaled when a coefficient is 1; callers only read them.
+
+
+def product_rows(table: dict[tuple[int, int], Coords]):
+    """``(rows, cols)`` with ``rows[m][k]`` and ``cols[k][m]`` both the
+    product e_m e_k, over the nonzero products: a key of ``table`` that
+    holds no term is not a product."""
+    rows: dict[int, dict[int, Coords]] = {}
+    cols: dict[int, dict[int, Coords]] = {}
+    for (m, k), val in table.items():
+        if val:
+            rows.setdefault(m, {})[k] = val
+            cols.setdefault(k, {})[m] = val
+    return rows, cols
+
+
+def split_rows(field: Field, rows: dict[int, dict[int, Coords]]):
+    """Each row split in two: ``single[m][k] = t`` where e_m e_k is e_t
+    itself, and ``rest[m][k] = e_m e_k`` for every other product."""
+    one = field.one
+    single: dict[int, dict[int, int]] = {}
+    rest: dict[int, dict[int, Coords]] = {}
+    for m, row in rows.items():
+        singles, others = single.setdefault(m, {}), rest.setdefault(m, {})
+        for k, v in row.items():
+            if len(v) == 1:
+                ((t, c),) = v.items()
+                if c == one:
+                    singles[k] = t
+                    continue
+            others[k] = v
+    return single, rest
+
+
+def apply_to_row(
+    field: Field, table: dict[int, Coords], singles: dict[int, int], others
+) -> dict[int, Coords]:
+    """The row k -> ``sparse_apply(field, table, e_m e_k)``, for the row of
+    m split by ``split_rows`` into ``singles`` and ``others``."""
+    out = {k: table[t] for k, t in singles.items() if t in table}
+    for k, v in others.items():
+        v = sparse_apply(field, table, v)
+        if v:
+            out[k] = v
+    return out
+
+
+def sum_terms(field: Field, terms: dict[int, list]) -> dict[int, Coords]:
+    """The sums of the terms (c, v) collected under each key, keeping the
+    nonzero ones; a single term with coefficient 1 is v itself."""
+    out: dict[int, Coords] = {}
+    one = field.one
+    for k, here in terms.items():
+        if len(here) == 1 and here[0][0] == one:
+            out[k] = here[0][1]
+        else:
+            v = sparse_combination(field, here)
+            if v:
+                out[k] = v
+    return out
+
+
+def row_combination(
+    field: Field, rows: dict[int, dict[int, Coords]], x: Coords
+) -> dict[int, Coords]:
+    """The row k -> sum_m x_m rows[m][k]: x e_k for the ``rows`` of
+    ``product_rows``, and e_k x for its ``cols``."""
+    if len(x) == 1:
+        ((m, c),) = x.items()
+        if c == field.one:
+            return rows.get(m, {})
+    terms: dict[int, list] = {}
+    for m, c in x.items():
+        for k, v in rows.get(m, {}).items():
+            terms.setdefault(k, []).append((c, v))
+    return sum_terms(field, terms)
 
 
 def _subtract(v: Coords, factor, row: Coords, zero) -> None:

@@ -515,3 +515,64 @@ def corner_eigenvalue(A, idempotent: dict, x: dict) -> sympy.Rational:
     assert len(eigenvalues) == 1, f"left multiplication has eigenvalues {eigenvalues}"
     (value,) = eigenvalues
     return value
+
+
+# ---------------------------------------------------------------------------
+# the checks on the characters of simple dg modules, pair by pair
+# ---------------------------------------------------------------------------
+
+
+def dense_simple_dg_modules(A, character) -> dict[str, list]:
+    """The characters of ``dgmod.simple_dg_modules``, with its four checks
+    run in its order and raising its exceptions and messages, but densely:
+    multiplicativity on every pair of degree-0 basis elements, and the
+    vanishing on every pair of basis elements of opposite nonzero degrees.
+    ``character(A, name)`` gives each character; only A's structure data
+    (``degrees``, ``labels``, ``products``, ``differential``,
+    ``idempotents``, ``field``) is read besides."""
+    from siltkit.errors import IdempotentLiftMissing, SimpleNotOneDimensional
+
+    if not A.idempotents:
+        raise ValueError("the algebra carries no idempotent family")
+    field = A.field
+
+    def at(n: int) -> list[int]:
+        return [i for i, m in enumerate(A.degrees) if m == n]
+
+    out: dict[str, list] = {}
+    for name in A.idempotents:
+        chi = character(A, name)
+
+        def chi_of(coords: dict):
+            return sum((c * chi[g] for g, c in coords.items()), field.zero)
+
+        for other, e_other in A.idempotents.items():
+            expected = field.one if other == name else field.zero
+            if chi_of(e_other) != expected:
+                raise IdempotentLiftMissing(
+                    f"character of {name} does not separate idempotent {other}"
+                )
+        for i in at(0):
+            for j in at(0):
+                if chi_of(A.products.get((i, j), {})) != chi[i] * chi[j]:
+                    raise SimpleNotOneDimensional(
+                        f"character of {name} is not multiplicative on "
+                        f"{A.labels[i]} * {A.labels[j]}"
+                    )
+        for i, di in A.differential.items():
+            if A.degrees[i] == -1 and chi_of(di):
+                raise IdempotentLiftMissing(
+                    f"character of {name} does not vanish on d({A.labels[i]})"
+                )
+        for a in sorted(set(A.degrees)):
+            if a == 0:
+                continue
+            for i in at(a):
+                for j in at(-a):
+                    if chi_of(A.products.get((i, j), {})):
+                        raise IdempotentLiftMissing(
+                            f"character of {name} sees the degree-{a} part "
+                            f"through {A.labels[i]} * {A.labels[j]}"
+                        )
+        out[name] = chi
+    return out

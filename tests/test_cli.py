@@ -114,6 +114,39 @@ def test_replay_names_the_certificate_line_of_a_bad_entry(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: line 12, column 1: unknown arrow 'zz'\n"
 
 
+#: A walk whose mutated smc passes by its provenance grant, which a replay,
+#: re-parsing a plain collection, must earn back by a closure search.
+KRON_LEFT = ["mutate", "{in}/kron.alg", "{in}/std.pair", "--at", "1", "--left", "--out", "{out}"]
+
+
+def test_a_replay_that_only_loses_a_pass_is_not_certified(tmp_path):
+    """At --depth 1 the closure search of the replayed smc stops short, so
+    the replay differs from the certificate only in ``verdict smc``; no
+    witness contradicts the certificate, so the replay ends not-certified,
+    naming the check and the depth."""
+    run_case(KRON_LEFT, tmp_path / "mutate")
+    cert = str(tmp_path / "mutate" / "step-1.cert")
+    code, stdout, _ = run_case(["replay", "{in}/kron.alg", cert, "--depth", "1"], tmp_path / "r")
+    assert code == 3
+    lost = "smc is not certified on replay at --depth 1, where the certificate reads pass\n"
+    assert lost in stdout
+    assert "verdict replay not-certified\n" in stdout
+    code, _, _ = run_case(["replay", "{in}/kron.alg", cert], tmp_path / "r")
+    assert code == 0
+
+
+@pytest.mark.parametrize("depth", [[], ["--depth", "1"]], ids=["default-depth", "depth-1"])
+def test_a_replay_of_a_changed_hom_dimension_fails(depth, tmp_path):
+    run_case(KRON_LEFT, tmp_path / "mutate")
+    cert = tmp_path / "mutate" / "step-1.cert"
+    text = cert.read_text(encoding="utf-8")
+    assert "\nhom S1 T1 0 1\n" in text
+    cert.write_text(text.replace("\nhom S1 T1 0 1\n", "\nhom S1 T1 0 2\n"), encoding="utf-8")
+    code, stdout, _ = run_case(["replay", "{in}/kron.alg", str(cert), *depth], tmp_path / "r")
+    assert code == 2
+    assert "verdict replay fail\n" in stdout
+
+
 def test_an_undeclared_vertex_in_a_complex_is_located(tmp_path, capsys):
     path = tmp_path / "p9.coll"
     path.write_text("complex X {\n  deg 0: P9;\n}\nsilting s = [X]\n", encoding="utf-8")

@@ -7,11 +7,17 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import STAGES
-from oracles import character_module, dense_dg_module_verify, dense_dg_verify
+from conftest import INPUTS, STAGES
+from oracles import (
+    character_module,
+    dense_dg_module_verify,
+    dense_dg_verify,
+    dense_simple_dg_modules,
+)
+from siltkit.cli.parsing import parse_algebra
 from siltkit.core.algebras import build_algebra
 from siltkit.core.modules import minimal_projective_resolution
-from siltkit.core.quivers import Arrow, Quiver
+from siltkit.core.quivers import Arrow, Path, Quiver
 from siltkit.correspond.pipeline import (
     _blockwise_buckets,
     graded_algebra_isomorphism,
@@ -22,13 +28,17 @@ from siltkit.dg import (
     GradedAlgebraMap,
     cohomology_algebra,
     dg_end,
+    ext_algebra,
     find_formality_witness,
     koszul_dual,
     path_algebra_to_dg,
+    positive_model,
     semifree_resolution,
     simple_dg_modules,
     verify_dg_quasi_iso,
 )
+from siltkit.dg.dga import _induced_algebra
+from siltkit.dg.dgmod import _character
 from siltkit.errors import (
     ChainConditionViolated,
     IdempotentLiftMissing,
@@ -510,24 +520,60 @@ def broken_axiom(E) -> str | None:
     return None
 
 
+def triangular(E, a: int, b: int, c):
+    """E in the basis with e_a replaced by e_a + c e_b, for a != b of one
+    degree in one block: products and differentials through e_a gain a
+    second term."""
+    vectors = [{a: QQ.one, b: c} if t == a else {t: QQ.one} for t in range(E.dimension)]
+
+    def read(x):
+        out = dict(x)
+        if a in x:
+            out[b] = out.get(b, QQ.zero) - c * x[a]
+        return {k: v for k, v in out.items() if v}
+
+    return _induced_algebra(E, vectors, list(E.labels), "triangular", read)
+
+
 @functools.cache
 def referee_bases() -> tuple:
-    """The dg ends of the standard pairs of A2 and A3 and the Koszul dual
-    of the dg end of the projectives of A2."""
+    """The dg ends of the standard pairs of A2 and A3, the Koszul dual of
+    the dg end of the projectives of A2, the Ext algebra of the positive
+    model of the commutative square's simple-minded side (coefficients
+    other than 1), the dg end of A3's simple-minded side after a
+    triangular change of basis in its (1, 2) block (products of several
+    terms), and the dg end of P1 and P2[1] over the radical-square-zero
+    2-cycle (degrees -1 and 1 with local corners, so that every character
+    check can fail)."""
     a2 = build_algebra(Quiver(("1", "2"), (Arrow("a", "2", "1"),)), [], 2)
     a3 = build_algebra(
         Quiver(("1", "2", "3"), (Arrow("a", "2", "1"), Arrow("b", "3", "2"))), [], 3
     )
     bases = [dg_end(side) for algebra in (a2, a3) for side in standard_pair(algebra)]
     bases.append(koszul_dual(bases[0], STAGES))
+    square_text = INPUTS.parent / "tests" / "golden" / "resolutions" / "square.alg"
+    square = parse_algebra(square_text.read_text(encoding="utf-8"))
+    _, smc = standard_pair(square)
+    bases.append(ext_algebra(positive_model(dg_end(smc)), STAGES))
+    assert bases[3].blocks[5] == bases[3].blocks[6] == ("1", "2")
+    assert bases[3].degrees[5] == bases[3].degrees[6] == 0
+    bases.append(triangular(bases[3], 5, 6, QQ.coerce(2)))
+    two_cycle = build_algebra(
+        Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1"))),
+        [[(QQ.one, Path(("a", "b"), "2", "2"))], [(QQ.one, Path(("b", "a"), "1", "1"))]],
+        2,
+    )
+    p1, p2 = stalks(two_cycle)
+    bases.append(dg_end([p1, shift(p2, -1)]))
     return tuple(bases)
 
 
 @st.composite
 def perturbed_dg_algebras(draw):
     """A base algebra with one to three of: a coefficient bumped, a product
-    dropped, a product of the right degree added, a differential term of
-    the right degree added."""
+    dropped, a product of the right degree added, one added inside the
+    block where composable blocks multiply, a differential term of the
+    right degree added."""
     E = draw(st.sampled_from(referee_bases()))
     products = {key: dict(val) for key, val in E.products.items()}
     differential = {i: dict(val) for i, val in E.differential.items()}
@@ -539,7 +585,7 @@ def perturbed_dg_algebras(draw):
         row[k] = row.get(k, QQ.zero) + c
 
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        kind = draw(st.sampled_from(["bump", "drop", "product", "differential"]))
+        kind = draw(st.sampled_from(["bump", "drop", "product", "block", "differential"]))
         if kind in ("bump", "drop") and products:
             key = draw(st.sampled_from(sorted(products)))
             if kind == "drop":
@@ -550,6 +596,15 @@ def perturbed_dg_algebras(draw):
             i, j = draw(st.tuples(st.sampled_from(basis), st.sampled_from(basis)))
             targets = [k for k in basis if E.degrees[k] == E.degrees[i] + E.degrees[j]]
             if targets:
+                add(products, (i, j), draw(st.sampled_from(targets)), draw(scalar))
+        elif kind == "block":
+            i, j = draw(st.tuples(st.sampled_from(basis), st.sampled_from(basis)))
+            (s, t), (t2, u) = E.blocks[i], E.blocks[j]
+            targets = [
+                k for k in basis
+                if E.degrees[k] == E.degrees[i] + E.degrees[j] and E.blocks[k] == (s, u)
+            ]
+            if t == t2 and targets:
                 add(products, (i, j), draw(st.sampled_from(targets)), draw(scalar))
         elif kind == "differential":
             i = draw(st.sampled_from(basis))
@@ -571,3 +626,27 @@ def test_the_referee_accepts_the_bases():
 @given(perturbed_dg_algebras())
 def test_verify_agrees_with_the_dense_referee(E):
     assert broken_axiom(E) == dense_dg_verify(E)
+
+
+def test_the_bases_reach_the_general_rows():
+    """The bases hold products with a coefficient other than 1 and
+    products of several terms, so verify's rows leave the single-term,
+    unit-coefficient path."""
+    values = [v for E in referee_bases() for v in E.products.values()]
+    assert any(c != QQ.one for v in values for c in v.values())
+    assert any(len(v) > 1 for v in values)
+
+
+def outcome(build, E):
+    """What ``build(E)`` returns, or the class and message it raises."""
+    try:
+        return build(E)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_dg_algebras())
+def test_simple_dg_modules_agree_with_the_dense_checks(E):
+    dense = outcome(lambda A: dense_simple_dg_modules(A, _character), E)
+    assert outcome(simple_dg_modules, E) == dense
